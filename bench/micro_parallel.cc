@@ -3,8 +3,9 @@
  * Thread-scaling microbenchmarks for the parallel RNS execution layer:
  * mulRelin, rotate and a full-limb NTT at the acceptance configuration
  * N = 2^14 with 12 limbs, swept across HYDRA_THREADS in {1, 2, 4, 8}
- * via ThreadPool::setThreadCount.  Run with --benchmark_filter=Small
- * for a quick laptop-scale sweep at N = 2^12.
+ * via ThreadPool::setThreadCount, plus the bare parallelFor dispatch
+ * cost.  Run with --benchmark_filter=Small for a quick laptop-scale
+ * sweep at N = 2^12.
  */
 
 #include <benchmark/benchmark.h>
@@ -162,6 +163,25 @@ BM_SmallRotate(benchmark::State& state)
 }
 BENCHMARK(BM_SmallRotate)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+/**
+ * One parallelFor over 16 near-empty indices: the pure dispatch and
+ * join cost that every limb-parallel RnsPoly op pays.
+ */
+void
+BM_ParallelForDispatch(benchmark::State& state)
+{
+    ThreadPool::instance().setThreadCount(
+        static_cast<size_t>(state.range(0)));
+    std::vector<std::uint64_t> slots(16 * 8, 0);
+    for (auto _ : state) {
+        parallelFor(0, 16, [&](size_t i) { slots[i * 8] += 1; });
+        benchmark::ClobberMemory();
+    }
+    ThreadPool::instance().setThreadCount(1);
+}
+BENCHMARK(BM_ParallelForDispatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMicrosecond);
 
 } // namespace
 } // namespace hydra

@@ -1,5 +1,7 @@
 #include "common/parallel.hh"
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <mutex>
@@ -7,6 +9,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/pool.hh"
 
 namespace hydra {
 
@@ -14,6 +17,14 @@ namespace {
 
 /** Set while a thread is executing inside a parallelFor region. */
 thread_local bool tls_in_parallel_region = false;
+
+/**
+ * How long an idle worker (or a caller waiting on its workers) polls
+ * before blocking on a condition variable.  Back-to-back jobs -- the
+ * common case inside one homomorphic operation -- are then picked up
+ * without a futex wake-up, while an idle pool still sleeps.
+ */
+constexpr auto kSpinBudget = std::chrono::microseconds(50);
 
 size_t
 defaultThreadCount()
@@ -41,8 +52,49 @@ chunkRange(size_t begin, size_t end, size_t w, size_t nchunks)
     return {lo, hi};
 }
 
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+}
+
+/**
+ * Poll `ready` for at most kSpinBudget; true once it holds.  Every 64th
+ * poll yields the core, so on an oversubscribed host a spinning thread
+ * hands its time slice to the thread it is waiting for.
+ */
+template <class Ready>
+bool
+spinUntil(Ready ready)
+{
+    auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+    for (unsigned i = 1;; ++i) {
+        if (ready())
+            return true;
+        if (i % 64 == 0) {
+            if (std::chrono::steady_clock::now() >= deadline)
+                return ready();
+            std::this_thread::yield();
+        } else {
+            cpuRelax();
+        }
+    }
+}
+
 } // namespace
 
+/**
+ * Dispatch protocol.  The caller publishes the job fields, then bumps
+ * `generation`; workers that spin on `generation` see the job without
+ * any lock.  Sleeping is a Dekker handshake: a worker increments
+ * `sleepers` before re-checking `generation` under `m`, and the caller
+ * re-reads `sleepers` after the bump, so one of the two always sees the
+ * other and no wake-up is lost.  Completion mirrors it with `pending`
+ * and `callerSleeping`.  All handshake accesses are sequentially
+ * consistent; the job fields ride on the generation's release/acquire.
+ */
 struct ThreadPool::Impl
 {
     std::vector<std::thread> workers;
@@ -57,39 +109,47 @@ struct ThreadPool::Impl
     size_t jobEnd = 0;
     size_t jobChunks = 0;
     /** Incremented per job so workers detect new work. */
-    std::uint64_t generation = 0;
-    /** Worker chunks not yet finished for the current job. */
-    size_t pending = 0;
-    bool shutdown = false;
+    alignas(64) std::atomic<std::uint64_t> generation{0};
+    /** Worker chunks not yet finished for the current job.  On its own
+     *  cache line: finishing workers must not disturb spinning ones. */
+    alignas(64) std::atomic<size_t> pending{0};
+    std::atomic<bool> shutdown{false};
+    /** Workers blocked (or about to block) on cvStart. */
+    alignas(64) std::atomic<size_t> sleepers{0};
+    /** The caller is blocked (or about to block) on cvDone. */
+    std::atomic<bool> callerSleeping{false};
 
     void
     workerLoop(size_t id, std::uint64_t seen)
     {
+        // Worker `id` owns chunk id+1 (the caller runs chunk 0) and the
+        // buffer-pool slot of the same number.
+        size_t w = id + 1;
+        BufferPool::bindThreadSlot(w);
+        auto ready = [&] {
+            return shutdown.load() || generation.load() != seen;
+        };
         for (;;) {
-            std::unique_lock<std::mutex> lk(m);
-            cvStart.wait(lk, [&] {
-                return shutdown || generation != seen;
-            });
-            if (shutdown)
+            if (!spinUntil(ready)) {
+                std::unique_lock<std::mutex> lk(m);
+                sleepers.fetch_add(1);
+                cvStart.wait(lk, ready);
+                sleepers.fetch_sub(1);
+            }
+            if (shutdown.load())
                 return;
-            seen = generation;
-            // Worker `id` owns chunk id+1 (the caller runs chunk 0).
-            size_t w = id + 1;
-            const std::function<void(size_t)>* f = fn;
-            size_t b = jobBegin, e = jobEnd, nchunks = jobChunks;
-            lk.unlock();
-
-            if (w < nchunks) {
-                auto [lo, hi] = chunkRange(b, e, w, nchunks);
+            seen = generation.load(std::memory_order_acquire);
+            if (w < jobChunks) {
+                auto [lo, hi] = chunkRange(jobBegin, jobEnd, w, jobChunks);
                 tls_in_parallel_region = true;
                 for (size_t i = lo; i < hi; ++i)
-                    (*f)(i);
+                    (*fn)(i);
                 tls_in_parallel_region = false;
             }
-
-            lk.lock();
-            if (--pending == 0)
+            if (pending.fetch_sub(1) == 1 && callerSleeping.load()) {
+                std::lock_guard<std::mutex> lk(m);
                 cvDone.notify_one();
+            }
         }
     }
 
@@ -100,7 +160,7 @@ struct ThreadPool::Impl
         // handled: after a stop()/start() cycle the counter keeps its
         // old value, and a zero-initialized `seen` would make them wake
         // instantly on a phantom job with a stale fn pointer.
-        std::uint64_t gen = generation;
+        std::uint64_t gen = generation.load();
         workers.reserve(n_workers);
         for (size_t i = 0; i < n_workers; ++i)
             workers.emplace_back([this, i, gen] { workerLoop(i, gen); });
@@ -111,13 +171,46 @@ struct ThreadPool::Impl
     {
         {
             std::lock_guard<std::mutex> lk(m);
-            shutdown = true;
+            shutdown.store(true);
         }
         cvStart.notify_all();
         for (auto& t : workers)
             t.join();
         workers.clear();
-        shutdown = false;
+        shutdown.store(false);
+    }
+
+    /** Publish a job of `nchunks` chunks to `n_workers` workers. */
+    void
+    dispatch(const std::function<void(size_t)>& f, size_t b, size_t e,
+             size_t nchunks, size_t n_workers)
+    {
+        fn = &f;
+        jobBegin = b;
+        jobEnd = e;
+        jobChunks = nchunks;
+        pending.store(n_workers);
+        generation.fetch_add(1); // seq_cst: also releases the job fields
+        if (sleepers.load() > 0) {
+            // Taking the mutex orders this wake-up after any worker that
+            // counted itself a sleeper has reached its wait.
+            { std::lock_guard<std::mutex> lk(m); }
+            cvStart.notify_all();
+        }
+    }
+
+    /** Block until every worker has finished the current job. */
+    void
+    join()
+    {
+        auto done = [&] { return pending.load() == 0; };
+        if (!spinUntil(done)) {
+            std::unique_lock<std::mutex> lk(m);
+            callerSleeping.store(true);
+            cvDone.wait(lk, done);
+            callerSleeping.store(false);
+        }
+        fn = nullptr;
     }
 };
 
@@ -176,16 +269,7 @@ ThreadPool::parallelFor(size_t begin, size_t end,
         return;
     }
 
-    {
-        std::lock_guard<std::mutex> lk(impl_->m);
-        impl_->fn = &fn;
-        impl_->jobBegin = begin;
-        impl_->jobEnd = end;
-        impl_->jobChunks = nchunks;
-        impl_->pending = nThreads_ - 1;
-        ++impl_->generation;
-    }
-    impl_->cvStart.notify_all();
+    impl_->dispatch(fn, begin, end, nchunks, nThreads_ - 1);
 
     // The caller executes chunk 0 while workers run the rest.
     auto [lo, hi] = chunkRange(begin, end, 0, nchunks);
@@ -194,9 +278,7 @@ ThreadPool::parallelFor(size_t begin, size_t end,
         fn(i);
     tls_in_parallel_region = false;
 
-    std::unique_lock<std::mutex> lk(impl_->m);
-    impl_->cvDone.wait(lk, [&] { return impl_->pending == 0; });
-    impl_->fn = nullptr;
+    impl_->join();
 }
 
 } // namespace hydra

@@ -1,18 +1,25 @@
 /**
  * @file
- * Lightweight persistent thread pool for limb-parallel RNS work.
+ * Lightweight persistent thread pool for the functional CKKS engine.
  *
- * The functional CKKS engine mirrors the paper's compute units by
- * parallelizing over independent RNS limbs (and keyswitch digits /
- * output limbs).  parallelFor() dispatches a half-open index range onto
- * the pool with deterministic static partitioning: worker w always
- * receives the same contiguous chunk of indices for a given (range,
- * thread count), and every index writes only its own outputs, so
- * results are bit-exact regardless of the configured thread count.
+ * Parallelism has two levels.  The outer, op level runs independent
+ * ciphertext operations -- BSGS giant steps, hoisted rotations -- as
+ * pool tasks (parallelForOuter); the inner, limb level parallelizes
+ * each RnsPoly op over its limbs (and keyswitch digits / output limbs).
+ * A parallelFor issued from inside a task runs serially, so exactly
+ * one level is live at a time.
+ *
+ * parallelFor() dispatches a half-open index range onto the pool with
+ * deterministic static partitioning: worker w always receives the same
+ * contiguous chunk of indices for a given (range, thread count), and
+ * every index writes only its own outputs, so results are bit-exact
+ * regardless of the configured thread count.
  *
  * Thread count comes from the HYDRA_THREADS environment variable
  * (default: std::thread::hardware_concurrency()).  A count of 1 is a
  * fully serial fallback that never touches a mutex or spawns a thread.
+ * Idle workers, and a caller waiting on its workers, spin briefly
+ * before sleeping, so back-to-back jobs skip the condvar hand-off.
  */
 
 #ifndef HYDRA_COMMON_PARALLEL_HH
@@ -71,6 +78,23 @@ parallelFor(size_t begin, size_t end,
             const std::function<void(size_t)>& fn)
 {
     ThreadPool::instance().parallelFor(begin, end, fn);
+}
+
+/**
+ * Op-level loop over `count` independent ciphertext operations: runs
+ * them as pool tasks when there are at least threadCount() of them, so
+ * every thread gets a whole operation.  Fewer operations run one after
+ * another, each keeping its own limb-level parallelism.
+ */
+inline void
+parallelForOuter(size_t count, const std::function<void(size_t)>& fn)
+{
+    if (count >= ThreadPool::instance().threadCount()) {
+        parallelFor(0, count, fn);
+        return;
+    }
+    for (size_t i = 0; i < count; ++i)
+        fn(i);
 }
 
 } // namespace hydra

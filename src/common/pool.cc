@@ -1,5 +1,7 @@
 #include "common/pool.hh"
 
+#include <array>
+#include <atomic>
 #include <cstdlib>
 #include <mutex>
 #include <unordered_map>
@@ -21,6 +23,9 @@ constexpr size_t kAlignment = 64; // one cache line
  */
 bool g_pool_alive = false;
 
+/** The calling thread's bucket slot (see BufferPool::bindThreadSlot). */
+thread_local size_t tls_slot = 0;
+
 std::uint64_t*
 alignedAlloc(size_t words)
 {
@@ -36,10 +41,20 @@ alignedAlloc(size_t words)
 
 struct BufferPool::Impl
 {
-    mutable std::mutex m;
-    /** Idle buffers keyed by exact word count. */
-    std::unordered_map<size_t, std::vector<std::uint64_t*>> buckets;
-    Stats stats;
+    struct Slot
+    {
+        std::mutex m;
+        /** Idle buffers keyed by exact word count. */
+        std::unordered_map<size_t, std::vector<std::uint64_t*>> buckets;
+    };
+    std::array<Slot, kSlots> slots;
+
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> misses{0};
+    std::atomic<std::uint64_t> released{0};
+    std::atomic<std::uint64_t> outstanding{0};
+    std::atomic<std::uint64_t> cached{0};
+    std::atomic<std::uint64_t> cachedWords{0};
 };
 
 BufferPool::BufferPool() : impl_(new Impl)
@@ -50,9 +65,10 @@ BufferPool::BufferPool() : impl_(new Impl)
 BufferPool::~BufferPool()
 {
     g_pool_alive = false;
-    for (auto& [words, list] : impl_->buckets)
-        for (std::uint64_t* p : list)
-            std::free(p);
+    for (auto& slot : impl_->slots)
+        for (auto& [words, list] : slot.buckets)
+            for (std::uint64_t* p : list)
+                std::free(p);
     delete impl_;
 }
 
@@ -63,67 +79,83 @@ BufferPool::global()
     return pool;
 }
 
+void
+BufferPool::bindThreadSlot(size_t slot)
+{
+    tls_slot = slot < kSlots ? slot : 0;
+}
+
 PoolBuffer
 BufferPool::acquire(size_t words)
 {
     HYDRA_ASSERT(words > 0, "cannot acquire an empty buffer");
+    size_t slot = tls_slot;
+    ++impl_->outstanding;
     {
-        std::lock_guard<std::mutex> lock(impl_->m);
-        auto it = impl_->buckets.find(words);
-        if (it != impl_->buckets.end() && !it->second.empty()) {
+        Impl::Slot& s = impl_->slots[slot];
+        std::lock_guard<std::mutex> lock(s.m);
+        auto it = s.buckets.find(words);
+        if (it != s.buckets.end() && !it->second.empty()) {
             std::uint64_t* p = it->second.back();
             it->second.pop_back();
-            ++impl_->stats.hits;
-            ++impl_->stats.outstanding;
-            --impl_->stats.cached;
-            impl_->stats.cachedWords -= words;
-            return PoolBuffer(p, words);
+            ++impl_->hits;
+            --impl_->cached;
+            impl_->cachedWords -= words;
+            return PoolBuffer(p, words, slot);
         }
-        ++impl_->stats.misses;
-        ++impl_->stats.outstanding;
     }
-    // Allocate outside the lock; the counters above already reserved
-    // this buffer's accounting.
-    return PoolBuffer(alignedAlloc(words), words);
+    ++impl_->misses;
+    return PoolBuffer(alignedAlloc(words), words, slot);
 }
 
 void
-BufferPool::release(std::uint64_t* p, size_t words)
+BufferPool::release(std::uint64_t* p, size_t words, size_t slot)
 {
-    std::lock_guard<std::mutex> lock(impl_->m);
-    impl_->buckets[words].push_back(p);
-    ++impl_->stats.released;
-    --impl_->stats.outstanding;
-    ++impl_->stats.cached;
-    impl_->stats.cachedWords += words;
+    {
+        Impl::Slot& s = impl_->slots[slot];
+        std::lock_guard<std::mutex> lock(s.m);
+        s.buckets[words].push_back(p);
+    }
+    ++impl_->released;
+    --impl_->outstanding;
+    ++impl_->cached;
+    impl_->cachedWords += words;
 }
 
 BufferPool::Stats
 BufferPool::stats() const
 {
-    std::lock_guard<std::mutex> lock(impl_->m);
-    return impl_->stats;
+    Stats s;
+    s.hits = impl_->hits.load();
+    s.misses = impl_->misses.load();
+    s.released = impl_->released.load();
+    s.outstanding = impl_->outstanding.load();
+    s.cached = impl_->cached.load();
+    s.cachedWords = impl_->cachedWords.load();
+    return s;
 }
 
 void
 BufferPool::resetStats()
 {
-    std::lock_guard<std::mutex> lock(impl_->m);
-    impl_->stats.hits = 0;
-    impl_->stats.misses = 0;
-    impl_->stats.released = 0;
+    impl_->hits = 0;
+    impl_->misses = 0;
+    impl_->released = 0;
 }
 
 void
 BufferPool::trim()
 {
-    std::lock_guard<std::mutex> lock(impl_->m);
-    for (auto& [words, list] : impl_->buckets)
-        for (std::uint64_t* p : list)
-            std::free(p);
-    impl_->buckets.clear();
-    impl_->stats.cached = 0;
-    impl_->stats.cachedWords = 0;
+    for (auto& slot : impl_->slots) {
+        std::lock_guard<std::mutex> lock(slot.m);
+        for (auto& [words, list] : slot.buckets) {
+            for (std::uint64_t* p : list)
+                std::free(p);
+            impl_->cached -= list.size();
+            impl_->cachedWords -= list.size() * words;
+        }
+        slot.buckets.clear();
+    }
 }
 
 void
@@ -132,7 +164,7 @@ PoolBuffer::reset()
     if (!ptr_)
         return;
     if (g_pool_alive)
-        BufferPool::global().release(ptr_, words_);
+        BufferPool::global().release(ptr_, words_, slot_);
     else
         std::free(ptr_);
     ptr_ = nullptr;

@@ -10,12 +10,21 @@
  * released buffers in exact-size buckets: after one warm-up pass of a
  * workload every acquire is a free-list pop.
  *
- * acquire()/release() are mutex-guarded (they are rare relative to the
- * O(n) work done on each buffer, including from ThreadPool workers) and
- * counted: hits (reused buffer), misses (fresh allocation) and
- * outstanding (live buffers) are visible to tests and benches via
- * stats().  Returned memory is NOT zeroed; callers that need a zero
- * buffer clear it themselves.
+ * The buckets are split into per-thread slots.  Each ThreadPool worker
+ * binds its own slot (bindThreadSlot); every other thread shares slot 0.
+ * A buffer remembers the slot that acquired it and always returns there,
+ * even when another thread releases it, and an acquire only pops from
+ * the calling thread's slot.  Each thread's hits and misses therefore
+ * depend only on its own, statically partitioned, sequence of acquires
+ * and on releases ordered by the pool's job boundaries -- never on how
+ * the threads interleave -- so a warm workload misses zero times at any
+ * thread count.
+ *
+ * acquire()/release() take the slot's mutex (rare relative to the O(n)
+ * work done on each buffer) and are counted: hits (reused buffer),
+ * misses (fresh allocation) and outstanding (live buffers) are visible
+ * to tests and benches via stats().  Returned memory is NOT zeroed;
+ * callers that need a zero buffer clear it themselves.
  */
 
 #ifndef HYDRA_COMMON_POOL_HH
@@ -41,7 +50,8 @@ class PoolBuffer
 
     PoolBuffer(PoolBuffer&& other) noexcept
         : ptr_(std::exchange(other.ptr_, nullptr)),
-          words_(std::exchange(other.words_, 0))
+          words_(std::exchange(other.words_, 0)),
+          slot_(other.slot_)
     {
     }
 
@@ -52,6 +62,7 @@ class PoolBuffer
             reset();
             ptr_ = std::exchange(other.ptr_, nullptr);
             words_ = std::exchange(other.words_, 0);
+            slot_ = other.slot_;
         }
         return *this;
     }
@@ -71,10 +82,14 @@ class PoolBuffer
 
   private:
     friend class BufferPool;
-    PoolBuffer(std::uint64_t* p, size_t words) : ptr_(p), words_(words) {}
+    PoolBuffer(std::uint64_t* p, size_t words, size_t slot)
+        : ptr_(p), words_(words), slot_(slot)
+    {
+    }
 
     std::uint64_t* ptr_ = nullptr;
     size_t words_ = 0;
+    size_t slot_ = 0; ///< pool slot the buffer returns to
 };
 
 /** Process-wide pool; all RnsPoly storage flows through global(). */
@@ -95,10 +110,19 @@ class BufferPool
     /** The singleton pool shared by every RnsPoly. */
     static BufferPool& global();
 
+    /** Slots with their own buckets; higher slot numbers share slot 0. */
+    static constexpr size_t kSlots = 64;
+
+    /**
+     * Make the calling thread acquire from (and own buffers in) `slot`.
+     * ThreadPool workers bind slot id+1; unbound threads use slot 0.
+     */
+    static void bindThreadSlot(size_t slot);
+
     BufferPool(const BufferPool&) = delete;
     BufferPool& operator=(const BufferPool&) = delete;
 
-    /** Hand out a buffer of at exactly `words` words (uninitialized). */
+    /** Hand out a buffer of exactly `words` words (uninitialized). */
     PoolBuffer acquire(size_t words);
 
     Stats stats() const;
@@ -115,7 +139,7 @@ class BufferPool
     BufferPool();
 
     friend class PoolBuffer;
-    void release(std::uint64_t* p, size_t words);
+    void release(std::uint64_t* p, size_t words, size_t slot);
 
     struct Impl;
     Impl* impl_;

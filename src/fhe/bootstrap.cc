@@ -105,10 +105,12 @@ Bootstrapper::modRaise(const Ciphertext& ct) const
 std::pair<Ciphertext, Ciphertext>
 Bootstrapper::coeffToSlot(const Evaluator& eval, const Ciphertext& ct) const
 {
-    // w = V z; c_half = w + conj(w).
-    Ciphertext re = c2sLow_->apply(eval, ct);
+    // w = V z; c_half = w + conj(w).  Both matrices read the same
+    // rotations of ct, so the baby steps are hoisted once for the pair.
+    std::vector<Ciphertext> baby = c2sLow_->babySteps(eval, ct);
+    Ciphertext re = c2sLow_->applyBaby(eval, baby);
     eval.addInPlace(re, eval.conjugate(re));
-    Ciphertext im = c2sHigh_->apply(eval, ct);
+    Ciphertext im = c2sHigh_->applyBaby(eval, baby);
     eval.addInPlace(im, eval.conjugate(im));
     return {std::move(re), std::move(im)};
 }

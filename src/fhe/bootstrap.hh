@@ -7,8 +7,10 @@
  *   -> SlotToCoeff.
  *
  * The linear transforms are the BSGS matrix products whose multi-node
- * mapping the paper optimizes; here they run single-node and exact, and
- * the scheduler layer distributes the very same structure.
+ * mapping the paper optimizes; here they run single-node and exact, with
+ * their independent giant steps and hoisted rotations spread over the
+ * host thread pool, and the scheduler layer distributes the very same
+ * structure across cards.
  */
 
 #ifndef HYDRA_FHE_BOOTSTRAP_HH

@@ -385,26 +385,27 @@ Evaluator::rotateHoisted(const Ciphertext& a,
     c1.fromNtt();
     std::vector<RnsPoly> digits = decomposeDigits(c1);
 
-    std::vector<Ciphertext> out;
-    out.reserve(steps.size());
-    for (int s : steps) {
-        u64 g = ctx_.galoisForRotation(s);
+    // Each step is an independent keyswitch over the shared digits, so
+    // the steps form the op-level loop: one rotation per pool task when
+    // there are enough of them, else limb-parallel rotations in turn.
+    std::vector<Ciphertext> out(steps.size());
+    parallelForOuter(steps.size(), [&](size_t i) {
+        u64 g = ctx_.galoisForRotation(steps[i]);
         if (g == 1) {
-            out.push_back(a);
-            continue;
+            out[i] = a;
+            return;
         }
         auto [t0, t1] = accumulateKey(digits, galois_->at(g), a.level(),
                                       g);
         // Accumulate the permuted c0 straight into the keyswitch
         // output instead of materializing the rotated polynomial.
-        Ciphertext ct;
+        Ciphertext& ct = out[i];
         ct.c0 = std::move(t0);
         ct.c0.addAutomorphismNtt(a.c0, g);
         ct.c1 = std::move(t1);
         ct.scale = a.scale;
         count(HeOpType::Rotate, ct.level());
-        out.push_back(std::move(ct));
-    }
+    });
     return out;
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
 
 namespace hydra {
 
@@ -39,7 +40,8 @@ LinearTransform::LinearTransform(const CkksEncoder& encoder,
     gs_ = slots_ / bs;
 
     // Extract generalized diagonals, pre-rotate each by -(g*bs), encode.
-    size_t encoded = 0;
+    giant_.resize(gs_);
+    needBaby_.assign(bs_, false);
     for (size_t g = 0; g < gs_; ++g) {
         for (size_t b = 0; b < bs_; ++b) {
             size_t d = g * bs_ + b;
@@ -55,12 +57,12 @@ LinearTransform::LinearTransform(const CkksEncoder& encoder,
             for (size_t j = 0; j < slots_; ++j)
                 rotated[j] = diag[(j + slots_ - shift % slots_) % slots_];
             // Encode at full level so any ciphertext level works.
-            diag_.emplace(d, encoder.encode(rotated, scale_,
-                                            encoder.maxLevels()));
-            ++encoded;
+            giant_[g].push_back(
+                {b, encoder.encode(rotated, scale_, encoder.maxLevels())});
+            needBaby_[b] = true;
+            ++diagonals_;
         }
     }
-    (void)encoded;
 }
 
 std::vector<int>
@@ -74,61 +76,71 @@ LinearTransform::requiredRotations() const
     return steps;
 }
 
-Ciphertext
-LinearTransform::apply(const Evaluator& eval, const Ciphertext& ct) const
+std::vector<Ciphertext>
+LinearTransform::babySteps(const Evaluator& eval,
+                           const Ciphertext& ct) const
 {
-    HYDRA_ASSERT(!diag_.empty(), "empty linear transform");
-    // Baby steps: rot_b(ct) for every b that some diagonal needs.
-    std::vector<bool> need(bs_, false);
-    for (const auto& [d, pt] : diag_)
-        need[d % bs_] = true;
-
     // Hoisted baby steps: one digit decomposition shared by all.
     std::vector<int> steps;
     for (size_t b = 1; b < bs_; ++b)
-        if (need[b])
+        if (needBaby_[b])
             steps.push_back(static_cast<int>(b));
     std::vector<Ciphertext> hoisted = eval.rotateHoisted(ct, steps);
     std::vector<Ciphertext> baby(bs_);
-    if (need[0])
+    if (needBaby_[0])
         baby[0] = ct;
     for (size_t i = 0; i < steps.size(); ++i)
         baby[static_cast<size_t>(steps[i])] = std::move(hoisted[i]);
+    return baby;
+}
 
+Ciphertext
+LinearTransform::applyBaby(const Evaluator& eval,
+                           const std::vector<Ciphertext>& baby) const
+{
+    HYDRA_ASSERT(diagonals_ > 0, "empty linear transform");
+    HYDRA_ASSERT(baby.size() == bs_, "baby-step count mismatch");
+    for (size_t b = 0; b < bs_; ++b)
+        HYDRA_ASSERT(!needBaby_[b] || baby[b].c0.valid(),
+                     "baby step missing for a stored diagonal");
+
+    // Giant-step accumulators: the first diagonal materializes the
+    // product, every further one is a fused multiply-accumulate into it
+    // -- no per-term ciphertext, no copy-then-add.
+    std::vector<Ciphertext> partial(gs_);
+    parallelForOuter(gs_, [&](size_t g) {
+        const std::vector<Term>& terms = giant_[g];
+        if (terms.empty())
+            return;
+        Ciphertext acc = eval.mulPlain(baby[terms[0].b], terms[0].pt);
+        for (size_t t = 1; t < terms.size(); ++t)
+            eval.addMulPlain(acc, baby[terms[t].b], terms[t].pt);
+        partial[g] = g == 0 ? std::move(acc)
+                            : eval.rotate(acc, static_cast<int>(g * bs_));
+    });
+
+    // Summing the partials in fixed g order reproduces the serial
+    // result bit for bit (and modular addition is exact anyway).
     bool have_total = false;
     Ciphertext total;
     for (size_t g = 0; g < gs_; ++g) {
-        // Giant-step accumulator: the first diagonal materializes the
-        // product, every further one is a fused multiply-accumulate
-        // into it -- no per-term ciphertext, no copy-then-add.
-        bool have_acc = false;
-        Ciphertext acc;
-        for (size_t b = 0; b < bs_; ++b) {
-            auto it = diag_.find(g * bs_ + b);
-            if (it == diag_.end())
-                continue;
-            if (have_acc) {
-                eval.addMulPlain(acc, baby[b], it->second);
-            } else {
-                acc = eval.mulPlain(baby[b], it->second);
-                have_acc = true;
-            }
-        }
-        if (!have_acc)
+        if (giant_[g].empty())
             continue;
-        Ciphertext shifted =
-            g == 0 ? std::move(acc)
-                   : eval.rotate(acc, static_cast<int>(g * bs_));
         if (have_total) {
-            eval.addInPlace(total, shifted);
+            eval.addInPlace(total, partial[g]);
         } else {
-            total = std::move(shifted);
+            total = std::move(partial[g]);
             have_total = true;
         }
     }
-    HYDRA_ASSERT(have_total, "linear transform produced nothing");
     eval.rescaleInPlace(total);
     return total;
+}
+
+Ciphertext
+LinearTransform::apply(const Evaluator& eval, const Ciphertext& ct) const
+{
+    return applyBaby(eval, babySteps(eval, ct));
 }
 
 std::vector<cplx>

@@ -12,7 +12,6 @@
 #ifndef HYDRA_FHE_LINTRANS_HH
 #define HYDRA_FHE_LINTRANS_HH
 
-#include <map>
 #include <vector>
 
 #include "fhe/evaluator.hh"
@@ -39,24 +38,50 @@ class LinearTransform
     std::vector<int> requiredRotations() const;
 
     /**
-     * Apply to a ciphertext.  Consumes one level (PMult + final
-     * rescale); the result decodes to M * decode(ct).
+     * Hoisted baby steps rot_b(ct), indexed by b in [0, babySteps()).
+     * Entries no stored diagonal reads stay empty.  Transforms with the
+     * same baby-step count can share one set over the same ciphertext
+     * (Bootstrapper::coeffToSlot hoists once for both C2S matrices).
      */
+    std::vector<Ciphertext> babySteps(const Evaluator& eval,
+                                      const Ciphertext& ct) const;
+
+    /**
+     * Giant steps over precomputed baby steps.  Consumes one level
+     * (PMult + final rescale); the result decodes to M * decode(ct).
+     * The giant steps are independent, so they run as op-level pool
+     * tasks and their partial sums are added in fixed g order.
+     */
+    Ciphertext applyBaby(const Evaluator& eval,
+                         const std::vector<Ciphertext>& baby) const;
+
+    /** applyBaby(eval, babySteps(eval, ct)). */
     Ciphertext apply(const Evaluator& eval, const Ciphertext& ct) const;
 
     size_t babySteps() const { return bs_; }
     size_t giantSteps() const { return gs_; }
 
     /** Number of stored (non-negligible) diagonals. */
-    size_t diagonalCount() const { return diag_.size(); }
+    size_t diagonalCount() const { return diagonals_; }
 
   private:
+    /** One stored diagonal g*bs + b of giant step g. */
+    struct Term
+    {
+        size_t b;
+        /** Encoded diagonal, pre-rotated by -(g*bs). */
+        Plaintext pt;
+    };
+
     size_t slots_;
     size_t bs_;
     size_t gs_;
     double scale_;
-    /** Encoded pre-rotated diagonals, keyed by diagonal index d. */
-    std::map<size_t, Plaintext> diag_;
+    size_t diagonals_ = 0;
+    /** Per giant step g, its stored diagonals in increasing b. */
+    std::vector<std::vector<Term>> giant_;
+    /** Whether some stored diagonal reads baby step b. */
+    std::vector<bool> needBaby_;
 };
 
 /**

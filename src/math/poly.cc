@@ -1,9 +1,10 @@
 #include "math/poly.hh"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <bit>
 #include <cstring>
-#include <map>
 #include <mutex>
 
 #include "common/logging.hh"
@@ -254,13 +255,36 @@ RnsPoly::nttAutomorphismMap(size_t n, u64 galois)
 const std::vector<size_t>&
 RnsPoly::nttAutomorphismMapCached(size_t n, u64 galois)
 {
-    static std::mutex memo_mutex;
-    static std::map<std::pair<size_t, u64>, std::vector<size_t>> memo;
-    std::lock_guard<std::mutex> lock(memo_mutex);
-    auto [it, inserted] = memo.try_emplace({n, galois});
-    if (inserted)
-        it->second = nttAutomorphismMap(n, galois);
-    return it->second;
+    // One table per log2(n), one entry per odd Galois element g < 2n at
+    // index g/2.  Entries are published once with release stores and
+    // never change, so concurrent rotations read them without a lock;
+    // only building a table or an entry takes the mutex.  Both live for
+    // the rest of the process.
+    using Entry = std::atomic<const std::vector<size_t>*>;
+    static std::array<std::atomic<Entry*>, 64> tables{};
+    static std::mutex build_mutex;
+    HYDRA_ASSERT(std::has_single_bit(n) && (galois & 1) == 1 &&
+                     galois < 2 * static_cast<u64>(n),
+                 "bad Galois element");
+    std::atomic<Entry*>& table_ref = tables[std::countr_zero(n)];
+    size_t idx = static_cast<size_t>(galois / 2);
+    if (Entry* table = table_ref.load(std::memory_order_acquire))
+        if (const auto* map = table[idx].load(std::memory_order_acquire))
+            return *map;
+
+    std::lock_guard<std::mutex> lock(build_mutex);
+    Entry* table = table_ref.load(std::memory_order_relaxed);
+    if (!table) {
+        table = new Entry[n]();
+        table_ref.store(table, std::memory_order_release);
+    }
+    const std::vector<size_t>* map =
+        table[idx].load(std::memory_order_relaxed);
+    if (!map) {
+        map = new std::vector<size_t>(nttAutomorphismMap(n, galois));
+        table[idx].store(map, std::memory_order_release);
+    }
+    return *map;
 }
 
 RnsPoly

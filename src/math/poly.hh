@@ -207,10 +207,11 @@ class RnsPoly
 
     /**
      * Memoized variant of nttAutomorphismMap: entries are computed once
-     * per (n, galois) pair in a mutex-guarded cache and returned by
-     * reference.  BSGS linear transforms and bootstrapping issue
-     * hundreds of rotations over a handful of Galois elements, so the
-     * n-entry modular-index computation amortizes to a lookup.
+     * per (n, galois) pair and returned by reference; lookups of an
+     * existing entry are lock-free, so concurrent rotations never
+     * contend.  BSGS linear transforms and bootstrapping issue hundreds
+     * of rotations over a handful of Galois elements, so the n-entry
+     * modular-index computation amortizes to a lookup.
      */
     static const std::vector<size_t>& nttAutomorphismMapCached(size_t n,
                                                                u64 galois);

@@ -26,12 +26,13 @@ OpCounter::summary() const
 {
     std::string out;
     for (size_t i = 0; i < kNumHeOpTypes; ++i) {
-        if (!counts_[i])
+        uint64_t c = count(static_cast<HeOpType>(i));
+        if (!c)
             continue;
         if (!out.empty())
             out += ", ";
         out += strf("%s=%llu", heOpName(static_cast<HeOpType>(i)),
-                    static_cast<unsigned long long>(counts_[i]));
+                    static_cast<unsigned long long>(c));
     }
     return out.empty() ? "none" : out;
 }

@@ -12,6 +12,7 @@
 #define HYDRA_TRACE_HEOP_HH
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -44,52 +45,62 @@ struct HeOp
     uint32_t limbs;
 };
 
-/** Aggregated counts per operation type. */
+/**
+ * Aggregated counts per operation type.  record() may run concurrently
+ * from ThreadPool workers (op-level parallel BSGS); the counters are
+ * relaxed atomics, and totals are order-independent sums.
+ */
 class OpCounter
 {
   public:
     void
     record(HeOpType t, uint32_t limbs)
     {
-        counts_[static_cast<size_t>(t)] += 1;
-        limbSum_[static_cast<size_t>(t)] += limbs;
+        counts_[static_cast<size_t>(t)].fetch_add(
+            1, std::memory_order_relaxed);
+        limbSum_[static_cast<size_t>(t)].fetch_add(
+            limbs, std::memory_order_relaxed);
     }
 
     uint64_t
     count(HeOpType t) const
     {
-        return counts_[static_cast<size_t>(t)];
+        return counts_[static_cast<size_t>(t)].load(
+            std::memory_order_relaxed);
     }
 
     /** Sum of active limb counts over all ops of this type. */
     uint64_t
     limbSum(HeOpType t) const
     {
-        return limbSum_[static_cast<size_t>(t)];
+        return limbSum_[static_cast<size_t>(t)].load(
+            std::memory_order_relaxed);
     }
 
     uint64_t
     total() const
     {
         uint64_t s = 0;
-        for (auto c : counts_)
-            s += c;
+        for (const auto& c : counts_)
+            s += c.load(std::memory_order_relaxed);
         return s;
     }
 
     void
     reset()
     {
-        counts_.fill(0);
-        limbSum_.fill(0);
+        for (auto& c : counts_)
+            c.store(0, std::memory_order_relaxed);
+        for (auto& l : limbSum_)
+            l.store(0, std::memory_order_relaxed);
     }
 
     /** Render as a one-line summary. */
     std::string summary() const;
 
   private:
-    std::array<uint64_t, kNumHeOpTypes> counts_{};
-    std::array<uint64_t, kNumHeOpTypes> limbSum_{};
+    std::array<std::atomic<uint64_t>, kNumHeOpTypes> counts_{};
+    std::array<std::atomic<uint64_t>, kNumHeOpTypes> limbSum_{};
 };
 
 /**

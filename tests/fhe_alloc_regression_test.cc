@@ -92,5 +92,40 @@ TEST(AllocRegression, HoistedRotationSteadyStateNeverMissesPool)
     EXPECT_GT(s.hits, 0u);
 }
 
+TEST(AllocRegression, OpLevelParallelTransformNeverMissesPool)
+{
+    // BSGS with op-level parallel giant steps and hoisted rotations:
+    // each pool thread draws from its own buffer slot, so the warm
+    // steady state is allocation-free at every thread count, not just
+    // when the threads happen to interleave as they did in warm-up.
+    FheHarness probe(loopParams());
+    size_t s = probe.ctx.slots();
+    CMatrix m(s);
+    for (size_t i = 0; i < s; ++i)
+        m[i] = test::randomComplexVec(s, 300 + i, 0.1);
+    FheHarness h(loopParams(),
+                 LinearTransform(probe.encoder, m, probe.ctx.params().scale())
+                     .requiredRotations());
+    LinearTransform lt(h.encoder, m, h.ctx.params().scale());
+    Ciphertext ct = h.encryptVec(test::randomComplexVec(s, 35));
+
+    for (size_t threads : {1u, 4u}) {
+        test::ThreadCountGuard tc(threads);
+        Ciphertext last;
+        for (int i = 0; i < 2; ++i)
+            last = lt.apply(h.eval, ct);
+
+        BufferPool::global().resetStats();
+        for (int i = 0; i < 4; ++i)
+            last = lt.apply(h.eval, ct);
+
+        BufferPool::Stats st = BufferPool::global().stats();
+        EXPECT_EQ(st.misses, 0u)
+            << "linear transform at " << threads << " threads allocated "
+            << st.misses << " fresh buffers (hits: " << st.hits << ")";
+        EXPECT_GT(st.hits, 0u);
+    }
+}
+
 } // namespace
 } // namespace hydra

@@ -211,5 +211,34 @@ TEST(Bootstrap, DepthMatchesConfiguration)
     EXPECT_LT(boot.depth(), p.levels);
 }
 
+TEST(Bootstrap, KeyswitchCountIsExactAtAnyThreadCount)
+{
+    // n = 2^10: 512 slots, 32 baby x 16 giant steps per transform.
+    // C2S hoists its 31 baby steps once for both matrices (31 + 2 x 15
+    // giant + 2 conjugations = 63), S2C pays 2 x (31 + 15) = 92, and
+    // EvalMod's 30 relinearizations + 2 conjugations make 187.
+    BootHarness b(btParams(1 << 10));
+    auto& h = b.h;
+    auto v = test::randomRealVec(h.ctx.slots(), 61, 0.01);
+    auto ct = h.encryptVec(v, 1);
+
+    Ciphertext first;
+    for (size_t threads : {1u, 4u}) {
+        test::ThreadCountGuard tc(threads);
+        OpCounter counter;
+        h.eval.setCounter(&counter);
+        Ciphertext out = b.boot.bootstrap(h.eval, ct);
+        h.eval.setCounter(nullptr);
+        EXPECT_EQ(counter.count(HeOpType::KeySwitch), 187u)
+            << threads << " threads";
+        EXPECT_EQ(counter.count(HeOpType::Rotate), 153u)
+            << threads << " threads";
+        if (threads == 1)
+            first = std::move(out);
+        else
+            EXPECT_TRUE(test::ciphertextsIdentical(first, out));
+    }
+}
+
 } // namespace
 } // namespace hydra

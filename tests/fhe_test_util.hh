@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "fhe/bootstrap.hh"
 #include "fhe/context.hh"
@@ -68,6 +69,40 @@ struct FheHarness
     Decryptor decryptor;
     Evaluator eval;
 };
+
+/** Restore the previous pool size even if an assertion throws. */
+struct ThreadCountGuard
+{
+    explicit ThreadCountGuard(size_t n)
+        : saved(ThreadPool::instance().threadCount())
+    {
+        ThreadPool::instance().setThreadCount(n);
+    }
+
+    ~ThreadCountGuard() { ThreadPool::instance().setThreadCount(saved); }
+
+    size_t saved;
+};
+
+/** Same shape, domain and limb words. */
+inline bool
+polysIdentical(const RnsPoly& a, const RnsPoly& b)
+{
+    if (a.limbCount() != b.limbCount() || a.nttForm() != b.nttForm())
+        return false;
+    for (size_t k = 0; k < a.limbCount(); ++k)
+        if (a.limb(k) != b.limb(k))
+            return false;
+    return true;
+}
+
+/** Bit-identical ciphertexts (scale included). */
+inline bool
+ciphertextsIdentical(const Ciphertext& a, const Ciphertext& b)
+{
+    return a.scale == b.scale && polysIdentical(a.c0, b.c0) &&
+           polysIdentical(a.c1, b.c1);
+}
 
 /** Max |a_i - b_i| over paired entries. */
 inline double

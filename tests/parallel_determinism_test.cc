@@ -17,39 +17,10 @@
 namespace hydra {
 namespace {
 
+using test::ciphertextsIdentical;
 using test::FheHarness;
-
-bool
-polysIdentical(const RnsPoly& a, const RnsPoly& b)
-{
-    if (a.limbCount() != b.limbCount() || a.nttForm() != b.nttForm())
-        return false;
-    for (size_t k = 0; k < a.limbCount(); ++k)
-        if (a.limb(k) != b.limb(k))
-            return false;
-    return true;
-}
-
-bool
-ciphertextsIdentical(const Ciphertext& a, const Ciphertext& b)
-{
-    return a.scale == b.scale && polysIdentical(a.c0, b.c0) &&
-           polysIdentical(a.c1, b.c1);
-}
-
-/** Restore the previous pool size even if an assertion throws. */
-struct ThreadCountGuard
-{
-    explicit ThreadCountGuard(size_t n)
-        : saved(ThreadPool::instance().threadCount())
-    {
-        ThreadPool::instance().setThreadCount(n);
-    }
-
-    ~ThreadCountGuard() { ThreadPool::instance().setThreadCount(saved); }
-
-    size_t saved;
-};
+using test::polysIdentical;
+using test::ThreadCountGuard;
 
 CkksParams
 smallParams()
@@ -94,7 +65,9 @@ TEST(ParallelDeterminism, BootstrapStepBitExactAcrossThreadCounts)
 
     // The bootstrap C2S stage (BSGS linear transform over hoisted
     // rotations) exercises decomposeDigits, accumulateKey, the
-    // automorphism memo and the plaintext NTT cache all at once.
+    // automorphism memo and the plaintext NTT cache all at once.  The
+    // whole bootstrap runs its giant steps (gs = 8) and hoisted baby
+    // steps as op-level tasks and EvalMod at limb level.
     CkksContext probe_ctx(p);
     CkksEncoder probe_enc(probe_ctx);
     Bootstrapper probe_boot(probe_ctx, probe_enc);
@@ -106,15 +79,94 @@ TEST(ParallelDeterminism, BootstrapStepBitExactAcrossThreadCounts)
     Ciphertext raised = boot.modRaise(ct);
 
     std::pair<Ciphertext, Ciphertext> serial;
+    Ciphertext serial_boot;
     {
         ThreadCountGuard tc(1);
         serial = boot.coeffToSlot(h.eval, raised);
+        serial_boot = boot.bootstrap(h.eval, ct);
     }
-    {
-        ThreadCountGuard tc(8);
+    for (size_t threads : {2u, 4u, 8u}) {
+        ThreadCountGuard tc(threads);
         auto parallel = boot.coeffToSlot(h.eval, raised);
         EXPECT_TRUE(ciphertextsIdentical(serial.first, parallel.first));
         EXPECT_TRUE(ciphertextsIdentical(serial.second, parallel.second));
+        EXPECT_TRUE(
+            ciphertextsIdentical(serial_boot, boot.bootstrap(h.eval, ct)))
+            << "bootstrap diverges at " << threads << " threads";
+    }
+}
+
+TEST(ParallelDeterminism, SharedBabyStepsMatchPerMatrixApply)
+{
+    FheHarness probe(smallParams());
+    size_t s = probe.ctx.slots();
+    double scale = probe.ctx.params().scale();
+    // Two dense matrices with the same baby-step count, as the two C2S
+    // matrices of bootstrapping.
+    CMatrix ma(s), mb(s);
+    for (size_t i = 0; i < s; ++i) {
+        ma[i] = test::randomComplexVec(s, 100 + i, 0.1);
+        mb[i] = test::randomComplexVec(s, 900 + i, 0.1);
+    }
+    FheHarness h(smallParams(),
+                 LinearTransform(probe.encoder, ma, scale)
+                     .requiredRotations());
+    LinearTransform la(h.encoder, ma, scale);
+    LinearTransform lb(h.encoder, mb, scale);
+    ASSERT_EQ(la.babySteps(), lb.babySteps());
+    Ciphertext ct = h.encryptVec(test::randomComplexVec(s, 17), 3);
+
+    // The single-matrix path: hoist per matrix, giant steps in turn.
+    Ciphertext ref_a, ref_b;
+    {
+        ThreadCountGuard tc(1);
+        ref_a = la.apply(h.eval, ct);
+        ref_b = lb.apply(h.eval, ct);
+    }
+    for (size_t threads : {1u, 4u}) {
+        ThreadCountGuard tc(threads);
+        std::vector<Ciphertext> shared = la.babySteps(h.eval, ct);
+        EXPECT_TRUE(
+            ciphertextsIdentical(ref_a, la.applyBaby(h.eval, shared)))
+            << threads << " threads";
+        EXPECT_TRUE(
+            ciphertextsIdentical(ref_b, lb.applyBaby(h.eval, shared)))
+            << threads << " threads";
+        EXPECT_TRUE(ciphertextsIdentical(ref_a, la.apply(h.eval, ct)))
+            << threads << " threads";
+
+        // Baby steps from plain (unhoisted) rotations give the same.
+        std::vector<Ciphertext> plain(la.babySteps());
+        plain[0] = ct;
+        for (size_t b = 1; b < plain.size(); ++b)
+            plain[b] = h.eval.rotate(ct, static_cast<int>(b));
+        EXPECT_TRUE(
+            ciphertextsIdentical(ref_a, la.applyBaby(h.eval, plain)))
+            << threads << " threads";
+    }
+}
+
+TEST(ParallelDeterminism, HoistedRotationsMatchRotateBitForBit)
+{
+    std::vector<int> steps = {1, 2, 3, 5, 7, 8, -1, 16};
+    FheHarness h(smallParams(), steps);
+    Ciphertext ct = h.encryptVec(test::randomComplexVec(h.ctx.slots(), 5));
+
+    // 8 steps run as op-level tasks at up to 8 threads; 2 steps fall
+    // back to limb-parallel rotations at 4 and 8.
+    for (size_t threads : {1u, 4u, 8u}) {
+        ThreadCountGuard tc(threads);
+        for (size_t count : {steps.size(), size_t{2}}) {
+            std::vector<int> sub(steps.begin(), steps.begin() + count);
+            std::vector<Ciphertext> hoisted =
+                h.eval.rotateHoisted(ct, sub);
+            ASSERT_EQ(hoisted.size(), sub.size());
+            for (size_t i = 0; i < sub.size(); ++i)
+                EXPECT_TRUE(ciphertextsIdentical(
+                    h.eval.rotate(ct, sub[i]), hoisted[i]))
+                    << "step " << sub[i] << " at " << threads
+                    << " threads";
+        }
     }
 }
 
