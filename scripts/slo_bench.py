@@ -29,10 +29,10 @@ Usage: slo_bench.py PATH/TO/serve_cluster [--duration N]
                     [--per-block N] [--machine M] [--json OUT]
 
 The default --duration 2000 keeps the full 10k-tenant overload shape
-(so the p99 comparison is exercised under real queueing pressure) but
-holds the fifo leg to seconds of wall time; pass --duration 140000
-for the full >=1M-request acceptance comparison (the fifo leg then
-executes every job for real and takes minutes).
+(so the p99 comparison is exercised under real queueing pressure) at
+about a second of wall time per leg; pass --duration 140000 for the
+full >=1M-request acceptance comparison.  Both legs replay fault-free
+jobs from the JobCache, so neither executes every job for real.
 """
 
 import argparse

@@ -60,18 +60,6 @@ DeficitLedger::updateTier(size_t t)
     }
 }
 
-RankKey
-rankOf(const Request& r, const DeficitLedger& led)
-{
-    RankKey k;
-    k.kicked = r.kicked;
-    k.tier = led.effectiveTier(r.tenant);
-    k.tag = led.startTag(r.tenant);
-    k.arrival = r.arrival;
-    k.id = r.id;
-    return k;
-}
-
 CakeQueue::CakeQueue(size_t shards, size_t capacity)
     : shards_(shards), capacity_(capacity)
 {
@@ -81,49 +69,32 @@ void
 CakeQueue::push(size_t s, const Request& r)
 {
     shards_[s].push_back(r);
+    shards_[s].back().pushSeq = pushes_++;
     ++depth_;
 }
 
-std::optional<Request>
-CakeQueue::popBest(size_t s, const DeficitLedger& led)
+Request
+CakeQueue::take(size_t s, size_t i)
 {
     auto& q = shards_[s];
-    if (q.empty())
-        return std::nullopt;
-    size_t best = 0;
-    RankKey bestKey = rankOf(q[0], led);
-    for (size_t i = 1; i < q.size(); ++i) {
-        RankKey k = rankOf(q[i], led);
-        if (k < bestKey) {
-            best = i;
-            bestKey = k;
-        }
-    }
-    Request r = q[best];
-    q.erase(q.begin() + static_cast<std::ptrdiff_t>(best));
+    Request r = q[i];
+    q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
     --depth_;
     return r;
 }
 
-std::optional<Request>
-CakeQueue::steal(size_t exclude, const DeficitLedger& led,
-                 size_t* victim_out)
+size_t
+CakeQueue::deepestExcept(size_t exclude) const
 {
     size_t victim = shards_.size();
     size_t deepest = 0;
     for (size_t s = 0; s < shards_.size(); ++s) {
-        if (s == exclude)
-            continue;
-        if (shards_[s].size() > deepest) {
+        if (s != exclude && shards_[s].size() > deepest) {
             deepest = shards_[s].size();
             victim = s;
         }
     }
-    if (victim == shards_.size())
-        return std::nullopt;
-    if (victim_out)
-        *victim_out = victim;
-    return popBest(victim, led);
+    return victim;
 }
 
 Tick
@@ -141,15 +112,6 @@ CakeQueue::kickStarved(Tick now, Tick kick,
             earliest = std::min(earliest, r.arrival);
         }
     return earliest;
-}
-
-Request*
-CakeQueue::find(size_t s, uint64_t id)
-{
-    for (auto& r : shards_[s])
-        if (r.id == id)
-            return &r;
-    return nullptr;
 }
 
 std::vector<Request>
@@ -183,6 +145,17 @@ CakeQueue::oldest() const
             if (!o || r.arrival < o->arrival ||
                 (r.arrival == o->arrival && r.id < o->id))
                 o = &r;
+    return o;
+}
+
+const Request*
+CakeQueue::firstPushed() const
+{
+    // Shards only append, so each shard's front is its earliest push.
+    const Request* o = nullptr;
+    for (const auto& q : shards_)
+        if (!q.empty() && (!o || q.front().pushSeq < o->pushSeq))
+            o = &q.front();
     return o;
 }
 

@@ -1,9 +1,16 @@
 /**
  * @file
- * CAKE-style SLO scheduling primitives for the serving layer
- * (DESIGN.md §14): a per-tenant deficit ledger built on start-time
- * fair queueing, and sharded per-group run queues with rank-ordered
- * dequeue and work stealing.
+ * Run-queue primitives of the serving layer (DESIGN.md §14): sharded
+ * run queues with rank-ordered dequeue and work stealing, the two
+ * rank policies over them, and the CAKE-style per-tenant deficit
+ * ledger built on start-time fair queueing.
+ *
+ * Both `sched=` policies share one CakeQueue; the policy only picks
+ * the shard layout and the rank:
+ *  - fifo: one shard per workload class, ranked by fifoRank —
+ *    (priority tier, least-served tenant, admission order);
+ *  - cake: one shard per (cluster, group), ranked by rankOf over the
+ *    deficit ledger below.
  *
  * Deficit accounting: every tenant carries a virtual finish tag F[t];
  * dispatching one of its requests charges F[t] = max(V, F[t]) +
@@ -19,15 +26,15 @@
  * back once the deficit drains below a quarter of the threshold
  * (hysteresis, so borderline tenants don't flap).
  *
- * Ranking: queued requests order by (starved-kick flag, effective
- * tier, start tag, arrival, id) — strict, total, and deterministic.
+ * Cake ranking: queued requests order by (starved-kick flag,
+ * effective tier, start tag, arrival, id) — strict, total, and
+ * deterministic.
  *
- * Sharding: each (cluster, group) owns a run-queue shard.  Admission
- * routes a request to the shallowest shard among the groups that
- * natively serve its workload class; an idle group whose shard is
- * empty steals the best-ranked request from the deepest shard
- * anywhere in the federation (capacity follows demand, including
- * across workload classes and clusters).
+ * Cake sharding: admission routes a request to the shallowest shard
+ * among the groups that natively serve its workload class; an idle
+ * group whose shard is empty steals the best-ranked request from the
+ * deepest shard anywhere in the federation (capacity follows demand,
+ * including across workload classes and clusters).
  */
 
 #ifndef HYDRA_SERVE_CAKE_HH
@@ -142,25 +149,70 @@ struct RankKey
     }
 };
 
-/** Rank a queued request under the current ledger state. */
-RankKey rankOf(const Request& r, const DeficitLedger& led);
+/** Cake rank of a queued request under the current ledger state. */
+inline RankKey
+rankOf(const Request& r, const DeficitLedger& led)
+{
+    RankKey k;
+    k.kicked = r.kicked;
+    k.tier = led.effectiveTier(r.tenant);
+    k.tag = led.startTag(r.tenant);
+    k.arrival = r.arrival;
+    k.id = r.id;
+    return k;
+}
 
-/** Per-group run-queue shards with rank-ordered pop and stealing. */
+/**
+ * Fifo rank: lowest priority value, then the tenant with the fewest
+ * dispatches so far (`served`), then admission order — arrival and id
+ * stay zero so ties fall to queue order, which popBest keeps.
+ */
+inline RankKey
+fifoRank(const Request& r, const std::vector<uint64_t>& served)
+{
+    RankKey k;
+    k.tier = r.priority;
+    k.tag = served[r.tenant];
+    return k;
+}
+
+/** Run-queue shards with rank-ordered pop and stealing. */
 class CakeQueue
 {
   public:
     CakeQueue(size_t shards, size_t capacity);
 
+    size_t shards() const { return shards_.size(); }
     size_t depth() const { return depth_; }
     bool full() const { return depth_ >= capacity_; }
     size_t shardDepth(size_t s) const { return shards_[s].size(); }
 
     /** Enqueue on shard `s` (callers gate new admissions on full();
-     *  requeued work re-enters unconditionally, as in the fifo path). */
+     *  re-queued work re-enters unconditionally). */
     void push(size_t s, const Request& r);
 
-    /** Pop the best-ranked request of shard `s`. */
-    std::optional<Request> popBest(size_t s, const DeficitLedger& led);
+    /**
+     * Pop the best request of shard `s`: `rank` maps a queued Request
+     * to its RankKey, and of equal keys the one queued first wins.
+     */
+    template <class Rank>
+    std::optional<Request>
+    popBest(size_t s, Rank&& rank)
+    {
+        const auto& q = shards_[s];
+        if (q.empty())
+            return std::nullopt;
+        size_t best = 0;
+        RankKey bestKey = rank(q[0]);
+        for (size_t i = 1; i < q.size(); ++i) {
+            RankKey k = rank(q[i]);
+            if (k < bestKey) {
+                best = i;
+                bestKey = k;
+            }
+        }
+        return take(s, best);
+    }
 
     /**
      * Work stealing: pop the best-ranked request of the deepest
@@ -168,9 +220,17 @@ class CakeQueue
      * reporting the victim shard through `victim_out`.  Returns
      * nullopt when every candidate shard is empty.
      */
-    std::optional<Request> steal(size_t exclude,
-                                 const DeficitLedger& led,
-                                 size_t* victim_out);
+    template <class Rank>
+    std::optional<Request>
+    steal(size_t exclude, Rank&& rank, size_t* victim_out)
+    {
+        size_t victim = deepestExcept(exclude);
+        if (victim == shards_.size())
+            return std::nullopt;
+        if (victim_out)
+            *victim_out = victim;
+        return popBest(victim, rank);
+    }
 
     /**
      * Starvation kick: set the kicked flag on every queued request
@@ -182,25 +242,32 @@ class CakeQueue
     Tick kickStarved(Tick now, Tick kick,
                      const std::function<void(const Request&)>& on_kick);
 
-    /** Queued request by id on shard `s` (budget/kick events). */
-    Request* find(size_t s, uint64_t id);
-
     /** Remove and return everything queued (stall flush). */
     std::vector<Request> drainAll();
 
-    /** Remove and return shard `s`'s queue (group loss re-route). */
+    /** Remove and return shard `s`'s queue (dead-shard re-route). */
     std::vector<Request> drainShard(size_t s);
 
-    /** Earliest-arrival queued request (stall diagnostics). */
+    /** Earliest-arrival queued request (cake stall diagnostics). */
     const Request* oldest() const;
+
+    /** Earliest-pushed queued request (fifo stall diagnostics). */
+    const Request* firstPushed() const;
 
     /** Queued requests of one workload class (stall diagnostics). */
     size_t depthFor(size_t workload) const;
 
   private:
+    /** Remove and return entry `i` of shard `s`. */
+    Request take(size_t s, size_t i);
+
+    /** Deepest non-empty shard other than `exclude`, or shards(). */
+    size_t deepestExcept(size_t exclude) const;
+
     std::vector<std::vector<Request>> shards_;
     size_t capacity_;
     size_t depth_ = 0;
+    uint64_t pushes_ = 0;
 };
 
 } // namespace hydra

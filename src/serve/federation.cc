@@ -20,6 +20,9 @@ namespace {
 /** Failover budget per request: re-queue attempts before shedding. */
 constexpr uint32_t kFailoverBudget = 3;
 
+/** pickShard's answer when no shard can take a request. */
+constexpr size_t kNoShard = ~size_t{0};
+
 /**
  * The fault plan one cluster's jobs see: card-granularity entries
  * re-keyed from federation-global to cluster-local indices, cluster
@@ -70,10 +73,10 @@ struct JobRecord
     size_t group = 0; // cluster-local group id
     Tick start = 0;
     JobOutcome out;
-
-    // Cake-scheduler state (unused on the fifo path).
-    /** Deficit-ledger weight this dispatch was charged at. */
+    /** Fairness weight of this dispatch (2 for spillover traffic). */
     uint64_t weight = 1;
+
+    // Cake slicing state (never armed under fifo).
     /** Absolute tick of the next armed slice check (0 = none). */
     Tick sliceEnd = 0;
     /** Steps of this dispatch's window complete at sliceEnd. */
@@ -129,7 +132,6 @@ struct Engine
 
     EventQueue eq;
     WorkloadGen gen;
-    AdmissionQueue queue;
     std::vector<ClusterRt> clusters;
     HealthMonitor health;
     size_t cardsPer = 0;
@@ -141,12 +143,14 @@ struct Engine
     std::map<uint64_t, ProbeRecord> probes;
     uint64_t nextToken = 1;
 
-    // Cake-scheduler state (null on the fifo path, which must stay
-    // bit-identical to its pre-scheduler behaviour).
+    // One run queue and one dispatch path for both policies
+    // (DESIGN.md §14).  fifo: a shard per workload class, ranked by
+    // fifoRank.  cake: a shard per (cluster, group), ranked by the
+    // deficit ledger, plus kicks, slicing and stealing.
     bool cakeOn = false;
-    size_t groupsPer = 0; // shards per cluster (identical machines)
-    std::unique_ptr<DeficitLedger> ledger;
-    std::unique_ptr<CakeQueue> crq;
+    size_t groupsPer = 0; // groups per cluster (identical machines)
+    std::unique_ptr<DeficitLedger> ledger; // cake only
+    std::unique_ptr<CakeQueue> queue;
     JobCache jobCache;
 
     // Unified ExecPlan dispatch: every tenant's jobs execute a
@@ -182,7 +186,7 @@ struct Engine
            const HealthPolicy& health_)
         : spec(spec_), serve(serve_), faults(faults_), retry(retry_),
           runner(spec_), wlNames(serve_.workloadTable()),
-          gen(serve_, wlNames), queue(serve_.queueCapacity),
+          gen(serve_, wlNames),
           health(serve_.clusters ? serve_.clusters : 1, health_),
           cardsPer(spec_.cluster.totalCards())
     {
@@ -205,14 +209,14 @@ struct Engine
         for (const auto& t : serve.tenants)
             tenantOpt.push_back(t.opt);
         progBase = ProgramCache::global().stats();
-        if (serve.sched == SchedPolicy::Cake) {
-            cakeOn = true;
-            stats.sched = schedPolicyName(serve.sched);
-            groupsPer = clusters.front().fleet.groups().size();
+        cakeOn = serve.sched == SchedPolicy::Cake;
+        stats.sched = schedPolicyName(serve.sched);
+        groupsPer = clusters.front().fleet.groups().size();
+        if (cakeOn)
             ledger = std::make_unique<DeficitLedger>(serve);
-            crq = std::make_unique<CakeQueue>(
-                clusters.size() * groupsPer, serve.queueCapacity);
-        }
+        queue = std::make_unique<CakeQueue>(
+            cakeOn ? clusters.size() * groupsPer : wlNames.size(),
+            serve.queueCapacity);
     }
 
     TenantStats& tenant(const Request& r) { return stats.tenants[r.tenant]; }
@@ -253,21 +257,18 @@ struct Engine
         return it->second;
     }
 
-    /** Queued-request count under the active policy. */
-    size_t qdepth() const { return cakeOn ? crq->depth() : queue.depth(); }
-
     /** Fold queue depth into the time-weighted integral; call before
      *  any mutation of the queue at the current tick. */
     void
     noteDepth()
     {
         Tick now = eq.now();
-        depthAcc += static_cast<double>(qdepth()) *
+        depthAcc += static_cast<double>(queue->depth()) *
                     static_cast<double>(now - lastDepthTick);
         lastDepthTick = now;
     }
 
-    /** Shard id of a (cluster, cluster-local group) pair. */
+    /** Cake shard id of a (cluster, cluster-local group) pair. */
     size_t sid(size_t cluster, size_t group) const
     {
         return cluster * groupsPer + group;
@@ -281,32 +282,21 @@ struct Engine
         return !cl.killed && !health.dead(cl.id);
     }
 
-    /** Cake servability: any live group of any alive cluster can run
-     *  any workload (runJob is model-parameterized), so a class loses
-     *  its route only when the whole federation has none. */
-    bool
-    anyLiveGroup() const
-    {
-        for (const auto& cl : clusters) {
-            if (!clusterAlive(cl))
-                continue;
-            for (const auto& g : cl.fleet.groups())
-                if (g.live())
-                    return true;
-        }
-        return false;
-    }
-
     /**
-     * Admission routing: shallowest shard among the live groups that
+     * Routing of admitted work, kNoShard when nothing can serve it.
+     * fifo: the class shard while a native group serves the class
+     * anywhere.  cake: the shallowest shard among the live groups that
      * natively serve `r`'s class, falling back to any live group when
-     * the class has no native group left (cross-class serving).
-     * Returns the shard count when nothing is routable.
+     * the class has no native group left (cross-class serving: runJob
+     * is model-parameterized, so cake loses a route only when the
+     * whole federation has no live group).
      */
     size_t
     pickShard(const Request& r) const
     {
-        size_t best = clusters.size() * groupsPer;
+        if (!cakeOn)
+            return servableAnywhere(r.workload) ? r.workload : kNoShard;
+        size_t best = kNoShard;
         size_t bestDepth = 0;
         for (int pass = 0; pass < 2; ++pass) {
             for (const auto& cl : clusters) {
@@ -318,55 +308,62 @@ struct Engine
                     if (pass == 0 && g.workload != r.workload)
                         continue;
                     size_t s = sid(cl.id, g.id);
-                    size_t d = crq->shardDepth(s);
-                    if (best == clusters.size() * groupsPer ||
-                        d < bestDepth) {
+                    size_t d = queue->shardDepth(s);
+                    if (best == kNoShard || d < bestDepth) {
                         best = s;
                         bestDepth = d;
                     }
                 }
             }
-            if (best != clusters.size() * groupsPer)
+            if (best != kNoShard)
                 break; // native pass found a home
         }
         return best;
     }
 
-    /** Unconditional re-admission of already-admitted work (preempt
-     *  remainders, failovers): bypasses the capacity gate, like the
-     *  fifo path's AdmissionQueue::requeue. */
+    /** Queue `r` on shard `s` (a pickShard answer).  No capacity
+     *  gate: arrivals check full() first, while preempt remainders and
+     *  failovers are already admitted and re-enter unconditionally. */
     void
-    requeueAdmitted(const Request& r)
+    enqueue(const Request& r, size_t s)
     {
-        if (!cakeOn) {
-            queue.requeue(r);
-            return;
-        }
-        size_t s = pickShard(r);
-        crq->push(s, r);
+        noteDepth();
+        queue->push(s, r);
         minArrivalBound = std::min(minArrivalBound, r.arrival);
+        stats.maxQueueDepth =
+            std::max(stats.maxQueueDepth, queue->depth());
     }
 
-    /** Re-route queued work stranded on the shard of a dissolved
-     *  group or a dead/killed cluster; sheds only when the whole
-     *  federation has no live group left. */
+    /** A shard keeps its route while its class has a native group on
+     *  a routable cluster (fifo), or while its own group is live on
+     *  one (cake). */
+    bool
+    shardLive(size_t s) const
+    {
+        if (!cakeOn)
+            return servableAnywhere(s);
+        const ClusterRt& cl = clusters[s / groupsPer];
+        return clusterAlive(cl) && cl.fleet.groups()[s % groupsPer].live();
+    }
+
+    /** Re-route queued work stranded on a shard that lost its route
+     *  (a dissolved group, a dead or killed cluster); work that no
+     *  shard can take sheds.  Under fifo every request of a dead class
+     *  shard sheds; under cake only when the whole federation has no
+     *  live group left. */
     void
     rerouteDeadShards()
     {
-        for (auto& cl : clusters) {
-            bool clusterOk = clusterAlive(cl);
-            for (auto& g : cl.fleet.groups()) {
-                size_t s = sid(cl.id, g.id);
-                if ((clusterOk && g.live()) || !crq->shardDepth(s))
-                    continue;
-                noteDepth();
-                for (const auto& r : crq->drainShard(s)) {
-                    size_t to = pickShard(r);
-                    if (to == clusters.size() * groupsPer)
-                        shedAdmitted(r);
-                    else
-                        crq->push(to, r);
-                }
+        for (size_t s = 0; s < queue->shards(); ++s) {
+            if (!queue->shardDepth(s) || shardLive(s))
+                continue;
+            noteDepth();
+            for (const auto& r : queue->drainShard(s)) {
+                size_t to = pickShard(r);
+                if (to == kNoShard)
+                    shedAdmitted(r);
+                else
+                    queue->push(to, r);
             }
         }
     }
@@ -380,11 +377,11 @@ struct Engine
     {
         Tick now = eq.now();
         Tick kick = serve.kickTicks();
-        if (!crq->depth() || minArrivalBound > now ||
+        if (!queue->depth() || minArrivalBound > now ||
             now - minArrivalBound < kick)
             return;
         minArrivalBound =
-            crq->kickStarved(now, kick, [this](const Request& r) {
+            queue->kickStarved(now, kick, [this](const Request& r) {
                 ++stats.kicks;
                 ++tenant(r).kicks;
             });
@@ -401,14 +398,6 @@ struct Engine
                 cl.fleet.servable(wl))
                 return true;
         return false;
-    }
-
-    /** Policy-aware servability: fifo needs a native group for the
-     *  class; cake serves any class on any live group. */
-    bool
-    servable(size_t wl) const
-    {
-        return cakeOn ? anyLiveGroup() : servableAnywhere(wl);
     }
 
     void
@@ -450,34 +439,9 @@ struct Engine
         eq.schedule(r.arrival, [this, r] { onArrival(r); });
     }
 
-    /** Shed queued work of every workload class that lost its last
-     *  possible route (all serving clusters dead).  Cake instead
-     *  re-routes stranded shards first — work sheds only when the
-     *  whole federation has no live group. */
-    void
-    flushUnservable()
-    {
-        if (cakeOn) {
-            rerouteDeadShards();
-            if (!anyLiveGroup() && crq->depth()) {
-                noteDepth();
-                for (const auto& r : crq->drainAll())
-                    shedAdmitted(r);
-            }
-            return;
-        }
-        for (size_t wl = 0; wl < wlNames.size(); ++wl) {
-            if (queue.depthFor(wl) == 0 || servableAnywhere(wl))
-                continue;
-            noteDepth();
-            for (const auto& r : queue.drainWorkload(wl))
-                shedAdmitted(r);
-        }
-    }
-
     /** Kill a card (cluster-local index): record it, repair that
-     *  cluster's partition, and flush queued work of a workload class
-     *  that lost its last group federation-wide. */
+     *  cluster's partition, and re-route (or shed) the work of a shard
+     *  the repair left without a route. */
     void
     applyDeath(ClusterRt& cl, size_t local)
     {
@@ -485,23 +449,13 @@ struct Engine
             return;
         cl.cardDead[local] = true;
         stats.failedCards.push_back(cl.id * cardsPer + local);
-        ServeGroup* g = cl.fleet.groupOf(local);
-        if (!g)
+        if (!cl.fleet.groupOf(local))
             return;
-        size_t wl = g->workload;
         auto action = cl.fleet.onCardDeath(local);
         if (action == FleetPartition::DeathAction::Dissolved ||
             action == FleetPartition::DeathAction::Donated)
             ++stats.repartitions;
-        if (cakeOn) {
-            // A dissolved group strands its shard; its work re-routes
-            // (or sheds, if the federation has no live group left).
-            rerouteDeadShards();
-        } else if (!servableAnywhere(wl)) {
-            noteDepth();
-            for (const auto& r : queue.drainWorkload(wl))
-                shedAdmitted(r);
-        }
+        rerouteDeadShards();
     }
 
     /** Apply kills dated at or before `now` on `g`'s cards that the
@@ -527,26 +481,20 @@ struct Engine
         lastActivity = std::max(lastActivity, now);
         ++stats.offered;
         ++tenant(r).offered;
-        if (!servable(r.workload)) {
+        size_t s = pickShard(r);
+        if (s == kNoShard) {
             shedNew(r, RejectReason::NoCapacity);
             respawnClosed(r);
             return;
         }
-        if (cakeOn ? crq->full() : queue.full()) {
+        if (queue->full()) {
             shedNew(r, RejectReason::QueueFull);
             respawnClosed(r);
             return;
         }
-        noteDepth();
-        if (cakeOn) {
-            crq->push(pickShard(r), r);
-            minArrivalBound = std::min(minArrivalBound, r.arrival);
-        } else {
-            queue.offer(r);
-        }
+        enqueue(r, s);
         ++stats.admitted;
         ++tenant(r).admitted;
-        stats.maxQueueDepth = std::max(stats.maxQueueDepth, qdepth());
         dispatchIdle();
     }
 
@@ -555,10 +503,8 @@ struct Engine
     void
     dispatchIdle()
     {
-        if (cakeOn) {
-            dispatchIdleCake();
-            return;
-        }
+        if (cakeOn)
+            markKicks();
         for (bool progress = true; progress;) {
             progress = false;
             for (ClusterHealth rank :
@@ -570,8 +516,7 @@ struct Engine
                         if (!g.live() || g.busy)
                             continue;
                         noteDepth();
-                        auto r =
-                            queue.popFor(g.workload, servedPerTenant);
+                        auto r = nextFor(cl, g);
                         if (!r)
                             continue;
                         startJob(cl, g, *r);
@@ -582,97 +527,48 @@ struct Engine
         }
     }
 
-    /** Cake dispatch: each idle group pops the best-ranked request of
-     *  its own shard, then steals from the deepest shard anywhere in
-     *  the federation (capacity follows demand, across workload
-     *  classes and clusters).  Same health gating as the fifo path. */
-    void
-    dispatchIdleCake()
+    /** Pop the next request for idle group `g`: the best-ranked one
+     *  of its home shard (its class under fifo, its own under cake);
+     *  a cake group whose shard is empty then steals from the deepest
+     *  shard anywhere (capacity follows demand, across classes and
+     *  clusters). */
+    std::optional<Request>
+    nextFor(const ClusterRt& cl, const ServeGroup& g)
     {
-        markKicks();
-        for (bool progress = true; progress;) {
-            progress = false;
-            for (ClusterHealth rank :
-                 {ClusterHealth::Healthy, ClusterHealth::Degraded}) {
-                for (auto& cl : clusters) {
-                    if (health.state(cl.id) != rank)
-                        continue;
-                    for (auto& g : cl.fleet.groups()) {
-                        if (!g.live() || g.busy)
-                            continue;
-                        size_t s = sid(cl.id, g.id);
-                        noteDepth();
-                        size_t victim = s;
-                        auto r = crq->popBest(s, *ledger);
-                        if (!r)
-                            r = crq->steal(s, *ledger, &victim);
-                        if (!r)
-                            continue;
-                        if (victim != s) {
-                            ++stats.steals;
-                            ++tenant(*r).steals;
-                            if (victim / groupsPer != cl.id)
-                                ++stats.stealsCross;
-                        }
-                        startJobCake(cl, g, *r);
-                        progress = true;
-                    }
-                }
-            }
+        size_t s = cakeOn ? sid(cl.id, g.id) : g.workload;
+        if (!cakeOn)
+            return queue->popBest(s, [this](const Request& r) {
+                return fifoRank(r, servedPerTenant);
+            });
+        auto rank = [this](const Request& r) {
+            return rankOf(r, *ledger);
+        };
+        if (auto r = queue->popBest(s, rank))
+            return r;
+        size_t victim = s;
+        auto r = queue->steal(s, rank, &victim);
+        if (r) {
+            ++stats.steals;
+            ++tenant(*r).steals;
+            if (victim / groupsPer != cl.id)
+                ++stats.stealsCross;
         }
+        return r;
     }
 
+    /**
+     * Dispatch one request on one group: the job runs the REQUEST's
+     * model on the group's cards (cake may serve it cross-class),
+     * replays from the JobCache on fault-free clusters, and under cake
+     * is deficit-charged and sliceable at step boundaries (DESIGN.md
+     * §14).
+     */
     void
     startJob(ClusterRt& cl, ServeGroup& g, Request r)
     {
         Tick now = eq.now();
-        r.dispatched = now;
-        // Deficit charge: spillover traffic counts double in the
-        // least-served fairness ledger, so a tenant riding failover
-        // capacity loses dequeue ties to native tenants.
-        servedPerTenant[r.tenant] += r.spilled ? 2 : 1;
-        if (r.spilled)
-            ++stats.spilled;
-        g.busy = true;
-        const ExecPlan& plan =
-            planOf(g.workload, tenantOpt[r.tenant], g.cards);
-        size_t total = plan.size();
-        size_t first = std::min(r.firstStep, total);
-        // Every job executes for real on the shared clock — reuse
-        // comes from the compiled-program cache behind the plan's
-        // units, not from memoized service times, so absolute-tick
-        // faults always land where they should.
-        InferenceResult res = runner.runJob(plan, g.cards, now,
-                                            cl.faults, retry, first,
-                                            total - first);
-        uint64_t id = nextToken++;
-        JobRecord& jr = inflight[id];
-        jr.req = r;
-        jr.cluster = cl.id;
-        jr.group = g.id;
-        jr.start = now;
-        jr.out.ok = res.ok();
-        jr.out.span = res.total.makespan;
-        jr.out.failedCards = res.failedCards;
-        jr.out.redispatches = res.redispatches;
-        jr.out.recoveryPenalty = res.recoveryPenalty;
-        jr.out.timedOut = res.total.timedOutTransfers;
-        jr.out.stepEnds.reserve(res.stepEnds.size());
-        for (Tick t : res.stepEnds)
-            jr.out.stepEnds.push_back(now + t);
-        eq.schedule(now + jr.out.span, [this, id] { onComplete(id); });
-    }
-
-    /**
-     * Cake dispatch of one request on one group: cross-class (the job
-     * runs the REQUEST's model on the group's cards), deficit-charged
-     * at dispatch, cache-accelerated on fault-free clusters, and
-     * sliceable at step boundaries (DESIGN.md §14).
-     */
-    void
-    startJobCake(ClusterRt& cl, ServeGroup& g, Request r)
-    {
-        Tick now = eq.now();
+        // Only a cake slice remainder resumes with executed > 0; every
+        // other dispatch restarts the queue-wait clock.
         if (r.executed == 0) {
             r.firstDispatch = now;
             stats.maxWaitTicks =
@@ -681,7 +577,12 @@ struct Engine
             ++stats.preemptResumes;
         }
         r.dispatched = now;
-        servedPerTenant[r.tenant] += r.spilled ? 2 : 1;
+        // Deficit charge: spillover traffic counts double in the
+        // least-served fairness count (and the cake ledger), so a
+        // tenant riding failover capacity loses dequeue ties to
+        // native tenants.
+        uint64_t weight = r.spilled ? 2 : 1;
+        servedPerTenant[r.tenant] += weight;
         if (r.spilled)
             ++stats.spilled;
         g.busy = true;
@@ -689,7 +590,6 @@ struct Engine
             planOf(r.workload, tenantOpt[r.tenant], g.cards);
         size_t total = plan.size();
         size_t first = std::min(r.firstStep, total);
-        uint64_t weight = r.spilled ? 2 : 1;
 
         uint64_t id = nextToken++;
         JobRecord& jr = inflight[id];
@@ -701,11 +601,12 @@ struct Engine
 
         // Fault-free clusters replay memoized windows (runJob is
         // start-invariant there, see serve/jobcache.hh); any cluster
-        // with local fault injection always executes for real.
+        // with local fault injection always executes for real, so
+        // absolute-tick faults land where they should.
         const bool faultFree = cl.faults.empty();
         std::vector<Tick> rel; // window-relative unit ends
         const CachedJob* hit =
-            faultFree ? jobCache.lookup(plan.key, g.cards.cards, first,
+            faultFree ? jobCache.lookup(plan, g.cards.cards, first,
                                         total - first)
                       : nullptr;
         if (hit) {
@@ -724,19 +625,22 @@ struct Engine
             jr.out.timedOut = res.total.timedOutTransfers;
             rel = res.stepEnds;
             if (faultFree)
-                jobCache.insert(plan.key, g.cards.cards, first,
+                jobCache.insert(plan, g.cards.cards, first,
                                 total - first, res);
         }
         jr.out.stepEnds.reserve(rel.size());
         for (Tick t : rel)
             jr.out.stepEnds.push_back(now + t);
 
-        ledger->charge(r.tenant, jr.out.span, weight);
-        // Step-boundary preemption arms only on fault-free clusters:
-        // slicing discards the tail of the dispatched window, which
-        // would silently discard tail-resident fault effects.
-        if (faultFree)
-            armSlice(id, now);
+        if (cakeOn) {
+            ledger->charge(r.tenant, jr.out.span, weight);
+            // Step-boundary preemption arms only on fault-free
+            // clusters: slicing discards the tail of the dispatched
+            // window, which would silently discard tail-resident
+            // fault effects.
+            if (faultFree)
+                armSlice(id, now);
+        }
         eq.schedule(now + jr.out.span, [this, id] { onComplete(id); });
     }
 
@@ -777,7 +681,7 @@ struct Engine
         auto it = inflight.find(id);
         if (it == inflight.end() || it->second.sliceEnd != eq.now())
             return; // completed, aborted, or stale
-        if (crq->depth() == 0) {
+        if (queue->depth() == 0) {
             armSlice(id, eq.now());
             return;
         }
@@ -799,9 +703,9 @@ struct Engine
         r.executed += ran;
         size_t total = unitTotal(r.workload, tenantOpt[r.tenant]);
         r.firstStep = std::min(r.firstStep + jr.sliceSteps, total);
-        noteDepth();
-        requeueAdmitted(r);
-        stats.maxQueueDepth = std::max(stats.maxQueueDepth, qdepth());
+        // Always routable: the freed group itself is live on a
+        // fault-free, alive cluster (only those arm slices).
+        enqueue(r, pickShard(r));
         if (cl.probePending) {
             cl.probePending = false;
             launchProbe(cl.id);
@@ -821,8 +725,8 @@ struct Engine
         Request r = req;
         size_t total = unitTotal(r.workload, tenantOpt[r.tenant]);
         r.firstStep = std::min(r.firstStep + done, total);
-        if (r.failovers >= kFailoverBudget ||
-            !servable(r.workload)) {
+        size_t s = pickShard(r);
+        if (r.failovers >= kFailoverBudget || s == kNoShard) {
             shedAdmitted(r);
             return;
         }
@@ -832,9 +736,7 @@ struct Engine
         stats.recoveredSteps += done;
         if (r.firstStep < total)
             ++stats.replayedSteps; // the interrupted step re-runs
-        noteDepth();
-        requeueAdmitted(r);
-        stats.maxQueueDepth = std::max(stats.maxQueueDepth, qdepth());
+        enqueue(r, s);
     }
 
     void
@@ -860,25 +762,18 @@ struct Engine
                         !jr.out.failedCards.empty();
         if (health.recordOutcome(cl.id, jr.out.ok, strained, now))
             scheduleBreakerProbe(cl.id);
-        if (cakeOn)
-            executedTicks += jr.out.span * jr.weight;
+        executedTicks += jr.out.span * jr.weight;
         if (jr.out.ok) {
             ++g.completed;
             ++cl.completed;
             ++stats.completed;
             ++tenant(jr.req).completed;
             stats.latency.add(now - jr.req.arrival);
-            if (cakeOn) {
-                // Under preemption `dispatched` is per-slice: queue
-                // wait is to the FIRST dispatch, service is the sum
-                // of every slice actually executed.
-                stats.queueWait.add(jr.req.firstDispatch -
-                                    jr.req.arrival);
-                stats.service.add(jr.req.executed + jr.out.span);
-            } else {
-                stats.queueWait.add(jr.req.dispatched - jr.req.arrival);
-                stats.service.add(now - jr.req.dispatched);
-            }
+            // Under preemption `dispatched` is per-slice: queue wait
+            // runs to firstDispatch, service is the sum of every slice
+            // actually executed.
+            stats.queueWait.add(jr.req.firstDispatch - jr.req.arrival);
+            stats.service.add(jr.req.executed + jr.out.span);
             respawnClosed(jr.req);
         } else {
             // Terminal job failure: conserve the steps this attempt
@@ -963,7 +858,7 @@ struct Engine
             }
             failoverOrShed(jr.req, k);
         }
-        flushUnservable();
+        rerouteDeadShards();
         dispatchIdle();
     }
 
@@ -1066,8 +961,8 @@ struct Engine
                         [this, c = pr.cluster] { breakerProbe(c); });
         } else {
             // Probe budget exhausted: written off as dead.  Queued
-            // work whose last route this was sheds now.
-            flushUnservable();
+            // work stranded on its shards re-routes or sheds now.
+            rerouteDeadShards();
         }
         if (cl.probePending) {
             cl.probePending = false;
@@ -1080,9 +975,9 @@ struct Engine
     {
         StallReport rep;
         rep.tick = eq.now();
-        rep.queuedRequests = qdepth();
+        rep.queuedRequests = queue->depth();
         for (size_t wl = 0; wl < wlNames.size(); ++wl) {
-            size_t d = cakeOn ? crq->depthFor(wl) : queue.depthFor(wl);
+            size_t d = queue->depthFor(wl);
             if (d)
                 rep.depths.push_back({wlNames[wl], d});
         }
@@ -1096,8 +991,8 @@ struct Engine
             }
             rep.clusters.push_back(line);
         }
-        if (const Request* o = cakeOn ? crq->oldest()
-                                      : queue.oldest()) {
+        if (const Request* o =
+                cakeOn ? queue->oldest() : queue->firstPushed()) {
             rep.oldestRequestId = o->id;
             rep.oldestTenant = serve.tenants[o->tenant].name;
             rep.oldestAge = rep.tick - o->arrival;
@@ -1129,19 +1024,18 @@ struct Engine
         // requests are still queued — every route is quarantined (with
         // probing disabled) or gone.  Report and shed rather than
         // wedge; no respawn (the run is over).
-        if (qdepth() > 0) {
+        if (queue->depth() > 0) {
             StallReport rep = buildStallReport();
             stats.stalled = true;
             stats.stallReport = rep.describe();
             noteDepth();
-            for (const auto& r :
-                 cakeOn ? crq->drainAll() : queue.drainAll())
+            for (const auto& r : queue->drainAll())
                 shedAdmitted(r, /*respawn=*/false);
         }
 
         stats.horizon = std::max(serve.durationTicks(), lastActivity);
         if (stats.horizon > lastDepthTick)
-            depthAcc += static_cast<double>(qdepth()) *
+            depthAcc += static_cast<double>(queue->depth()) *
                         static_cast<double>(stats.horizon -
                                             lastDepthTick);
         stats.meanQueueDepth =
@@ -1154,14 +1048,14 @@ struct Engine
         stats.progCacheMisses = pc.misses - progBase.misses;
         stats.progCacheEvictions = pc.evictions - progBase.evictions;
         stats.progCacheEntries = pc.entries;
+        stats.jobCacheHits = jobCache.hits();
+        stats.jobCacheMisses = jobCache.misses();
         if (cakeOn) {
             stats.demotions = ledger->demotions();
             stats.promotions = ledger->promotions();
             stats.chargedTicks = ledger->chargedTicks();
             stats.refundedTicks = ledger->refundedTicks();
             stats.executedTicks = executedTicks;
-            stats.jobCacheHits = jobCache.hits();
-            stats.jobCacheMisses = jobCache.misses();
             for (size_t t = 0; t < stats.tenants.size(); ++t) {
                 stats.tenants[t].deficitTicks = ledger->deficit(t);
                 stats.tenants[t].demotions = ledger->demotionsOf(t);

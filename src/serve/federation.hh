@@ -9,11 +9,11 @@
  * cluster gets its own fleet partition (same group plan) and cards are
  * numbered federation-globally: cluster c owns [c*P, (c+1)*P).
  *
- * Routing tier: admitted requests wait in one federation-wide
- * admission queue; idle groups of *routable* clusters (healthy first,
- * then degraded — see serve/health.hh) pull from it.  Quarantined and
- * dead clusters receive nothing, so capacity loss shows up as
- * spillover onto the survivors, and failover traffic is
+ * Routing tier: admitted requests wait in one federation-wide run
+ * queue (serve/cake.hh); idle groups of *routable* clusters (healthy
+ * first, then degraded — see serve/health.hh) pull from it.
+ * Quarantined and dead clusters receive nothing, so capacity loss
+ * shows up as spillover onto the survivors, and failover traffic is
  * deficit-charged at dispatch (an extra least-served-fairness count
  * against its tenant) so it cannot starve native tenants.
  *
@@ -43,12 +43,16 @@
  * identity admitted == completed + shedAfterAdmit exact.
  *
  * Scheduling policy (`sched=fifo|cake`, serve/cake.hh, DESIGN.md
- * §14): fifo keeps the legacy admission order above with bit-stable
- * stats hashes; cake swaps in per-tenant deficit accounting,
- * step-boundary preemption (fault-free clusters only, unrun tail
- * deficit-refunded), wait-budget AQM tier demotion plus a starvation
- * kick, and per-(cluster, group) run-queue shards with work stealing
- * across groups and clusters.
+ * §14): both policies run one dispatch path — admission, dispatch,
+ * JobCache replay on fault-free clusters, failover and stats — over
+ * one sharded run queue; the policy picks the shards and the rank.
+ * fifo: a shard per workload class, ranked (priority, least-served
+ * tenant, admission order), with no ledger, kicks, preemption or
+ * stealing.  cake: a shard per (cluster, group) with work stealing
+ * across groups and clusters, ranked by per-tenant deficit
+ * accounting, plus step-boundary preemption (fault-free clusters
+ * only, unrun tail deficit-refunded) and wait-budget AQM tier
+ * demotion with a starvation kick.
  */
 
 #ifndef HYDRA_SERVE_FEDERATION_HH

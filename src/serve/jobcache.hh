@@ -9,20 +9,20 @@
  * AlignedGroupMatchesWholeMachine).  Million-request serving runs
  * re-execute the same handful of (workload, group) jobs, so the
  * engine caches the outcome and replays it in O(1) — the same spans,
- * bit for bit, as real execution.  Any cluster whose local plan
- * injects anything at all (rates, stragglers, kills) bypasses the
- * cache, keeping the PR 5 guarantee that absolute-tick faults land in
- * real executions.
+ * bit for bit, as real execution — under either scheduling policy.
+ * Any cluster whose local plan injects anything at all (rates,
+ * stragglers, kills) bypasses the cache, keeping the guarantee that
+ * absolute-tick faults land in real executions.
  */
 
 #ifndef HYDRA_SERVE_JOBCACHE_HH
 #define HYDRA_SERVE_JOBCACHE_HH
 
 #include <map>
-#include <string>
 #include <tuple>
 #include <vector>
 
+#include "sched/execplan.hh"
 #include "sched/runner.hh"
 
 namespace hydra {
@@ -36,75 +36,56 @@ struct CachedJob
     std::vector<Tick> stepEnds;
 };
 
-/** Per-run cache of fault-free job windows, keyed on the ExecPlan's
- *  window-independent identity + the executed unit window + the card
- *  set: sliced tails and memoized replays work identically for Safe
- *  step units and Aggressive multi-layer units. */
+/**
+ * Per-run cache of fault-free job windows, keyed exactly — no digest
+ * can collide: the ExecPlan object itself, the executed unit window
+ * and the card set by content (so shrunken groups never alias their
+ * pre-repair selves).  Plans are keyed by identity: the caller keeps
+ * every plan alive and unique per (workload, level, group shape) for
+ * the cache's lifetime, as the serving engine's plan table does for
+ * a run.  Sliced tails and memoized replays work identically for Safe
+ * step units and Aggressive multi-layer units.
+ */
 class JobCache
 {
   public:
     /** Cached result for (plan, cards, unit window), or nullptr. */
     const CachedJob*
-    lookup(const std::string& plan_key,
-           const std::vector<size_t>& cards, size_t first_unit,
-           size_t num_units) const
+    lookup(const ExecPlan& plan, const std::vector<size_t>& cards,
+           size_t first_unit, size_t num_units) const
     {
-        auto it =
-            map_.find(keyOf(plan_key, cards, first_unit, num_units));
-        if (it == map_.end()) {
-            ++misses_;
-            return nullptr;
+        const CachedJob* hit = nullptr;
+        auto w = map_.find({&plan, first_unit, num_units});
+        if (w != map_.end()) {
+            auto it = w->second.find(cards);
+            if (it != w->second.end())
+                hit = &it->second;
         }
-        ++hits_;
-        return &it->second;
+        ++(hit ? hits_ : misses_);
+        return hit;
     }
 
     void
-    insert(const std::string& plan_key,
-           const std::vector<size_t>& cards, size_t first_unit,
-           size_t num_units, const InferenceResult& r)
+    insert(const ExecPlan& plan, const std::vector<size_t>& cards,
+           size_t first_unit, size_t num_units, const InferenceResult& r)
     {
         CachedJob c;
         c.ok = r.ok();
         c.span = r.total.makespan;
         c.stepEnds = r.stepEnds;
-        map_.emplace(keyOf(plan_key, cards, first_unit, num_units),
-                     std::move(c));
+        map_[{&plan, first_unit, num_units}].emplace(cards,
+                                                    std::move(c));
     }
 
     uint64_t hits() const { return hits_; }
     uint64_t misses() const { return misses_; }
 
   private:
-    /** (FNV-1a plan key, first, count, FNV-1a card signature).  The
-     *  plan key folds the machine shape, workload content and opt
-     *  level; the card set is folded by content, so shrunken groups
-     *  never alias their pre-repair selves. */
-    using Key = std::tuple<uint64_t, size_t, size_t, uint64_t>;
+    /** (plan, first unit, unit count). */
+    using Window = std::tuple<const ExecPlan*, size_t, size_t>;
+    using CardMap = std::map<std::vector<size_t>, CachedJob>;
 
-    static Key
-    keyOf(const std::string& plan_key, const std::vector<size_t>& cards,
-          size_t first_unit, size_t num_units)
-    {
-        auto fold = [](uint64_t& h, uint64_t v) {
-            for (size_t i = 0; i < sizeof(v); ++i) {
-                h ^= (v >> (i * 8)) & 0xff;
-                h *= 0x100000001b3ULL;
-            }
-        };
-        uint64_t hp = 0xcbf29ce484222325ULL;
-        for (char ch : plan_key) {
-            hp ^= static_cast<unsigned char>(ch);
-            hp *= 0x100000001b3ULL;
-        }
-        uint64_t hc = 0xcbf29ce484222325ULL;
-        fold(hc, cards.size());
-        for (size_t c : cards)
-            fold(hc, c);
-        return {hp, first_unit, num_units, hc};
-    }
-
-    std::map<Key, CachedJob> map_;
+    std::map<Window, CardMap> map_;
     mutable uint64_t hits_ = 0;
     mutable uint64_t misses_ = 0;
 };

@@ -9,10 +9,12 @@
  * the tenant with the fewest dispatches so far (fairness counter),
  * then FIFO arrival order.
  *
- * This is the `sched=fifo` (default) admission path.  Under
- * `sched=cake` the federation bypasses this queue's dispatch order
- * for the sharded, deficit-ranked CakeQueue (serve/cake.hh); the
- * shed-on-full capacity contract is shared by both policies.
+ * The serving engine dispatches both policies from the sharded
+ * CakeQueue (serve/cake.hh), where fifoRank over one shard per
+ * workload class reproduces popFor's order exactly.  AdmissionQueue
+ * is that order's reference implementation (tests compare the two)
+ * and the subject of the benchmark's popFor probe.  RejectReason is
+ * shared by both policies.
  */
 
 #ifndef HYDRA_SERVE_QUEUE_HH

@@ -4,23 +4,22 @@
  * one-shot inference into sustained throughput on a shared virtual
  * clock.
  *
- * Pipeline per request: workload generator -> bounded admission queue
- * (priority + tenant fairness, shed on full) -> fleet partition (one
- * idle card group per workload class picks the next request) ->
- * InferenceRunner::runJob on the group's cards -> ServeStats roll-up
- * (throughput, utilization, p50/p95/p99 latency).  `sched=cake`
- * replaces the FIFO admission order with the deficit scheduler of
+ * Pipeline per request: workload generator -> bounded run queue
+ * (priority + tenant fairness, shed on full) -> fleet partition (an
+ * idle card group picks the next request) -> InferenceRunner::runJob
+ * on the group's cards -> ServeStats roll-up (throughput,
+ * utilization, p50/p95/p99 latency).  Both policies share that one
+ * path; `sched=cake` swaps fifo's rank for the deficit scheduler of
  * serve/cake.hh (preemption, AQM, work stealing — DESIGN.md §14).
  *
  * Clock composition: the serve clock is absolute virtual time.  Jobs
  * dispatched at t0 run with the cluster executor's time origin set to
  * t0, so FaultPlan::cardFailAt ticks are absolute serve-clock times
- * and a kill lands in whatever job (or idle period) covers it.
- * Every job executes for real; reuse comes from the shared
- * ProgramCache inside InferenceRunner::runJob — identical (workload,
- * group size, alignment) jobs replay one compiled Program, which
- * keeps thousand-request simulations fast and bit-deterministic
- * while letting absolute-tick faults land in any job.
+ * and a kill lands in whatever job (or idle period) covers it.  On a
+ * cluster with any local fault injection every job executes for real
+ * (reuse comes from the shared ProgramCache inside runJob), so
+ * absolute-tick faults land in any job; fault-free clusters replay
+ * memoized job windows from the JobCache (serve/jobcache.hh).
  *
  * Fault handling: transient faults (drop/corrupt/degrade) apply
  * inside every job; permanent card kills are consumed by the job in

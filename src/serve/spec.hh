@@ -42,9 +42,9 @@ const char* arrivalModeName(ArrivalMode m);
 /** How admitted requests are picked for idle card groups. */
 enum class SchedPolicy : uint8_t
 {
-    /** Legacy admission: one global queue, highest priority tier
-     *  first, then least-served tenant, then FIFO.  Groups only serve
-     *  their own workload class; jobs run to completion. */
+    /** One run-queue shard per workload class: highest priority tier
+     *  first, then least-served tenant, then admission order.  Groups
+     *  only serve their own workload class; jobs run to completion. */
     Fifo,
     /** CAKE-style SLO scheduler (DESIGN.md §14): per-tenant deficit
      *  accounting (virtual service time charged at dispatch), sharded

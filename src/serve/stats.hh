@@ -60,8 +60,8 @@ struct TenantStats
     uint64_t completed = 0;
     uint64_t shed = 0;
 
-    // Cake-scheduler counters (all zero on the fifo path; folded into
-    // the stats hash only when the run used a non-fifo policy).
+    // Cake-scheduler counters (all zero under fifo; folded into the
+    // stats hash only when the run used a non-fifo policy).
     /** Residual deficit (ticks ahead of fair share) at end of run. */
     Tick deficitTicks = 0;
     /** AQM tier demotions charged to this tenant. */
@@ -116,10 +116,11 @@ struct ServeStats
     /** End of the run: max(arrival horizon, last completion). */
     Tick horizon = 0;
 
-    /** Scheduling policy name ("fifo" / "cake").  Everything in the
-     *  cake block below stays zero on the fifo path, and hash() folds
-     *  it only for non-fifo runs so pre-existing fifo hashes remain
-     *  bit-for-bit stable. */
+    /** Scheduling policy name ("fifo" / "cake").  The ledger,
+     *  preemption, steal and kick counters below stay zero under fifo;
+     *  maxWaitTicks and the job-cache counters are kept for both
+     *  policies.  hash() folds this block only for non-fifo runs so
+     *  pre-existing fifo hashes remain bit-for-bit stable. */
     std::string sched = "fifo";
 
     // Cake-scheduler accounting (DESIGN.md §14).

@@ -33,17 +33,22 @@ struct Request
     /** Set when the request leaves the queue for a card group. */
     Tick dispatched = 0;
 
-    // Cake-scheduler state (untouched on the fifo path).
-    /** First time the request left the queue (queue-wait metric under
-     *  preemption, where `dispatched` is overwritten per slice). */
+    // Dispatch state, shared by both scheduling policies.
+    /** Start of the dispatch that queue wait is measured to: the first
+     *  slice of a preempted cake request, otherwise every dispatch
+     *  (a failover's re-dispatch restarts the wait clock). */
     Tick firstDispatch = 0;
     /** Virtual service time consumed by completed slices of this
-     *  request (preempted runs accumulate; final slice adds its own
-     *  span at completion). */
+     *  request (cake preemptions and cake aborts accumulate; the final
+     *  slice adds its own span at completion).  Always 0 under fifo,
+     *  which never slices. */
     Tick executed = 0;
-    /** Starvation kick: set when the request sat queued past the hard
-     *  cap — it now ranks ahead of every tier and deficit. */
+    /** Cake starvation kick: set when the request sat queued past the
+     *  hard cap — it now ranks ahead of every tier and deficit. */
     bool kicked = false;
+    /** Order of the request's latest push onto the run queue (set by
+     *  CakeQueue::push); fifo's stall report names the earliest. */
+    uint64_t pushSeq = 0;
 
     // Federated failover state (all defaults for fresh arrivals).
     /** Checkpointed resume point: first workload step still to run.

@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the CAKE-style SLO scheduler (DESIGN.md §14): fifo
- * bit-compatibility (golden stats hashes from before the scheduler
- * landed), the deficit-ledger conservation identity, step-boundary
+ * Tests for the serving schedulers (DESIGN.md §14): fifo
+ * bit-compatibility (golden stats hashes, fault paths included), the
+ * fifo rank against the reference AdmissionQueue order, the JobCache's
+ * exact keys, the deficit-ledger conservation identity, step-boundary
  * preemption, work stealing across groups and clusters, starvation
  * kicks, and determinism of cake runs.
  */
@@ -10,19 +11,22 @@
 #include <gtest/gtest.h>
 
 #include "baselines/prototypes.hh"
+#include "common/rng.hh"
 #include "serve/cake.hh"
 #include "serve/federation.hh"
+#include "serve/jobcache.hh"
+#include "serve/queue.hh"
 #include "serve/sim.hh"
 
 namespace hydra {
 namespace {
 
 ServeStats
-runServe(const std::string& spec, const std::string& faults = "")
+runServe(const std::string& spec, const std::string& faults = "",
+         HealthPolicy health = {})
 {
     Federation fed(machineByName("hydra-m"), ServeSpec::parse(spec),
-                   FaultPlan::parse(faults), RetryPolicy{},
-                   HealthPolicy{});
+                   FaultPlan::parse(faults), RetryPolicy{}, health);
     return fed.run();
 }
 
@@ -52,43 +56,90 @@ const char* kCakePool =
     "tenant=nlp:closed:bert:1:5";
 
 // ---------------------------------------------------------------------
-// Fifo compatibility: the legacy admission path must stay bit-for-bit
-// identical to the pre-scheduler code.  These hashes were captured
-// before the cake scheduler landed; a change to any of them means the
-// fifo path regressed.
+// Fifo compatibility: the fifo policy must stay bit-for-bit identical
+// to the pre-scheduler code.  The first five hashes were captured
+// before the cake scheduler landed, the fault-path ones while fifo
+// still ran its own dispatcher over AdmissionQueue; a change to any
+// of them means the fifo path regressed.
 // ---------------------------------------------------------------------
 
 TEST(CakeFifoCompat, GoldenFifoHashesAreBitStable)
 {
+    HealthPolicy noProbes;
+    noProbes.maxProbes = 0;
     struct Golden
     {
         const char* spec;
         const char* faults;
+        HealthPolicy health;
         uint64_t hash;
     };
     const Golden cases[] = {
         {"seed=7,duration=120,tenant=vision:open:resnet18:0.05,"
          "tenant=nlp:open:bert:0.005",
-         "", 0x7b35c52a6f692928ull},
+         "", {}, 0x7b35c52a6f692928ull},
         {"seed=7,duration=120,tenant=vision:closed:resnet18:3:1,"
          "tenant=nlp:closed:bert:1:5",
-         "", 0xe510dd7e58dcf5c7ull},
+         "", {}, 0xe510dd7e58dcf5c7ull},
         {"seed=9,duration=40,clusters=4,group=resnet18:8,"
          "tenant=pool:closed:resnet18:8:0",
-         "", 0x1ad0755bad2e5775ull},
+         "", {}, 0x1ad0755bad2e5775ull},
         {"seed=3,duration=60,queue=4,tenant=burst:open:resnet18:1,"
          "prio=burst:2,tenant=vip:open:resnet18:0.02,prio=vip:0",
-         "", 0xc4aea3970e1b2fd3ull},
+         "", {}, 0xc4aea3970e1b2fd3ull},
         {"seed=7,duration=120,tenant=vision:open:resnet18:0.05,"
          "tenant=nlp:open:bert:0.005,group=resnet18:4:2,"
          "group=bert:4:1",
-         "kill=1@40", 0xfcff7877673b723full},
+         "kill=1@40", {}, 0xfcff7877673b723full},
+        // Fault paths: failover with checkpoint resume, probe healing,
+        // error-storm write-off, the stall watchdog, degraded
+        // re-dispatch and spillover.
+        {"seed=9,duration=40,clusters=4,group=resnet18:8,"
+         "tenant=pool:closed:resnet18:8:0",
+         "ckill=1@30", {}, 0xbbc08f4466561766ull},
+        {"seed=3,duration=60,clusters=2,group=resnet18:8,"
+         "tenant=pool:closed:resnet18:4:0",
+         "cpart=1@10:15", {}, 0xd8b0ce7e1c7d8f9bull},
+        {"seed=4,duration=30,clusters=1,group=resnet18:8,"
+         "tenant=vision:open:resnet18:1",
+         "drop=1", {}, 0x8480df1f0d99e373ull},
+        {"seed=4,duration=30,clusters=1,group=resnet18:8,"
+         "tenant=vision:open:resnet18:1",
+         "drop=1", noProbes, 0x5f8ebab6d9d102dfull},
+        {"seed=11,duration=40,clusters=2,group=resnet18:8,"
+         "tenant=pool:closed:resnet18:4:0,at=5:replay:resnet18",
+         "kill=11@10", {}, 0x101f8a558a0bc797ull},
+        {"seed=13,duration=60,clusters=2,group=resnet18:8,"
+         "tenant=alpha:closed:resnet18:2:0,"
+         "tenant=beta:closed:resnet18:2:0",
+         "ckill=0@20", {}, 0x8274ba56a58e068full},
+        // Two workload classes: a stall whose oldest pending request
+        // is picked across classes, a class losing its only group
+        // while the other keeps serving, and a failover of both.
+        {"seed=4,duration=30,clusters=1,tenant=vision:open:resnet18:1,"
+         "tenant=nlp:open:bert:0.2",
+         "drop=1", noProbes, 0xdfe797f14d6bb6f1ull},
+        {"seed=7,duration=120,tenant=vision:open:resnet18:0.05,"
+         "tenant=nlp:open:bert:0.005,group=resnet18:4:4,"
+         "group=bert:4:1",
+         "kill=1@40", {}, 0x916304c855c28eddull},
+        {"seed=5,duration=60,clusters=2,tenant=vision:closed:resnet18:3:1,"
+         "tenant=nlp:closed:bert:2:2,opt=aggressive",
+         "ckill=1@25", {}, 0x3c8f6e7106fae05eull},
+        // Stalls whose queues hold failed-over work: the report names
+        // the earliest-pushed request, not the earliest arrival.
+        {"seed=4,duration=30,clusters=1,group=resnet18:8,"
+         "tenant=pool:closed:resnet18:6:0",
+         "drop=1", noProbes, 0x5c14bab48cadd278ull},
+        {"seed=4,duration=30,clusters=1,tenant=pool:closed:resnet18:6:0,"
+         "tenant=nlp:open:bert:0.5",
+         "drop=1", noProbes, 0x6a8c7a71c00d652eull},
     };
     for (const auto& c : cases) {
-        ServeStats st = runServe(c.spec, c.faults);
-        EXPECT_EQ(st.hash(), c.hash) << c.spec;
+        ServeStats st = runServe(c.spec, c.faults, c.health);
+        EXPECT_EQ(st.hash(), c.hash) << c.spec << " " << c.faults;
         EXPECT_EQ(st.sched, "fifo") << c.spec;
-        // The cake block must stay all-zero on the fifo path.
+        // The cake-only counters must stay zero under fifo.
         EXPECT_EQ(st.preemptions, 0u) << c.spec;
         EXPECT_EQ(st.steals, 0u) << c.spec;
         EXPECT_EQ(st.kicks, 0u) << c.spec;
@@ -292,6 +343,7 @@ TEST(CakeQueueUnit, RankOrderAndStealVictims)
         "sched=cake,duration=10,"
         "tenant=a:open:resnet20:1,tenant=b:open:resnet20:1");
     DeficitLedger led(spec);
+    auto rank = [&](const Request& r) { return rankOf(r, led); };
     CakeQueue q(3, 16);
 
     Request r0;
@@ -315,7 +367,7 @@ TEST(CakeQueueUnit, RankOrderAndStealVictims)
     // Stealing from shard 0's perspective picks the deepest other
     // shard (1) and pops its best-ranked request (earlier arrival).
     size_t victim = 99;
-    auto got = q.steal(0, led, &victim);
+    auto got = q.steal(0, rank, &victim);
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(victim, 1u);
     EXPECT_EQ(got->id, 1u);
@@ -327,7 +379,7 @@ TEST(CakeQueueUnit, RankOrderAndStealVictims)
     late.arrival = 100;
     late.kicked = true;
     q.push(1, late);
-    auto best = q.popBest(1, led);
+    auto best = q.popBest(1, rank);
     ASSERT_TRUE(best.has_value());
     EXPECT_EQ(best->id, 7u);
 
@@ -341,6 +393,92 @@ TEST(CakeQueueUnit, RankOrderAndStealVictims)
     kicked = 0;
     q.kickStarved(200, 50, [&](const Request&) { ++kicked; });
     EXPECT_EQ(kicked, 0u); // idempotent: already marked
+}
+
+TEST(CakeQueueUnit, FifoRankReplaysAdmissionQueueOrder)
+{
+    // The fifo policy's claim: one shard per workload class ranked by
+    // fifoRank pops exactly what AdmissionQueue::popFor pops, under
+    // interleaved admissions, failover re-queues and served counts;
+    // and its earliest push is the reference queue's front.
+    constexpr size_t kClasses = 3;
+    constexpr size_t kTenants = 5;
+    Rng rng(42);
+    AdmissionQueue ref(1u << 12);
+    CakeQueue q(kClasses, 1u << 12);
+    std::vector<uint64_t> served(kTenants, 0);
+    auto rank = [&](const Request& r) { return fifoRank(r, served); };
+    uint64_t nextId = 1;
+    size_t pops = 0;
+    for (Tick step = 0; step < 4000; ++step) {
+        if (rng.uniformU64(2)) {
+            Request r;
+            r.id = nextId++;
+            r.tenant = rng.uniformU64(kTenants);
+            r.workload = rng.uniformU64(kClasses);
+            r.priority = static_cast<int>(rng.uniformU64(3));
+            r.arrival = step;
+            ref.offer(r);
+            q.push(r.workload, r);
+        } else {
+            size_t wl = rng.uniformU64(kClasses);
+            auto want = ref.popFor(wl, served);
+            auto got = q.popBest(wl, rank);
+            ASSERT_EQ(want.has_value(), got.has_value()) << step;
+            if (want) {
+                ASSERT_EQ(got->id, want->id) << step;
+                ++pops;
+                served[want->tenant] += 1 + rng.uniformU64(2);
+                if (rng.uniformU64(4) == 0) {
+                    ref.requeue(*want);
+                    q.push(got->workload, *got);
+                }
+            }
+        }
+        ASSERT_EQ(q.depth(), ref.depth());
+        if (ref.oldest())
+            ASSERT_EQ(q.firstPushed()->id, ref.oldest()->id) << step;
+    }
+    EXPECT_GT(pops, 500u);
+}
+
+// ---------------------------------------------------------------------
+// JobCache keys
+// ---------------------------------------------------------------------
+
+TEST(JobCacheUnit, DistinctPlansAndCardSetsNeverShareAnEntry)
+{
+    // Exact keys: a different plan object (even one with an equal key
+    // string), card set or unit window is a different entry.
+    ExecPlan a;
+    ExecPlan b;
+    a.key = b.key = "same-content";
+    InferenceResult res;
+    res.total.makespan = 100;
+    res.stepEnds = {40, 100};
+    JobCache cache;
+    EXPECT_EQ(cache.lookup(a, {0, 1}, 0, 2), nullptr);
+    cache.insert(a, {0, 1}, 0, 2, res);
+
+    const CachedJob* hit = cache.lookup(a, {0, 1}, 0, 2);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_TRUE(hit->ok);
+    EXPECT_EQ(hit->span, 100u);
+    EXPECT_EQ(hit->stepEnds, res.stepEnds);
+
+    EXPECT_EQ(cache.lookup(b, {0, 1}, 0, 2), nullptr); // other plan
+    EXPECT_EQ(cache.lookup(a, {0, 2}, 0, 2), nullptr); // other cards
+    EXPECT_EQ(cache.lookup(a, {0}, 0, 2), nullptr);    // shrunken group
+    EXPECT_EQ(cache.lookup(a, {0, 1}, 1, 1), nullptr); // other window
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 5u);
+
+    // A second entry for the other plan leaves the first intact.
+    InferenceResult other = res;
+    other.total.makespan = 7;
+    cache.insert(b, {0, 1}, 0, 2, other);
+    EXPECT_EQ(cache.lookup(a, {0, 1}, 0, 2)->span, 100u);
+    EXPECT_EQ(cache.lookup(b, {0, 1}, 0, 2)->span, 7u);
 }
 
 } // namespace
