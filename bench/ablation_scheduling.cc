@@ -8,6 +8,7 @@
 
 #include "bench_util.hh"
 #include "model/dft_model.hh"
+#include "sched/execplan.hh"
 
 using namespace hydra;
 using namespace hydra::bench;
@@ -26,7 +27,8 @@ main()
             PrototypeSpec spec = hydraMSpec();
             spec.mapping.maxChunksPerCard = chunks;
             InferenceRunner runner(spec);
-            InferenceResult res = runner.run(makeResNet18());
+            InferenceResult res =
+                runner.runPlan(*runner.planFor(makeResNet18()));
             t.addRow({std::to_string(chunks), fmtF(res.seconds(), 3),
                       fmtPct(res.commFraction(), 2)});
         }
@@ -42,9 +44,17 @@ main()
         for (const auto& wl : {makeResNet18(), makeBertBase()}) {
             for (auto spec : {hydraMSpec(), hydraLSpec()}) {
                 InferenceRunner runner(spec);
-                double stepwise = runner.run(wl).seconds();
+                double stepwise =
+                    runner.runPlan(*runner.planFor(wl)).seconds();
+                // The fused unit's own makespan: one program, no
+                // per-step barrier.
                 double fused = ticksToSeconds(
-                    runner.runFused(wl).makespan);
+                    runner
+                        .runPlan(fusePlan(runner.spec(),
+                                          runner.costModel(),
+                                          *runner.planFor(wl)))
+                        .steps.front()
+                        .stats.makespan);
                 t.addRow({wl.name, spec.name, fmtF(stepwise, 2),
                           fmtF(fused, 2), fmtX(stepwise / fused, 2)});
             }

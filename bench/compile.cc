@@ -235,9 +235,11 @@ BM_NetMakespan(benchmark::State& state, const char* machine,
     NetworkGraph graph = modelGraphByName(model);
     Tick safe = 0, aggressive = 0;
     for (auto _ : state) {
-        safe = runner.runGraph(graph, OptLevel::Safe).total.makespan;
+        safe = runner.runPlan(*runner.planFor(graph, OptLevel::Safe))
+                   .total.makespan;
         aggressive =
-            runner.runGraph(graph, OptLevel::Aggressive).total.makespan;
+            runner.runPlan(*runner.planFor(graph, OptLevel::Aggressive))
+                .total.makespan;
         benchmark::DoNotOptimize(safe);
         benchmark::DoNotOptimize(aggressive);
     }

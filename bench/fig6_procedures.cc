@@ -32,7 +32,7 @@ main()
         std::vector<InferenceResult> results;
         for (const auto& spec : specs) {
             InferenceRunner runner(spec);
-            results.push_back(runner.run(wl));
+            results.push_back(runner.runPlan(*runner.planFor(wl)));
         }
 
         TextTable t("\n" + wl.name + " (speedup vs Hydra-S)");

@@ -29,7 +29,7 @@ main()
                   "HBM", "NIC"});
         for (const auto& spec : specs) {
             InferenceRunner runner(spec);
-            InferenceResult res = runner.run(wl);
+            InferenceResult res = runner.runPlan(*runner.planFor(wl));
             EnergyBreakdown e = computeEnergy(
                 res.total, ep, spec.fpga, spec.cluster.totalCards());
             auto share = [&](double j) {

@@ -49,8 +49,8 @@ main()
         t.header({"Benchmark", "Hydra s", "Hydra comm%", "FAB s",
                   "FAB comm%", "FAB/Hydra"});
         for (const auto& wl : allBenchmarks()) {
-            InferenceResult h = hr.run(wl);
-            InferenceResult f = fr.run(wl);
+            InferenceResult h = hr.runPlan(*hr.planFor(wl));
+            InferenceResult f = fr.runPlan(*fr.planFor(wl));
             compareRow(t, wl.name, h, f);
         }
         t.print();
@@ -58,8 +58,8 @@ main()
         // Per-procedure comm fraction on OPT-6.7B (paper highlights
         // Boot and Pooling reaching ~90% on FAB-L).
         WorkloadModel wl = makeOpt67B();
-        InferenceResult h = hr.run(wl);
-        InferenceResult f = fr.run(wl);
+        InferenceResult h = hr.runPlan(*hr.planFor(wl));
+        InferenceResult f = fr.runPlan(*fr.planFor(wl));
         TextTable p("\nPer-procedure comm fraction, OPT-6.7B ("
                     + pr.hydra.name + " / " + pr.fab.name + ")");
         p.header({"Procedure", "Hydra comm%", "FAB comm%"});

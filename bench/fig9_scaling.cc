@@ -48,7 +48,7 @@ main()
         for (size_t cards : card_counts) {
             PrototypeSpec spec = hydraWith(cards);
             InferenceRunner runner(spec);
-            results.push_back(runner.run(panel.wl));
+            results.push_back(runner.runPlan(*runner.planFor(panel.wl)));
         }
         TextTable t("\n" + panel.wl.name +
                     ": speedup vs 1 card (per procedure)");
@@ -87,7 +87,8 @@ main()
         InferenceRunner runner(spec);
         std::vector<std::string> row = {std::to_string(cards)};
         for (const auto& wl : models)
-            row.push_back(fmtPct(runner.run(wl).commFraction(), 2));
+            row.push_back(fmtPct(
+                runner.runPlan(*runner.planFor(wl)).commFraction(), 2));
         c.addRow(row);
     }
     c.print();

@@ -85,7 +85,8 @@ BM_FullInference(benchmark::State& state)
     InferenceRunner runner(spec);
     WorkloadModel wl = makeResNet18();
     for (auto _ : state) {
-        benchmark::DoNotOptimize(runner.run(wl).total.makespan);
+        benchmark::DoNotOptimize(
+            runner.runPlan(*runner.planFor(wl)).total.makespan);
     }
 }
 BENCHMARK(BM_FullInference);

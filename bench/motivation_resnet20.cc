@@ -23,7 +23,7 @@ main()
     for (auto spec : {poseidonSpec(), fabSSpec(), hydraSSpec(),
                       hydraMSpec(), hydraLSpec()}) {
         InferenceRunner runner(spec);
-        InferenceResult res = runner.run(wl);
+        InferenceResult res = runner.runPlan(*runner.planFor(wl));
         const char* note = "";
         if (spec.name == "Poseidon")
             note = "paper: ~3 s";

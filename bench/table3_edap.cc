@@ -17,7 +17,7 @@ double
 runEdap(const PrototypeSpec& spec, const WorkloadModel& wl)
 {
     InferenceRunner runner(spec);
-    InferenceResult res = runner.run(wl);
+    InferenceResult res = runner.runPlan(*runner.planFor(wl));
     EnergyParams ep = asicEnergyParams();
     size_t cards = spec.cluster.totalCards();
     EnergyBreakdown e =

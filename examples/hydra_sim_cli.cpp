@@ -16,12 +16,13 @@
  *                 [--dump-program]     (print each step's compiled
  *                  Program: per-card queue depths, message counts,
  *                  bytes, and the optimizer's pass deltas; no run)
- *                 [--opt LEVEL]        (pass level for --dump-program,
- *                  --model and --dump-graph:
+ *                 [--opt LEVEL]        (compile pass level for every
+ *                  run, --dump-program and --dump-graph:
  *                  none|safe|aggressive; default safe)
- *                 [--model NAME]       (run a declarative-registry
- *                  model through the network compiler / graph runner
- *                  instead of the step-at-a-time path)
+ *                 [--model NAME]       (compile a declarative-registry
+ *                  model through the network compiler instead of a
+ *                  --workload step list; --fused and --faults apply
+ *                  to it like to any plan)
  *                 [--dump-graph]       (print the model's NetworkGraph
  *                  IR — layers, levels, rotations, edges — after the
  *                  --opt passes; no run.  Without --model the
@@ -46,7 +47,7 @@
 #include "common/table.hh"
 #include "math/simd/simd.hh"
 #include "sched/graph/modelspec.hh"
-#include "sched/graph/netcompile.hh"
+#include "sched/execplan.hh"
 #include "sched/progcache.hh"
 
 using namespace hydra;
@@ -221,48 +222,25 @@ main(int argc, char** argv)
                 simdLevelName(simd::activeLevel()),
                 simdLevelName(simd::bestAvailableLevel()));
 
-    FaultPlan plan = FaultPlan::parse(faultSpec);
-    if (!plan.empty())
-        std::printf("faults  : %s\n\n", plan.describe().c_str());
-    if (!model.empty() && (fused || !plan.empty()))
-        fatal("--model runs through the graph compiler; --fused and "
-              "--faults apply to the step-at-a-time path");
+    FaultPlan faults = FaultPlan::parse(faultSpec);
+    if (!faults.empty())
+        std::printf("faults  : %s\n\n", faults.describe().c_str());
 
-    if (fused) {
-        if (!plan.empty()) {
-            RunResult rr = runner.runFused(wl, plan, retry);
-            if (!rr.ok()) {
-                std::printf("fused run failed [%s]: %s\n",
-                            RunError::kindName(rr.error.kind),
-                            rr.error.message.c_str());
-                return 1;
-            }
-            std::printf("fused execution: %.3f s (%" PRIu64
-                        " retries, %" PRIu64 " drops)\n",
-                        ticksToSeconds(rr.stats.makespan),
-                        rr.stats.retries, rr.stats.droppedTransfers);
-            return 0;
-        }
-        RunStats st = runner.runFused(wl);
-        std::printf("fused execution: %.3f s, comm overhead %.2f%%\n",
-                    ticksToSeconds(st.makespan),
-                    st.makespan ? 100.0 *
-                                      static_cast<double>(
-                                          st.commOverhead()) /
-                                      static_cast<double>(st.makespan)
-                                : 0.0);
-        return 0;
-    }
-
-    NetOptReport netReport;
-    InferenceResult res;
-    if (!model.empty()) {
-        res = runner.runGraph(graph, optLevel, &netReport);
+    // One compile step and one execution driver for every mode: the
+    // workload or model compiles to a plan, --fused merges it into one
+    // preloaded unit, and the plan runs on the whole machine.
+    std::shared_ptr<const ExecPlan> plan =
+        model.empty() ? runner.planFor(wl, optLevel)
+                      : runner.planFor(graph, optLevel);
+    if (!model.empty())
         std::printf("graph   : %zu layer(s), %s\n\n", graph.nodes.size(),
-                    netReport.describe().c_str());
-    } else {
-        res = plan.empty() ? runner.run(wl) : runner.run(wl, plan, retry);
-    }
+                    plan->report.describe().c_str());
+    if (fused)
+        plan = std::make_shared<ExecPlan>(
+            fusePlan(spec, runner.costModel(), *plan));
+    InferenceResult res = runner.runJob(
+        *plan, CardGroup::contiguous(0, spec.cluster.totalCards()), 0,
+        faults, retry);
     if (!res.ok()) {
         std::printf("run failed [%s]: %s\n",
                     RunError::kindName(res.error.kind),
@@ -275,7 +253,7 @@ main(int argc, char** argv)
                 "%.2f GiB moved\n\n",
                 res.seconds(), res.commFraction() * 100,
                 static_cast<double>(res.total.netBytes) / (1 << 30));
-    if (!plan.empty()) {
+    if (!faults.empty()) {
         std::printf("fault recovery: %" PRIu64 " retries (%" PRIu64
                     " dropped, %" PRIu64 " corrupted, %" PRIu64
                     " timed out)\n",
@@ -295,16 +273,16 @@ main(int argc, char** argv)
     }
 
     TextTable t("per-procedure budget");
-    t.header({"procedure", "steps", "time (s)", "share", "comm%"});
+    t.header({"procedure", "units", "time (s)", "share", "comm%"});
     for (size_t k = 0; k < kNumProcKinds; ++k) {
         ProcKind kind = static_cast<ProcKind>(k);
         Tick pt = res.procTime(kind);
         if (!pt)
             continue;
-        size_t nsteps = 0;
+        size_t units = 0;
         for (const auto& s : res.steps)
-            nsteps += s.kind == kind;
-        t.addRow({procName(kind), std::to_string(nsteps),
+            units += s.kind == kind;
+        t.addRow({procName(kind), std::to_string(units),
                   fmtF(ticksToSeconds(pt), 3),
                   fmtPct(static_cast<double>(pt) /
                              static_cast<double>(res.total.makespan),

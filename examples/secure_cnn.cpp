@@ -22,7 +22,7 @@ main()
 
     for (auto spec : {hydraSSpec(), hydraMSpec(), hydraLSpec()}) {
         InferenceRunner runner(spec);
-        InferenceResult res = runner.run(wl);
+        InferenceResult res = runner.runPlan(*runner.planFor(wl));
 
         std::printf("\n=== %s: %.2f s end to end, comm overhead %.2f%% "
                     "===\n",
@@ -59,7 +59,7 @@ main()
 
     std::printf("\nThe five slowest steps on Hydra-M:\n");
     InferenceRunner runner(hydraMSpec());
-    InferenceResult res = runner.run(wl);
+    InferenceResult res = runner.runPlan(*runner.planFor(wl));
     std::vector<const StepResult*> steps;
     for (const auto& s : res.steps)
         steps.push_back(&s);

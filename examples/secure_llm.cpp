@@ -29,7 +29,7 @@ main()
                   "NonLin (s)", "Boot (s)", "comm%"});
         for (auto spec : {hydraSSpec(), hydraMSpec(), hydraLSpec()}) {
             InferenceRunner runner(spec);
-            InferenceResult res = runner.run(wl);
+            InferenceResult res = runner.runPlan(*runner.planFor(wl));
             t.addRow({spec.name, fmtF(res.seconds(), 2),
                       fmtF(ticksToSeconds(res.procTime(ProcKind::PCMM)),
                            2),
@@ -57,7 +57,7 @@ main()
     for (const auto& s : wl.steps)
         if (s.name.rfind("l0_", 0) == 0)
             layer0.steps.push_back(s);
-    InferenceResult res = runner.run(layer0);
+    InferenceResult res = runner.runPlan(*runner.planFor(layer0));
     for (const auto& s : res.steps)
         std::printf("  %-14s %-10s %9.4f s  (comm overhead %5.1f%%)\n",
                     s.name.c_str(), procName(s.kind),

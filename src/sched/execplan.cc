@@ -164,17 +164,28 @@ compilePlan(const PrototypeSpec& spec, const OpCostModel& cost,
     return plan;
 }
 
-size_t
-planUnitCount(const PrototypeSpec& spec, const OpCostModel& cost,
-              const NetworkModel& net, const WorkloadModel& workload,
-              OptLevel level)
+ExecPlan
+fusePlan(const PrototypeSpec& spec, const OpCostModel& cost,
+         const ExecPlan& plan)
 {
-    if (level != OptLevel::Aggressive)
-        return workload.steps.size();
-    NetPartition part =
-        partitionNetwork(spec, cost, net,
-                         NetworkGraph::fromModel(workload), level);
-    return part.units.size();
+    ExecPlan fused = plan;
+    fused.key += "|fused";
+    fused.units.clear();
+    if (plan.units.empty())
+        return fused;
+
+    ExecUnit u;
+    u.kind = NetUnit::Kind::Fused;
+    u.lead = plan.units.front().lead;
+    for (const ExecUnit& pu : plan.units)
+        u.steps.insert(u.steps.end(), pu.steps.begin(), pu.steps.end());
+    u.name = u.steps.size() == 1
+                 ? u.steps.front().name
+                 : u.steps.front().name + ".." + u.steps.back().name;
+    u.key = unitKeyFor(spec, fused.cluster, fused.cluster, cost,
+                       fused.logSlots, u, fused.level);
+    fused.units.push_back(std::move(u));
+    return fused;
 }
 
 } // namespace hydra

@@ -8,10 +8,11 @@
  * Program, plus the plan's opt-level provenance.  compilePlan()
  * subsumes the two historical entry points:
  *
- *  - the step-list path (InferenceRunner::run / runJob): at
- *    OptLevel::None/Safe every step becomes one Single unit keyed by
- *    stepCacheKey — the exact keys the pre-ExecPlan runner used, so
- *    cache populations and tick streams are bit-identical;
+ *  - the step-list path (InferenceRunner::planFor / planForJob on a
+ *    WorkloadModel): at OptLevel::None/Safe every step becomes one
+ *    Single unit keyed by stepCacheKey — the exact keys the
+ *    pre-ExecPlan runner used, so cache populations and tick streams
+ *    are bit-identical;
  *  - the graph path (compileNetwork): at OptLevel::Aggressive the
  *    cross-step passes (boot-plan, fuse-linear, prefetch) partition
  *    the network into possibly multi-layer units via
@@ -31,7 +32,9 @@
  * ProgramCache access per unit at build time) or a *skeleton*
  * (PlanWindow::none(): keys only; drivers resolve programs on demand
  * via compilePlanUnit, which is also the degraded re-dispatch path
- * where the executing cluster shrank under the plan).
+ * where the executing cluster shrank under the plan).  fusePlan()
+ * turns any plan into the paper's Section IV-D fused mode: one
+ * skeleton unit holding every step.
  */
 
 #ifndef HYDRA_SCHED_EXECPLAN_HH
@@ -76,7 +79,7 @@ struct PlanWindow
     size_t first = 0;
     size_t count = npos;
 
-    /** Materialize every unit (run()/runGraph semantics). */
+    /** Materialize every unit (InferenceRunner::planFor). */
     static PlanWindow all() { return PlanWindow{}; }
 
     /** Materialize nothing — a skeleton plan (serving dispatch). */
@@ -104,6 +107,9 @@ struct ExecPlan
     std::vector<ExecUnit> units;
     /** Cross-step pass statistics (empty below Aggressive). */
     NetOptReport report;
+    /** Compile failure (an invalid graph): the plan has no units and
+     *  every execution returns this as InferenceResult::error. */
+    RunError error;
 
     size_t size() const { return units.size(); }
 };
@@ -145,13 +151,17 @@ compilePlanUnit(const PrototypeSpec& spec,
                 const ExecUnit& unit, OptLevel level);
 
 /**
- * The number of units `workload` partitions into at `level` on
- * `spec`'s machine — computed without compiling any Program.  Shape-
- * invariant: card groups of the machine see the same count.
+ * Section IV-D fused preloading ("multiple tasks can be loaded into
+ * each FPGA's task queue at once"): merge every unit of `plan` into
+ * one NetUnit::Kind::Fused skeleton unit, so each card's queue holds
+ * the whole inference and a card may start the next layer while its
+ * peers drain the current one.  `spec` is the machine the plan was
+ * compiled for (only its cluster-independent half enters the key).
+ * The fused unit executes — and re-dispatches onto survivors after a
+ * card death — like any other unit.
  */
-size_t planUnitCount(const PrototypeSpec& spec, const OpCostModel& cost,
-                     const NetworkModel& net,
-                     const WorkloadModel& workload, OptLevel level);
+ExecPlan fusePlan(const PrototypeSpec& spec, const OpCostModel& cost,
+                  const ExecPlan& plan);
 
 } // namespace hydra
 

@@ -297,7 +297,7 @@ compileNetwork(const PrototypeSpec& spec, const OpCostModel& cost,
 
     // Compile every unit through the shared cache.  Single-layer units
     // use the step compiler's exact key, so the graph path shares
-    // entries with InferenceRunner::run()/ServeSim.
+    // entries with step-list plans and ServeSim.
     out.programs.reserve(out.units.size());
     for (const NetUnit& u : out.units) {
         std::vector<const Step*> members;

@@ -5,10 +5,10 @@
  * (plan -> lower -> optimize -> cache) — DESIGN.md §15.
  *
  * At OptLevel::None and Safe the network compiler is a pure chain
- * walker: one unit per layer, each compiled exactly like
- * InferenceRunner::run() compiles a step (same ProgramCache keys), so
- * the executed tick stream is bit-identical to the step-at-a-time
- * path.  OptLevel::Aggressive enables the cross-step passes:
+ * walker: one unit per layer, each compiled exactly like a step-list
+ * plan compiles a step (same ProgramCache keys), so the executed tick
+ * stream is bit-identical to the step-at-a-time path.
+ * OptLevel::Aggressive enables the cross-step passes:
  *
  *  - boot-plan: the paper's Eq. 1 level model generalized across
  *    steps.  Walks the chain tracking the modulus level from maxLimbs
@@ -128,7 +128,7 @@ NetPartition partitionNetwork(const PrototypeSpec& spec,
 /**
  * Compile one unit of a partition through the shared ProgramCache for
  * an executing (sub-)cluster: single-member units use the step
- * compiler's exact stepCacheKey (shared with InferenceRunner::run());
+ * compiler's exact stepCacheKey (shared with the step-list plans);
  * multi-member units use unitCacheKey.  `exec_cluster` may be smaller
  * than `net_cluster` (the degraded re-dispatch path).
  */

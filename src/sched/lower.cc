@@ -110,13 +110,11 @@ bootstrapLocalTicks(const OpCostModel& cost, const NetworkModel& net,
     return secondsToTicks(2.0 * dft_s + evaexp_s + daf_s);
 }
 
-void
-lowerPlanInto(ProgramBuilder& pb, const LogicalPlan& plan,
-              const OpCostModel& cost, const NetworkModel& net,
-              const MappingConfig& config)
+Program
+lowerPlan(const LogicalPlan& plan, const OpCostModel& cost,
+          const NetworkModel& net, const MappingConfig& config)
 {
-    HYDRA_ASSERT(pb.cardCount() == plan.cards,
-                 "builder/plan card count mismatch");
+    ProgramBuilder pb(plan.cards);
     LowerCtx ctx{cost, net, config, plan.logSlots, {}};
 
     // Plan-local -> builder-issued id rebinding (ids are dense from 1).
@@ -156,14 +154,6 @@ lowerPlanInto(ProgramBuilder& pb, const LogicalPlan& plan,
                                : pb.sendTo(t.src, t.dst, bytes, after);
         }
     }
-}
-
-Program
-lowerPlan(const LogicalPlan& plan, const OpCostModel& cost,
-          const NetworkModel& net, const MappingConfig& config)
-{
-    ProgramBuilder pb(plan.cards);
-    lowerPlanInto(pb, plan, cost, net, config);
     return pb.take();
 }
 

@@ -9,8 +9,8 @@
  * Lowering replays the plan's emission order through a ProgramBuilder,
  * so the produced Program is bit-identical to what the pre-pipeline
  * StepMapper built directly — including compute/message id assignment
- * and label interning — and appending into a caller's builder (fused
- * mode) composes exactly like the old mapStepInto.
+ * and label interning.  Multi-step units (fused mode included) lower
+ * one plan holding every member step.
  */
 
 #ifndef HYDRA_SCHED_LOWER_HH
@@ -37,15 +37,6 @@ Tick bootstrapLocalTicks(const OpCostModel& cost, const NetworkModel& net,
 /** Lower `plan` into a fresh Program. */
 Program lowerPlan(const LogicalPlan& plan, const OpCostModel& cost,
                   const NetworkModel& net, const MappingConfig& config);
-
-/**
- * Append `plan`'s lowered tasks to an existing builder (fused
- * scheduling).  Plan-local ids are re-bound to builder-issued ids in
- * emission order; the builder's card count must match the plan's.
- */
-void lowerPlanInto(ProgramBuilder& pb, const LogicalPlan& plan,
-                   const OpCostModel& cost, const NetworkModel& net,
-                   const MappingConfig& config);
 
 } // namespace hydra
 

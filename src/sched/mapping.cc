@@ -51,12 +51,6 @@ StepMapper::mapStep(const Step& step) const
 }
 
 void
-StepMapper::mapStepInto(ProgramBuilder& pb, const Step& step) const
-{
-    lowerPlanInto(pb, planStep(step), cost_, net_, config_);
-}
-
-void
 StepMapper::planStepInto(PlanBuilder& pb, const Step& step) const
 {
     switch (step.kind) {

@@ -17,10 +17,10 @@
  *    EvaExp, leader-local double-angle -- with Radix/bs chosen by the
  *    Eq. 1 optimizer.
  *
- * mapStep/mapStepInto remain as the plan+lower composition (see
- * sched/lower.hh) and produce bit-identical Programs to the historical
- * direct path; planStep exposes the plan itself for re-costing,
- * optimization and caching (sched/passes.hh, sched/progcache.hh).
+ * mapStep remains as the plan+lower composition (see sched/lower.hh)
+ * and produces bit-identical Programs to the historical direct path;
+ * planStep exposes the plan itself for re-costing, optimization and
+ * caching (sched/passes.hh, sched/progcache.hh).
  */
 
 #ifndef HYDRA_SCHED_MAPPING_HH
@@ -69,15 +69,6 @@ class StepMapper
 
     /** Map one step onto the cluster (plan + lower). */
     Program mapStep(const Step& step) const;
-
-    /**
-     * Append one step's tasks to an existing builder.  Used by the
-     * fused scheduling mode (paper Section IV-D: "multiple tasks can be
-     * loaded into each FPGA's task queue at once"), which removes the
-     * per-step barrier and lets a card start the next step while peers
-     * finish the current one.
-     */
-    void mapStepInto(ProgramBuilder& pb, const Step& step) const;
 
     /** Single-card time of one full bootstrap (used for data-parallel
      *  bootstrap scheduling and for Fig. 9 style analyses). */

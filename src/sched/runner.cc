@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <memory>
 
-#include "common/logging.hh"
 #include "sched/execplan.hh"
 #include "sched/graph/netcompile.hh"
-#include "sched/progcache.hh"
 
 namespace hydra {
 
@@ -104,50 +102,29 @@ InferenceRunner::InferenceRunner(PrototypeSpec spec, size_t ring_n)
 {
 }
 
-RunStats
-InferenceRunner::runFused(const WorkloadModel& workload) const
-{
-    StepMapper mapper(cost_, *net_, spec_.cluster.totalCards(),
-                      workload.logSlots, spec_.mapping);
-    ClusterExecutor executor(spec_.cluster, *net_);
-    ProgramBuilder pb(spec_.cluster.totalCards());
-    for (const auto& step : workload.steps)
-        mapper.mapStepInto(pb, step);
-    return executor.run(pb.take());
-}
-
-InferenceResult
-InferenceRunner::run(const WorkloadModel& workload) const
-{
-    return runPlan(compilePlan(spec_, cost_, *net_, workload));
-}
-
-InferenceResult
-InferenceRunner::runGraph(const NetworkGraph& graph, OptLevel level,
-                          NetOptReport* report) const
-{
-    SpecError err;
-    if (!graph.validate(err)) {
-        InferenceResult result;
-        result.machine = spec_.name;
-        result.workload = graph.name;
-        result.error.kind = RunError::Kind::InvalidProgram;
-        result.error.message = "runGraph: " + err.describe();
-        return result;
-    }
-
-    ExecPlan plan = compilePlan(spec_, cost_, *net_, graph, level);
-    if (report)
-        *report = plan.report;
-    return runPlan(plan);
-}
-
 std::shared_ptr<const ExecPlan>
 InferenceRunner::planFor(const WorkloadModel& workload,
                          OptLevel level) const
 {
     return std::make_shared<ExecPlan>(
         compilePlan(spec_, cost_, *net_, workload, level));
+}
+
+std::shared_ptr<const ExecPlan>
+InferenceRunner::planFor(const NetworkGraph& graph, OptLevel level) const
+{
+    SpecError err;
+    if (graph.validate(err))
+        return std::make_shared<ExecPlan>(
+            compilePlan(spec_, cost_, *net_, graph, level));
+    auto plan = std::make_shared<ExecPlan>();
+    plan->machine = spec_.name;
+    plan->workload = graph.name;
+    plan->level = level;
+    plan->cluster = spec_.cluster;
+    plan->error.kind = RunError::Kind::InvalidProgram;
+    plan->error.message = "planFor: " + err.describe();
+    return plan;
 }
 
 std::shared_ptr<const ExecPlan>
@@ -160,41 +137,34 @@ InferenceRunner::planForJob(const WorkloadModel& workload,
         sub, cost_, *net, workload, level, PlanWindow::none()));
 }
 
-size_t
-InferenceRunner::planUnitCount(const WorkloadModel& workload,
-                               OptLevel level) const
-{
-    return hydra::planUnitCount(spec_, cost_, *net_, workload, level);
-}
-
 InferenceResult
 InferenceRunner::runPlan(const ExecPlan& plan, size_t first_unit,
                          size_t num_units) const
 {
-    InferenceResult result;
-    result.machine = spec_.name;
-    result.workload = plan.workload;
+    return execFaulted(
+        spec_, *net_, plan,
+        CardGroup::contiguous(0, spec_.cluster.totalCards()).cards, 0, {},
+        {}, first_unit, num_units);
+}
 
-    size_t end = plan.units.size();
-    first_unit = std::min(first_unit, end);
-    if (num_units < end - first_unit)
-        end = first_unit + num_units;
-
-    ClusterExecutor executor(spec_.cluster, *net_);
-    for (size_t ui = first_unit; ui < end; ++ui) {
-        const ExecUnit& u = plan.units[ui];
-        auto compiled = u.compiled
-                            ? u.compiled
-                            : compilePlanUnit(spec_, spec_.cluster,
-                                              spec_.cluster, cost_,
-                                              *net_, plan.logSlots, u,
-                                              plan.level);
-        RunStats stats = executor.run(compiled->program);
-        result.total.append(stats, net_->stepSyncLatency());
-        result.steps.push_back(StepResult{u.name, u.lead, stats});
-        result.stepEnds.push_back(result.total.makespan);
+InferenceResult
+InferenceRunner::runJob(const ExecPlan& plan, const CardGroup& group,
+                        Tick start_tick, const FaultPlan& faults,
+                        const RetryPolicy& retry, size_t first_unit,
+                        size_t num_units) const
+{
+    if (group.cards.empty()) {
+        InferenceResult result;
+        result.machine = spec_.name;
+        result.workload = plan.workload;
+        result.error.kind = RunError::Kind::InvalidProgram;
+        result.error.message = "runJob: empty card group";
+        return result;
     }
-    return result;
+    PrototypeSpec sub = groupSubSpec(spec_, group);
+    std::unique_ptr<NetworkModel> net = sub.makeNetwork();
+    return execFaulted(sub, *net, plan, group.cards, start_tick, faults,
+                       retry, first_unit, num_units);
 }
 
 namespace {
@@ -226,14 +196,17 @@ InferenceRunner::execFaulted(const PrototypeSpec& sub,
                              const NetworkModel& net,
                              const ExecPlan& plan,
                              const std::vector<size_t>& cards,
-                             Tick start_tick, bool absolute_clock,
-                             const FaultPlan& faults,
+                             Tick start_tick, const FaultPlan& faults,
                              const RetryPolicy& retry, size_t first_unit,
                              size_t num_units) const
 {
     InferenceResult result;
     result.machine = spec_.name;
     result.workload = plan.workload;
+    if (!plan.error.ok()) {
+        result.error = plan.error;
+        return result;
+    }
 
     // alive[i] = original machine index of the card locally mapped
     // as i.
@@ -257,22 +230,13 @@ InferenceRunner::execFaulted(const PrototypeSpec& sub,
     for (size_t ui = first_unit; ui < end; ++ui) {
         const ExecUnit& u = plan.units[ui];
         for (;;) {
-            Tick elapsed = result.total.makespan;
-            FaultPlan fp = planForGroup(faults, alive);
-            if (absolute_clock) {
-                // The executor's clock IS the serve clock: each unit
-                // starts where the job has advanced to, and kill
-                // ticks need no shifting.
-                executor->setTimeOrigin(start_tick + elapsed);
-            } else {
-                // Legacy whole-machine semantics: cardFailAt ticks
-                // are global inference time, but each unit's executor
-                // run restarts its clock — shift the plan by the time
-                // elapsed so far.
-                for (auto& [card, t] : fp.cardFailAt)
-                    t = t > elapsed ? t - elapsed : 0;
-            }
-            executor->setFaultPlan(fp);
+            // The executor's clock IS the run's clock: each unit starts
+            // where the run has advanced to, and kill ticks need no
+            // shifting.  A fault-free run skips the per-attempt
+            // projection (the executor's plan stays empty).
+            executor->setTimeOrigin(start_tick + result.total.makespan);
+            if (!faults.empty())
+                executor->setFaultPlan(planForGroup(faults, alive));
 
             // The compiled program is fault-independent: only the
             // executor's fault plan differs between attempts, so the
@@ -318,82 +282,6 @@ InferenceRunner::execFaulted(const PrototypeSpec& sub,
         }
     }
     return result;
-}
-
-InferenceResult
-InferenceRunner::run(const WorkloadModel& workload,
-                     const FaultPlan& faults,
-                     const RetryPolicy& retry) const
-{
-    ExecPlan plan = compilePlan(spec_, cost_, *net_, workload,
-                                OptLevel::Safe, PlanWindow::none());
-    std::vector<size_t> cards(spec_.cluster.totalCards());
-    for (size_t i = 0; i < cards.size(); ++i)
-        cards[i] = i;
-    return execFaulted(spec_, *net_, plan, cards, 0,
-                       /*absolute_clock=*/false, faults, retry, 0,
-                       static_cast<size_t>(-1));
-}
-
-InferenceResult
-InferenceRunner::runJob(const WorkloadModel& workload,
-                        const CardGroup& group, Tick start_tick,
-                        const FaultPlan& faults,
-                        const RetryPolicy& retry, size_t first_step,
-                        size_t num_steps) const
-{
-    if (group.cards.empty()) {
-        InferenceResult result;
-        result.machine = spec_.name;
-        result.workload = workload.name;
-        result.error.kind = RunError::Kind::InvalidProgram;
-        result.error.message = "runJob: empty card group";
-        return result;
-    }
-    PrototypeSpec sub = groupSubSpec(spec_, group);
-    std::unique_ptr<NetworkModel> net = sub.makeNetwork();
-    ExecPlan plan = compilePlan(sub, cost_, *net, workload,
-                                OptLevel::Safe, PlanWindow::none());
-    return execFaulted(sub, *net, plan, group.cards, start_tick,
-                       /*absolute_clock=*/true, faults, retry,
-                       first_step, num_steps);
-}
-
-InferenceResult
-InferenceRunner::runJob(const ExecPlan& plan, const CardGroup& group,
-                        Tick start_tick, const FaultPlan& faults,
-                        const RetryPolicy& retry, size_t first_unit,
-                        size_t num_units) const
-{
-    if (group.cards.empty()) {
-        InferenceResult result;
-        result.machine = spec_.name;
-        result.workload = plan.workload;
-        result.error.kind = RunError::Kind::InvalidProgram;
-        result.error.message = "runJob: empty card group";
-        return result;
-    }
-    PrototypeSpec sub = groupSubSpec(spec_, group);
-    std::unique_ptr<NetworkModel> net = sub.makeNetwork();
-    return execFaulted(sub, *net, plan, group.cards, start_tick,
-                       /*absolute_clock=*/true, faults, retry,
-                       first_unit, num_units);
-}
-
-RunResult
-InferenceRunner::runFused(const WorkloadModel& workload,
-                          const FaultPlan& faults,
-                          const RetryPolicy& retry) const
-{
-    StepMapper mapper(cost_, *net_, spec_.cluster.totalCards(),
-                      workload.logSlots, spec_.mapping);
-    ClusterExecutor executor(spec_.cluster, *net_);
-    executor.setFaultPlan(faults);
-    executor.setRetryPolicy(retry);
-    ProgramBuilder pb(spec_.cluster.totalCards());
-    for (const auto& step : workload.steps)
-        mapper.mapStepInto(pb, step);
-    return executor.tryRun(pb.take());
 }
 
 } // namespace hydra

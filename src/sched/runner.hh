@@ -21,7 +21,6 @@
 namespace hydra {
 
 struct NetworkGraph;
-struct NetOptReport;
 struct ExecPlan;
 
 /** A named machine configuration (Hydra-S/M/L, FAB-*, Poseidon). */
@@ -90,8 +89,8 @@ struct InferenceResult
      * Checkpoint boundaries: offset from the run's start (in ticks) at
      * which each successfully completed step ended, in execution order
      * (sync latency included).  The serving layer uses these to resume
-     * a job killed mid-run from its last completed step boundary via
-     * runJob(first_step, ...) instead of restarting from step 0.
+     * a job killed mid-run from its last completed unit boundary via
+     * runJob(..., first_unit) instead of restarting from unit 0.
      */
     std::vector<Tick> stepEnds;
 
@@ -126,16 +125,21 @@ struct InferenceResult
 };
 
 /**
- * Runs workloads on one machine.
+ * Runs workloads on one machine: two compile calls and two execute
+ * calls over one ExecPlan (sched/execplan.hh).
  *
- * Every execution path is a thin driver over an ExecPlan
- * (sched/execplan.hh): run()/runGraph() compile a materialized
- * machine plan and replay it unit by unit; the fault-aware overloads
- * and runJob() feed a plan through one unified degraded-re-dispatch
- * driver.  The legacy WorkloadModel entry points are kept as
- * bit-identical wrappers; plan-first callers (the serving layer)
- * compile once via planFor()/planForJob() and execute windows of the
- * shared plan.
+ * Compile: planFor() builds a materialized machine-scoped plan from a
+ * workload or a NetworkGraph; planForJob() builds a skeleton plan for
+ * one card group's sub-machine.  Section IV-D fused preloading is a
+ * plan transform (fusePlan(), sched/execplan.hh), not a run mode.
+ *
+ * Execute: runJob() is the one driver — a window of plan units on a
+ * card group, starting at an absolute tick, under a fault plan with
+ * degraded re-dispatch; runPlan() forwards to it with the whole
+ * machine and start tick 0.  One clock convention: the executor's
+ * origin is the run's start tick plus the time elapsed, and
+ * FaultPlan::cardFailAt ticks (and RunError::tick) are on that same
+ * absolute clock.
  */
 class InferenceRunner
 {
@@ -147,16 +151,27 @@ class InferenceRunner
     explicit InferenceRunner(PrototypeSpec spec,
                              size_t ring_n = size_t{1} << 16);
 
-    InferenceResult run(const WorkloadModel& workload) const;
-
     /**
      * Compile `workload` into a materialized machine-scoped ExecPlan
      * (every unit's Program resolved through the shared ProgramCache
-     * at build time).  run()/runGraph() semantics over the plan come
-     * from runPlan().
+     * at build time).
      */
     std::shared_ptr<const ExecPlan>
     planFor(const WorkloadModel& workload,
+            OptLevel level = OptLevel::Safe) const;
+
+    /**
+     * Compile `graph` through the network compiler (DESIGN.md §15)
+     * into a materialized machine-scoped ExecPlan; plan.report holds
+     * the cross-step pass statistics.  At OptLevel::Safe the plan is
+     * tick-identical to planFor(graph.toModel()); Aggressive enables
+     * the cross-step passes (boot-plan, fuse-linear, prefetch).  An
+     * invalid graph yields a unit-less plan whose ExecPlan::error the
+     * execute calls surface as InferenceResult::error — never an
+     * abort.
+     */
+    std::shared_ptr<const ExecPlan>
+    planFor(const NetworkGraph& graph,
             OptLevel level = OptLevel::Safe) const;
 
     /**
@@ -164,38 +179,43 @@ class InferenceRunner
      * sub-machine (unit boundaries and cache keys only; programs
      * resolve on demand at execution, so repeated jobs over one shared
      * plan hit the ProgramCache per executed unit — the serving
-     * layer's reuse).
+     * layer's reuse).  The Aggressive partition is shape-invariant:
+     * every group's plan has the same unit count.
      */
     std::shared_ptr<const ExecPlan>
     planForJob(const WorkloadModel& workload, const CardGroup& group,
                OptLevel level = OptLevel::Safe) const;
 
     /**
-     * The number of units `workload` partitions into at `level` on
-     * this machine, without compiling any Program.  The Aggressive
-     * partition is shape-invariant (it does not depend on the
-     * executing card count), so this count also holds for every card
-     * group's plan — resumable unit indices (preemption slices,
-     * checkpointed failover) stay meaningful across groups.
-     */
-    size_t planUnitCount(const WorkloadModel& workload,
-                         OptLevel level = OptLevel::Safe) const;
-
-    /**
-     * Execute units [first_unit, first_unit + num_units) of a
-     * machine-scoped plan on the whole machine, fault-free.  Skeleton
-     * units resolve their Program through the ProgramCache.
+     * Execute units [first_unit, first_unit + num_units) of `plan` on
+     * the whole machine from tick 0, fault-free:
+     * runJob(plan, all cards, 0) without the sub-machine rebuild.
      */
     InferenceResult
     runPlan(const ExecPlan& plan, size_t first_unit = 0,
             size_t num_units = static_cast<size_t>(-1)) const;
 
     /**
-     * Job-scoped, resumable plan execution: the plan-first form of
-     * runJob() below, with windows indexing plan *units* instead of
-     * workload steps.  `plan` should come from planForJob() with the
-     * same group (any plan whose cluster shape differs from the
-     * group's sub-machine is recompiled per unit via the cache).
+     * The execution driver: run units [first_unit, first_unit +
+     * num_units) of `plan` confined to `group`'s cards, starting at
+     * absolute virtual time `start_tick` on a shared clock (the
+     * executor's time origin).  `plan` should come from planForJob()
+     * with the same group shape (a plan whose cluster shape differs
+     * from the group's sub-machine recompiles per unit via the cache).
+     *
+     * Fault-plan card indices are machine-global (entries for cards
+     * outside the group are ignored) and cardFailAt ticks are absolute
+     * times on the same clock.  On a permanent card failure the failed
+     * unit is re-mapped onto the group's survivors (modelled as a flat
+     * single-switch cluster) and re-run — a fused one-unit plan
+     * included; the wasted attempt time is charged to the makespan
+     * and reported as recoveryPenalty, and failedCards reports
+     * original machine indices.  Unrecoverable failures (exhausted
+     * retry budget, deadlock, no survivors left) end the run with
+     * InferenceResult::error set — never abort.
+     *
+     * The returned total.makespan is the job's duration, i.e. the job
+     * ends at start_tick + total.makespan.
      */
     InferenceResult
     runJob(const ExecPlan& plan, const CardGroup& group, Tick start_tick,
@@ -203,98 +223,23 @@ class InferenceRunner
            size_t first_unit = 0,
            size_t num_units = static_cast<size_t>(-1)) const;
 
-    /**
-     * Graph-compiled execution (DESIGN.md §15): compile `graph`
-     * through the network compiler at `level` and execute the
-     * resulting units in order.  At OptLevel::Safe this is
-     * tick-identical to run(graph.toModel()) — one unit per layer,
-     * same cache keys, same per-step sync accounting; Aggressive
-     * enables the cross-step passes (boot-plan, fuse-linear,
-     * prefetch).  An invalid graph surfaces as a structured
-     * InferenceResult::error, never an abort.  When `report` is
-     * non-null it receives the pass statistics.
-     */
-    InferenceResult runGraph(const NetworkGraph& graph,
-                             OptLevel level = OptLevel::Safe,
-                             NetOptReport* report = nullptr) const;
-
-    /**
-     * Fault-aware execution (Procedure-2 robustness).  Runs each step
-     * under the given fault plan and retry policy.  On a permanent
-     * card failure the failed step is re-mapped onto the surviving
-     * cards (modelled as a flat single-switch cluster) and re-run;
-     * the wasted attempt time is charged to the makespan and reported
-     * as InferenceResult::recoveryPenalty.  Unrecoverable failures
-     * (exhausted retry budget, deadlock, no survivors left) terminate
-     * the run with InferenceResult::error set — never abort.
-     */
-    InferenceResult run(const WorkloadModel& workload,
-                        const FaultPlan& faults,
-                        const RetryPolicy& retry = {}) const;
-
-    /**
-     * Job-scoped, resumable execution for the serving layer: run steps
-     * [first_step, first_step + num_steps) of `workload` confined to
-     * `group`'s cards, starting at absolute virtual time `start_tick`
-     * on a shared clock (the executor's time origin).
-     *
-     * Fault-plan card indices are machine-global (entries for cards
-     * outside the group are ignored) and cardFailAt ticks are absolute
-     * serve-clock times — no caller-side shifting.  On a permanent
-     * card failure inside the group the failed step is re-dispatched
-     * onto the group's survivors exactly like run(), and the result's
-     * failedCards reports original machine indices.
-     *
-     * The returned total.makespan is the job's duration, i.e. the job
-     * ends at start_tick + total.makespan.
-     */
-    InferenceResult runJob(const WorkloadModel& workload,
-                           const CardGroup& group, Tick start_tick,
-                           const FaultPlan& faults = {},
-                           const RetryPolicy& retry = {},
-                           size_t first_step = 0,
-                           size_t num_steps = static_cast<size_t>(-1))
-        const;
-
-    /**
-     * Fused execution: all steps preloaded into the card queues as one
-     * program (paper Section IV-D), removing per-step barriers -- a
-     * card may start the next step while its peers drain the current
-     * one.  Returns the single merged run's statistics.
-     */
-    RunStats runFused(const WorkloadModel& workload) const;
-
-    /**
-     * Fused execution under a fault plan.  Fused queues cannot be
-     * re-dispatched mid-stream, so a permanent card failure surfaces
-     * as a structured error instead of degrading.
-     */
-    RunResult runFused(const WorkloadModel& workload,
-                       const FaultPlan& faults,
-                       const RetryPolicy& retry = {}) const;
-
     const OpCostModel& costModel() const { return cost_; }
     const NetworkModel& network() const { return *net_; }
     const PrototypeSpec& spec() const { return spec_; }
 
   private:
     /**
-     * The one fault-aware execution driver: run plan units
-     * [first_unit, first_unit + num_units) on the cards in `alive`
-     * (original machine indices) under `sub`'s topology, re-dispatching
-     * onto survivors after permanent card failures.  With
-     * `absolute_clock` the executor's origin tracks
-     * start_tick + elapsed and kill ticks are absolute serve-clock
-     * times (runJob semantics); without it the origin stays 0 and kill
-     * ticks are shifted by the elapsed makespan per attempt (legacy
-     * whole-machine run(faults) semantics).
+     * The shared body of runPlan() and runJob(): run the plan window
+     * on the cards in `cards` (original machine indices) under `sub`'s
+     * topology, re-dispatching onto survivors after permanent card
+     * failures.
      */
     InferenceResult
     execFaulted(const PrototypeSpec& sub, const NetworkModel& net,
                 const ExecPlan& plan, const std::vector<size_t>& cards,
-                Tick start_tick, bool absolute_clock,
-                const FaultPlan& faults, const RetryPolicy& retry,
-                size_t first_unit, size_t num_units) const;
+                Tick start_tick, const FaultPlan& faults,
+                const RetryPolicy& retry, size_t first_unit,
+                size_t num_units) const;
 
     PrototypeSpec spec_;
     OpCostModel cost_;

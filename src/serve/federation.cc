@@ -73,6 +73,9 @@ struct JobRecord
     size_t group = 0; // cluster-local group id
     Tick start = 0;
     JobOutcome out;
+    /** Unit count of the plan this dispatch runs: the bound for the
+     *  request's resumable firstStep (a plan-unit index). */
+    size_t units = 0;
     /** Fairness weight of this dispatch (2 for spillover traffic). */
     uint64_t weight = 1;
 
@@ -162,10 +165,6 @@ struct Engine
     std::map<std::tuple<size_t, uint8_t, size_t, size_t>,
              std::shared_ptr<const ExecPlan>>
         planTable;
-    /** Memoized machine-scoped unit counts per (workload, level); the
-     *  Aggressive partition is shape-invariant, so these also hold for
-     *  every card group's plan. */
-    std::map<std::pair<size_t, uint8_t>, size_t> unitTotals;
     /** ProgramCache snapshot at construction: go() reports this run's
      *  deltas (the cache is process-wide and outlives the run). */
     ProgramCache::Stats progBase;
@@ -238,23 +237,6 @@ struct Engine
                               runner.planForJob(models[wl], g, lv))
                      .first;
         return *it->second;
-    }
-
-    /** Total unit count of `wl` at `lv` — the bound for resumable
-     *  firstStep indices (which count plan units). */
-    size_t
-    unitTotal(size_t wl, OptLevel lv)
-    {
-        if (lv != OptLevel::Aggressive)
-            return models[wl].steps.size();
-        auto key = std::make_pair(wl, static_cast<uint8_t>(lv));
-        auto it = unitTotals.find(key);
-        if (it == unitTotals.end())
-            it = unitTotals
-                     .emplace(key,
-                              runner.planUnitCount(models[wl], lv))
-                     .first;
-        return it->second;
     }
 
     /** Fold queue depth into the time-weighted integral; call before
@@ -597,6 +579,7 @@ struct Engine
         jr.cluster = cl.id;
         jr.group = g.id;
         jr.start = now;
+        jr.units = total;
         jr.weight = weight;
 
         // Fault-free clusters replay memoized windows (runJob is
@@ -701,8 +684,7 @@ struct Engine
 
         Request r = jr.req;
         r.executed += ran;
-        size_t total = unitTotal(r.workload, tenantOpt[r.tenant]);
-        r.firstStep = std::min(r.firstStep + jr.sliceSteps, total);
+        r.firstStep = std::min(r.firstStep + jr.sliceSteps, jr.units);
         // Always routable: the freed group itself is live on a
         // fault-free, alive cluster (only those arm slices).
         enqueue(r, pickShard(r));
@@ -715,15 +697,15 @@ struct Engine
 
     /**
      * Re-queue already-admitted work that lost its job (cluster kill
-     * or terminal failure), resuming from its checkpoint: `done` steps
-     * completed since `req.firstStep` are conserved.  Sheds instead
-     * when the failover budget is spent or no route remains.
+     * or terminal failure), resuming from its checkpoint: `done` units
+     * completed since `req.firstStep` are conserved, capped at the
+     * `total` units of the plan the job ran.  Sheds instead when the
+     * failover budget is spent or no route remains.
      */
     void
-    failoverOrShed(const Request& req, size_t done)
+    failoverOrShed(const Request& req, size_t done, size_t total)
     {
         Request r = req;
-        size_t total = unitTotal(r.workload, tenantOpt[r.tenant]);
         r.firstStep = std::min(r.firstStep + done, total);
         size_t s = pickShard(r);
         if (r.failovers >= kFailoverBudget || s == kNoShard) {
@@ -778,7 +760,7 @@ struct Engine
         } else {
             // Terminal job failure: conserve the steps this attempt
             // finished and fail the request over to another route.
-            failoverOrShed(jr.req, jr.out.stepEnds.size());
+            failoverOrShed(jr.req, jr.out.stepEnds.size(), jr.units);
         }
         if (cl.probePending) {
             cl.probePending = false;
@@ -856,7 +838,7 @@ struct Engine
                                jr.weight);
                 jr.req.executed += ran;
             }
-            failoverOrShed(jr.req, k);
+            failoverOrShed(jr.req, k, jr.units);
         }
         rerouteDeadShards();
         dispatchIdle();
@@ -926,10 +908,11 @@ struct Engine
         ++stats.canaryProbes;
         ++cl.canaries;
         pick->busy = true;
-        // Cheap canary: the first step of the group's own workload.
-        InferenceResult res = runner.runJob(models[pick->workload],
-                                            pick->cards, now, cl.faults,
-                                            retry, 0, 1);
+        // Cheap canary: the first unit of the group's own workload,
+        // from the shared Safe plan of the group's shape.
+        InferenceResult res = runner.runJob(
+            planOf(pick->workload, OptLevel::Safe, pick->cards),
+            pick->cards, now, cl.faults, retry, 0, 1);
         uint64_t id = nextToken++;
         ProbeRecord& pr = probes[id];
         pr.cluster = c;

@@ -20,8 +20,8 @@
  * Cluster-granularity faults (FaultPlan):
  *  - cluster_kill (`ckill=C@S`): the cluster dies at tick S.  Its
  *    cards are gone, its in-flight jobs abort, and each aborted job is
- *    re-queued to resume *from its last completed step boundary* on a
- *    survivor via InferenceRunner::runJob(first_step, ...) — the
+ *    re-queued to resume *from its last completed unit boundary* on a
+ *    survivor via InferenceRunner::runJob(plan, ..., first_unit) — the
  *    checkpointed-recovery path.  The accounting split proves work
  *    conservation: `recoveredSteps` counts boundaries conserved,
  *    `replayedSteps` the at-most-one partially-executed step per

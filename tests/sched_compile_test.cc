@@ -77,7 +77,8 @@ TEST(CompileGolden, EveryMachineWorkloadPairKeepsItsTicks)
 {
     for (const Golden& g : kGoldens) {
         InferenceRunner runner(machineByName(g.machine));
-        InferenceResult res = runner.run(workloadByName(g.workload));
+        InferenceResult res =
+            runner.runPlan(*runner.planFor(workloadByName(g.workload)));
         ASSERT_TRUE(res.ok()) << g.machine << "/" << g.workload;
         EXPECT_EQ(res.total.makespan, g.makespan)
             << g.machine << "/" << g.workload;
@@ -199,7 +200,7 @@ TEST(ProgramCacheTest, SecondRunHitsEveryStep)
 
     InferenceRunner runner(machineByName("hydra-m"));
     WorkloadModel wl = workloadByName("resnet18");
-    runner.run(wl);
+    runner.runPlan(*runner.planFor(wl));
     ProgramCache::Stats first = cache.stats();
     EXPECT_GT(first.misses, 0u);
     // Repeated identical layers share entries: fewer compiles than
@@ -207,7 +208,7 @@ TEST(ProgramCacheTest, SecondRunHitsEveryStep)
     EXPECT_LT(first.entries, wl.steps.size());
     EXPECT_EQ(first.hits + first.misses, wl.steps.size());
 
-    runner.run(wl);
+    runner.runPlan(*runner.planFor(wl));
     ProgramCache::Stats second = cache.stats();
     EXPECT_EQ(second.misses, first.misses);
     EXPECT_EQ(second.hits, first.hits + wl.steps.size());
@@ -223,14 +224,14 @@ TEST(ProgramCacheTest, RunAndRunJobShareEntries)
     PrototypeSpec spec = machineByName("hydra-m");
     InferenceRunner runner(spec);
     WorkloadModel wl = workloadByName("resnet20");
-    runner.run(wl);
+    runner.runPlan(*runner.planFor(wl));
     ProgramCache::Stats after_run = cache.stats();
 
-    // A whole-machine job group maps to the same sub-spec as run(), so
-    // runJob compiles nothing new.
+    // A whole-machine job group maps to the same sub-spec as planFor(),
+    // so the job plan compiles nothing new.
     CardGroup all =
         CardGroup::contiguous(0, spec.cluster.totalCards());
-    InferenceResult res = runner.runJob(wl, all, 0);
+    InferenceResult res = runner.runJob(*runner.planForJob(wl, all), all, 0);
     ASSERT_TRUE(res.ok());
     ProgramCache::Stats after_job = cache.stats();
     EXPECT_EQ(after_job.misses, after_run.misses);

@@ -27,6 +27,14 @@
 namespace hydra {
 namespace {
 
+/** Compile `graph` at `level` and run it on the whole machine. */
+InferenceResult
+executeGraph(const InferenceRunner& runner, const NetworkGraph& graph,
+             OptLevel level = OptLevel::Safe)
+{
+    return runner.runPlan(*runner.planFor(graph, level));
+}
+
 void
 expectStepEq(const Step& a, const Step& b, const std::string& ctx)
 {
@@ -377,9 +385,9 @@ TEST(NetCompile, SafeLoweringIsTickIdenticalToStepLists)
     for (const GraphGolden& g : kGraphGoldens) {
         InferenceRunner runner(machineByName(g.machine));
         NetworkGraph graph = modelGraphByName(g.model);
-        InferenceResult viaGraph =
-            runner.runGraph(graph, OptLevel::Safe);
-        InferenceResult viaSteps = runner.run(workloadByName(g.model));
+        InferenceResult viaGraph = executeGraph(runner, graph);
+        InferenceResult viaSteps =
+            runner.runPlan(*runner.planFor(workloadByName(g.model)));
         ASSERT_TRUE(viaGraph.ok()) << g.machine << "/" << g.model;
         ASSERT_TRUE(viaSteps.ok());
         EXPECT_EQ(viaGraph.total.makespan, g.makespan)
@@ -395,18 +403,19 @@ TEST(NetCompile, NoneLevelMatchesSafeTicks)
 {
     InferenceRunner runner(machineByName("hydra-m"));
     NetworkGraph graph = modelGraphByName("resnet50");
-    EXPECT_EQ(runner.runGraph(graph, OptLevel::None).total.makespan,
-              runner.runGraph(graph, OptLevel::Safe).total.makespan);
+    EXPECT_EQ(executeGraph(runner, graph, OptLevel::None).total.makespan,
+              executeGraph(runner, graph, OptLevel::Safe).total.makespan);
 }
 
 TEST(NetCompile, AggressiveElidesBertBootstrapsAndWins)
 {
     InferenceRunner runner(machineByName("hydra-m"));
     NetworkGraph graph = modelGraphByName("bert");
-    NetOptReport rep;
-    InferenceResult aggressive =
-        runner.runGraph(graph, OptLevel::Aggressive, &rep);
-    InferenceResult safe = runner.runGraph(graph, OptLevel::Safe);
+    std::shared_ptr<const ExecPlan> plan =
+        runner.planFor(graph, OptLevel::Aggressive);
+    const NetOptReport& rep = plan->report;
+    InferenceResult aggressive = runner.runPlan(*plan);
+    InferenceResult safe = executeGraph(runner, graph);
     ASSERT_TRUE(aggressive.ok());
     ASSERT_TRUE(safe.ok());
 
@@ -522,8 +531,7 @@ TEST(NetCompile, BootPlanKeepsLoadBearingRefreshAndRelevels)
 
     // The rewritten graph still executes end to end.
     InferenceRunner runner(machineByName("hydra-m"));
-    NetOptReport rep;
-    EXPECT_TRUE(runner.runGraph(g, OptLevel::Aggressive, &rep).ok());
+    EXPECT_TRUE(executeGraph(runner, g, OptLevel::Aggressive).ok());
 }
 
 TEST(NetCompile, InvalidGraphSurfacesStructuredError)
@@ -535,10 +543,17 @@ TEST(NetCompile, InvalidGraphSurfacesStructuredError)
     g.edges.push_back({1, 0, 32}); // cycle
 
     InferenceRunner runner(machineByName("hydra-m"));
-    InferenceResult res = runner.runGraph(g);
+    std::shared_ptr<const ExecPlan> plan = runner.planFor(g);
+    EXPECT_EQ(plan->size(), 0u);
+    EXPECT_EQ(plan->error.kind, RunError::Kind::InvalidProgram);
+    InferenceResult res = runner.runPlan(*plan);
     EXPECT_FALSE(res.ok());
     EXPECT_EQ(res.error.kind, RunError::Kind::InvalidProgram);
-    EXPECT_NE(res.error.message.find("runGraph:"), std::string::npos);
+    EXPECT_NE(res.error.message.find("planFor:"), std::string::npos);
+    // The job driver surfaces the same compile error.
+    InferenceResult job =
+        runner.runJob(*plan, CardGroup::contiguous(0, 8), 0);
+    EXPECT_EQ(job.error.kind, RunError::Kind::InvalidProgram);
 }
 
 TEST(NetCompile, DeclarativeModelServesAsTenant)
@@ -633,9 +648,9 @@ TEST(ExecPlanPath, DagSafePlansAreTickIdenticalAcrossReruns)
     EXPECT_EQ(ra.total.fingerprint(), rb.total.fingerprint());
     EXPECT_EQ(ra.stepEnds, rb.stepEnds);
 
-    // The runGraph driver lands on the same ticks through the same
-    // plan — DAG inputs flow through the one unified path.
-    EXPECT_EQ(runner.runGraph(g).total.makespan, ra.total.makespan);
+    // The runner's graph compile lands on the same ticks through the
+    // same plan — DAG inputs flow through the one unified path.
+    EXPECT_EQ(executeGraph(runner, g).total.makespan, ra.total.makespan);
 }
 
 TEST(ExecPlanPath, SafePlanRunsBitIdenticalToLegacyRun)
@@ -656,12 +671,16 @@ TEST(ExecPlanPath, SafePlanRunsBitIdenticalToLegacyRun)
                                wl.logSlots, wl.steps[i]))
             << i;
 
+    // The pre-ExecPlan runner's ticks and fingerprint, pinned.
     InferenceResult viaPlan = runner.runPlan(*plan);
-    InferenceResult legacy = runner.run(wl);
     ASSERT_TRUE(viaPlan.ok());
-    EXPECT_EQ(viaPlan.total.makespan, legacy.total.makespan);
-    EXPECT_EQ(viaPlan.total.fingerprint(), legacy.total.fingerprint());
-    EXPECT_EQ(viaPlan.stepEnds, legacy.stepEnds);
+    EXPECT_EQ(viaPlan.total.makespan, 6857565190612ull);
+    EXPECT_EQ(viaPlan.total.fingerprint(), 0xb3f7f8fb739406d4ull);
+    // runPlan is the job driver over every card from tick 0.
+    InferenceResult viaJob = runner.runJob(
+        *plan, CardGroup::contiguous(0, rig.spec.cluster.totalCards()), 0);
+    EXPECT_EQ(viaJob.total.fingerprint(), viaPlan.total.fingerprint());
+    EXPECT_EQ(viaJob.stepEnds, viaPlan.stepEnds);
 }
 
 TEST(ExecPlanPath, AggressivePlanMatchesRunGraphAndFusesUnits)
@@ -678,13 +697,12 @@ TEST(ExecPlanPath, AggressivePlanMatchesRunGraphAndFusesUnits)
     for (const ExecUnit& u : plan->units)
         multi += u.steps.size() > 1;
     EXPECT_GT(multi, 0u);
-    EXPECT_EQ(runner.planUnitCount(wl, OptLevel::Aggressive),
-              plan->size());
+    std::shared_ptr<const ExecPlan> graphPlan =
+        runner.planFor(NetworkGraph::fromModel(wl), OptLevel::Aggressive);
+    EXPECT_EQ(graphPlan->size(), plan->size());
 
     InferenceResult viaPlan = runner.runPlan(*plan);
-    InferenceResult viaGraph =
-        runner.runGraph(NetworkGraph::fromModel(wl),
-                        OptLevel::Aggressive);
+    InferenceResult viaGraph = runner.runPlan(*graphPlan);
     ASSERT_TRUE(viaPlan.ok());
     EXPECT_EQ(viaPlan.total.makespan, viaGraph.total.makespan);
     EXPECT_EQ(viaPlan.stepEnds.size(), plan->size());
@@ -701,22 +719,57 @@ TEST(ExecPlanPath, SkeletonJobPlanMatchesLegacyRunJob)
     for (const ExecUnit& u : plan->units)
         EXPECT_EQ(u.compiled, nullptr); // skeleton: keys only
 
+    // The pre-ExecPlan step-list runJob's ticks and fingerprints,
+    // pinned; the skeleton plan is start-invariant, so its boundaries
+    // match the materialized whole-machine plan's.
     const Tick start = secondsToTicks(3.0);
     InferenceResult viaPlan = runner.runJob(*plan, group, start);
-    InferenceResult legacy = runner.runJob(wl, group, start);
     ASSERT_TRUE(viaPlan.ok()) << viaPlan.error.message;
-    EXPECT_EQ(viaPlan.total.makespan, legacy.total.makespan);
-    EXPECT_EQ(viaPlan.stepEnds, legacy.stepEnds);
+    EXPECT_EQ(viaPlan.total.makespan, 6857565190612ull);
+    EXPECT_EQ(viaPlan.total.fingerprint(), 0xb3f7f8fb739406d4ull);
+    EXPECT_EQ(viaPlan.stepEnds,
+              runner.runPlan(*runner.planFor(wl)).stepEnds);
 
-    // Resumable windows index plan units; a mid-plan window matches
-    // the legacy first_step/num_steps slicing.
+    // Resumable windows index plan units; a mid-plan window keeps the
+    // legacy first_step/num_steps slicing's ticks.
     InferenceResult planWin = runner.runJob(*plan, group, start, {}, {},
                                             2, 3);
-    InferenceResult legacyWin = runner.runJob(wl, group, start, {}, {},
-                                              2, 3);
-    EXPECT_EQ(planWin.total.makespan, legacyWin.total.makespan);
-    EXPECT_EQ(planWin.stepEnds, legacyWin.stepEnds);
+    EXPECT_EQ(planWin.total.makespan, 970587157504ull);
+    EXPECT_EQ(planWin.total.fingerprint(), 0x55fc68cb9789d9a3ull);
     ASSERT_EQ(planWin.steps.size(), 3u);
+    for (size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(planWin.steps[i].stats.fingerprint(),
+                  viaPlan.steps[2 + i].stats.fingerprint())
+            << i;
+}
+
+TEST(ExecPlanPath, AggressiveUnitCountIsShapeInvariant)
+{
+    // Resumable unit indices (preemption slices, checkpointed
+    // failover) are meaningful across card groups only because every
+    // group's Aggressive plan partitions into the same units.
+    for (const char* machine : {"hydra-l", "fab-l"}) {
+        PrototypeSpec spec = machineByName(machine);
+        InferenceRunner runner(spec);
+        size_t per = spec.cluster.cardsPerServer;
+        CardGroup aligned = CardGroup::contiguous(per, per);
+        CardGroup ragged;
+        ragged.cards = {1, 4, 6};
+        CardGroup single = CardGroup::contiguous(5, 1);
+        ASSERT_TRUE(aligned.alignedTo(spec.cluster));
+        ASSERT_FALSE(ragged.alignedTo(spec.cluster));
+        for (const std::string& name : workloadNames()) {
+            WorkloadModel wl = workloadByName(name);
+            size_t units =
+                runner.planFor(wl, OptLevel::Aggressive)->size();
+            for (const CardGroup* g : {&aligned, &ragged, &single})
+                EXPECT_EQ(
+                    runner.planForJob(wl, *g, OptLevel::Aggressive)->size(),
+                    units)
+                    << machine << "/" << name << " on "
+                    << g->size() << " card(s)";
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

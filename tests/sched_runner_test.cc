@@ -10,9 +10,28 @@
 #include <algorithm>
 
 #include "baselines/prototypes.hh"
+#include "sched/execplan.hh"
 
 namespace hydra {
 namespace {
+
+/** Whole-machine Safe run of `wl`. */
+InferenceResult
+runWhole(const InferenceRunner& runner, const WorkloadModel& wl)
+{
+    return runner.runPlan(*runner.planFor(wl));
+}
+
+/** Whole-machine run of `wl` from tick 0 under `faults`. */
+InferenceResult
+runFaulted(const InferenceRunner& runner, const WorkloadModel& wl,
+           const FaultPlan& faults)
+{
+    return runner.runJob(
+        *runner.planFor(wl),
+        CardGroup::contiguous(0, runner.spec().cluster.totalCards()), 0,
+        faults);
+}
 
 TEST(Runner, AllMachinesCompleteResNet18)
 {
@@ -20,7 +39,7 @@ TEST(Runner, AllMachinesCompleteResNet18)
     for (auto spec : {hydraSSpec(), hydraMSpec(), hydraLSpec(),
                       fabSSpec(), fabMSpec(), poseidonSpec()}) {
         InferenceRunner runner(spec);
-        InferenceResult res = runner.run(wl);
+        InferenceResult res = runWhole(runner, wl);
         EXPECT_GT(res.seconds(), 0.0) << spec.name;
         EXPECT_EQ(res.steps.size(), wl.steps.size()) << spec.name;
         EXPECT_GE(res.commFraction(), 0.0) << spec.name;
@@ -33,8 +52,8 @@ TEST(Runner, DeterministicAcrossRuns)
     PrototypeSpec spec = hydraMSpec();
     InferenceRunner runner(spec);
     WorkloadModel wl = makeResNet18();
-    InferenceResult a = runner.run(wl);
-    InferenceResult b = runner.run(wl);
+    InferenceResult a = runWhole(runner, wl);
+    InferenceResult b = runWhole(runner, wl);
     EXPECT_EQ(a.total.makespan, b.total.makespan);
     EXPECT_EQ(a.total.netBytes, b.total.netBytes);
 }
@@ -43,7 +62,7 @@ TEST(Runner, ProcedureTimesSumToTotal)
 {
     PrototypeSpec spec = hydraMSpec();
     InferenceRunner runner(spec);
-    InferenceResult res = runner.run(makeResNet18());
+    InferenceResult res = runWhole(runner, makeResNet18());
     Tick sum = 0;
     for (size_t k = 0; k < kNumProcKinds; ++k)
         sum += res.procTime(static_cast<ProcKind>(k));
@@ -61,7 +80,7 @@ TEST(Runner, ScalingWithinPaperBands)
     WorkloadModel wl = makeResNet18();
     InferenceRunner rs{hydraSSpec()};
     InferenceRunner rm{hydraMSpec()};
-    double speedup = rs.run(wl).seconds() / rm.run(wl).seconds();
+    double speedup = runWhole(rs, wl).seconds() / runWhole(rm, wl).seconds();
     EXPECT_GT(speedup, 5.0);
     EXPECT_LT(speedup, 9.0);
 }
@@ -71,7 +90,7 @@ TEST(Runner, FabSlowerThanHydraSameCards)
     WorkloadModel wl = makeBertBase();
     InferenceRunner hm{hydraMSpec()};
     InferenceRunner fm{fabMSpec()};
-    double ratio = fm.run(wl).seconds() / hm.run(wl).seconds();
+    double ratio = runWhole(fm, wl).seconds() / runWhole(hm, wl).seconds();
     // Paper: 2.8x - 3.3x; allow 2.5x - 4x.
     EXPECT_GT(ratio, 2.5);
     EXPECT_LT(ratio, 4.0);
@@ -80,9 +99,9 @@ TEST(Runner, FabSlowerThanHydraSameCards)
 TEST(Runner, PoseidonBetweenFabAndHydra)
 {
     WorkloadModel wl = makeResNet18();
-    double h = InferenceRunner{hydraSSpec()}.run(wl).seconds();
-    double p = InferenceRunner{poseidonSpec()}.run(wl).seconds();
-    double f = InferenceRunner{fabSSpec()}.run(wl).seconds();
+    double h = runWhole(InferenceRunner{hydraSSpec()}, wl).seconds();
+    double p = runWhole(InferenceRunner{poseidonSpec()}, wl).seconds();
+    double f = runWhole(InferenceRunner{fabSSpec()}, wl).seconds();
     EXPECT_LT(h, p);
     EXPECT_LT(p, f);
 }
@@ -90,8 +109,8 @@ TEST(Runner, PoseidonBetweenFabAndHydra)
 TEST(Runner, CommOverheadGrowsWithCards)
 {
     WorkloadModel wl = makeResNet18();
-    double m = InferenceRunner{hydraMSpec()}.run(wl).commFraction();
-    double l = InferenceRunner{hydraLSpec()}.run(wl).commFraction();
+    double m = runWhole(InferenceRunner{hydraMSpec()}, wl).commFraction();
+    double l = runWhole(InferenceRunner{hydraLSpec()}, wl).commFraction();
     EXPECT_LT(m, l);
 }
 
@@ -99,8 +118,8 @@ TEST(Runner, OptCommOverheadStaysTiny)
 {
     // Paper headline: 0.04% (Hydra-M) and 1.4% (Hydra-L) on OPT-6.7B.
     WorkloadModel wl = makeOpt67B();
-    double m = InferenceRunner{hydraMSpec()}.run(wl).commFraction();
-    double l = InferenceRunner{hydraLSpec()}.run(wl).commFraction();
+    double m = runWhole(InferenceRunner{hydraMSpec()}, wl).commFraction();
+    double l = runWhole(InferenceRunner{hydraLSpec()}, wl).commFraction();
     EXPECT_LT(m, 0.005);
     EXPECT_LT(l, 0.05);
     EXPECT_LT(m, l);
@@ -112,17 +131,17 @@ TEST(Runner, LlmScalesBetterThanCnnAt64Cards)
     // ResNet family.
     InferenceRunner rs{hydraSSpec()};
     InferenceRunner rl{hydraLSpec()};
-    double cnn = rs.run(makeResNet18()).seconds() /
-                 rl.run(makeResNet18()).seconds();
-    double llm = rs.run(makeOpt67B()).seconds() /
-                 rl.run(makeOpt67B()).seconds();
+    double cnn = runWhole(rs, makeResNet18()).seconds() /
+                 runWhole(rl, makeResNet18()).seconds();
+    double llm = runWhole(rs, makeOpt67B()).seconds() /
+                 runWhole(rl, makeOpt67B()).seconds();
     EXPECT_GT(llm, cnn);
 }
 
 TEST(Runner, StepResultsCarryLabels)
 {
     InferenceRunner runner{hydraMSpec()};
-    InferenceResult res = runner.run(makeBertBase());
+    InferenceResult res = runWhole(runner, makeBertBase());
     size_t boot_steps = 0;
     for (const auto& s : res.steps)
         if (s.kind == ProcKind::Bootstrap)
@@ -137,7 +156,7 @@ TEST(RunnerFaults, RepeatedCardDeathsDedupAndTerminate)
 
     FaultPlan one;
     one.cardFailAt[2] = secondsToTicks(0.5);
-    InferenceResult r1 = runner.run(wl, one);
+    InferenceResult r1 = runFaulted(runner, wl, one);
     ASSERT_TRUE(r1.ok()) << r1.error.message;
     ASSERT_EQ(r1.failedCards.size(), 1u);
     EXPECT_EQ(r1.failedCards[0], 2u);
@@ -146,7 +165,7 @@ TEST(RunnerFaults, RepeatedCardDeathsDedupAndTerminate)
     // re-dispatch must shrink again and still terminate.
     FaultPlan two = one;
     two.cardFailAt[5] = secondsToTicks(2.0);
-    InferenceResult r2 = runner.run(wl, two);
+    InferenceResult r2 = runFaulted(runner, wl, two);
     ASSERT_TRUE(r2.ok()) << r2.error.message;
 
     // Each card appears at most once even though several steps abort
@@ -170,13 +189,13 @@ TEST(RunnerJobs, AlignedGroupMatchesWholeMachine)
     // the job-scoped path must reproduce the standalone run tick for
     // tick, including on a non-zero start tick.
     WorkloadModel wl = makeResNet18();
-    InferenceResult whole = InferenceRunner{hydraMSpec()}.run(wl);
+    InferenceResult whole = runWhole(InferenceRunner{hydraMSpec()}, wl);
 
     InferenceRunner large{hydraLSpec()};
     CardGroup slice = CardGroup::contiguous(8, 8);
     ASSERT_TRUE(slice.alignedTo(hydraLSpec().cluster));
-    InferenceResult job =
-        large.runJob(wl, slice, secondsToTicks(3.0));
+    InferenceResult job = large.runJob(*large.planForJob(wl, slice),
+                                       slice, secondsToTicks(3.0));
     ASSERT_TRUE(job.ok()) << job.error.message;
     EXPECT_EQ(job.total.makespan, whole.total.makespan);
 }
@@ -186,14 +205,15 @@ TEST(RunnerJobs, ResumeComposesWithFullRun)
     InferenceRunner runner{hydraMSpec()};
     WorkloadModel wl = makeResNet18();
     CardGroup all = CardGroup::contiguous(0, 8);
+    std::shared_ptr<const ExecPlan> plan = runner.planForJob(wl, all);
 
-    InferenceResult full = runner.runJob(wl, all, 0);
+    InferenceResult full = runner.runJob(*plan, all, 0);
     ASSERT_TRUE(full.ok());
 
     const size_t cut = wl.steps.size() / 2;
-    InferenceResult head = runner.runJob(wl, all, 0, {}, {}, 0, cut);
+    InferenceResult head = runner.runJob(*plan, all, 0, {}, {}, 0, cut);
     ASSERT_TRUE(head.ok());
-    InferenceResult tail = runner.runJob(wl, all, head.total.makespan,
+    InferenceResult tail = runner.runJob(*plan, all, head.total.makespan,
                                          {}, {}, cut,
                                          wl.steps.size() - cut);
     ASSERT_TRUE(tail.ok());
@@ -207,23 +227,24 @@ TEST(RunnerJobs, ResumeComposesWithFullRun)
 TEST(RunnerJobs, PreemptedResumeFingerprintIsExact)
 {
     // The cake scheduler's step-boundary preemption re-dispatches the
-    // tail of a sliced job via runJob(first_step, num_steps); for the
+    // tail of a sliced job via runJob(first_unit, num_units); for the
     // slicing to be invisible, head + tail must reproduce the whole
     // run bit for bit — not just the makespan, but every
     // execution-visible RunStats field, at every possible split point.
     InferenceRunner runner{hydraMSpec()};
     WorkloadModel wl = makeResNet18();
     CardGroup all = CardGroup::contiguous(0, 8);
+    std::shared_ptr<const ExecPlan> plan = runner.planForJob(wl, all);
 
-    InferenceResult full = runner.runJob(wl, all, 0);
+    InferenceResult full = runner.runJob(*plan, all, 0);
     ASSERT_TRUE(full.ok());
 
     for (size_t cut = 1; cut < wl.steps.size(); ++cut) {
         InferenceResult head =
-            runner.runJob(wl, all, 0, {}, {}, 0, cut);
+            runner.runJob(*plan, all, 0, {}, {}, 0, cut);
         ASSERT_TRUE(head.ok()) << "cut " << cut;
         InferenceResult tail = runner.runJob(
-            wl, all, head.total.makespan, {}, {}, cut,
+            *plan, all, head.total.makespan, {}, {}, cut,
             wl.steps.size() - cut);
         ASSERT_TRUE(tail.ok()) << "cut " << cut;
 
@@ -253,13 +274,14 @@ TEST(RunnerJobs, RaggedGroupDegradesAndSurvives)
     CardGroup group;
     group.cards = {1, 4, 6};
 
-    InferenceResult clean = runner.runJob(wl, group, 0);
+    std::shared_ptr<const ExecPlan> job = runner.planForJob(wl, group);
+    InferenceResult clean = runner.runJob(*job, group, 0);
     ASSERT_TRUE(clean.ok());
 
     FaultPlan plan;
     const Tick start = secondsToTicks(10.0);
     plan.cardFailAt[4] = start + clean.total.makespan / 2;
-    InferenceResult hurt = runner.runJob(wl, group, start, plan);
+    InferenceResult hurt = runner.runJob(*job, group, start, plan);
     ASSERT_TRUE(hurt.ok()) << hurt.error.message;
     ASSERT_EQ(hurt.failedCards.size(), 1u);
     EXPECT_EQ(hurt.failedCards[0], 4u);

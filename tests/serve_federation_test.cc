@@ -139,19 +139,20 @@ TEST(Federation, CheckpointResumeIsExact)
     InferenceRunner runner(machineByName("hydra-m"));
     WorkloadModel m = workloadByName("resnet18");
     CardGroup g = CardGroup::contiguous(0, 8);
-    InferenceResult full = runner.runJob(m, g, 0);
+    std::shared_ptr<const ExecPlan> plan = runner.planForJob(m, g);
+    InferenceResult full = runner.runJob(*plan, g, 0);
     ASSERT_TRUE(full.ok());
     ASSERT_EQ(full.stepEnds.size(), m.steps.size());
 
     size_t k = m.steps.size() / 2;
     ASSERT_GT(k, 0u);
     InferenceResult head =
-        runner.runJob(m, g, 0, FaultPlan{}, RetryPolicy{}, 0, k);
+        runner.runJob(*plan, g, 0, FaultPlan{}, RetryPolicy{}, 0, k);
     ASSERT_TRUE(head.ok());
     ASSERT_EQ(head.stepEnds.size(), k);
     EXPECT_EQ(head.stepEnds.back(), full.stepEnds[k - 1]);
     // Resume from the checkpoint boundary, on the shared clock.
-    InferenceResult tail = runner.runJob(m, g, head.total.makespan,
+    InferenceResult tail = runner.runJob(*plan, g, head.total.makespan,
                                          FaultPlan{}, RetryPolicy{}, k);
     ASSERT_TRUE(tail.ok());
     EXPECT_EQ(head.total.makespan + tail.total.makespan,

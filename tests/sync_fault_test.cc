@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/prototypes.hh"
-#include "sched/runner.hh"
+#include "sched/execplan.hh"
 #include "sync/executor.hh"
 
 namespace hydra {
@@ -459,28 +459,40 @@ toyWorkload()
     return wl;
 }
 
+/** Whole-machine run of `wl` from tick 0 under `faults`. */
+InferenceResult
+runFaulted(const InferenceRunner& runner, const WorkloadModel& wl,
+           const FaultPlan& faults)
+{
+    return runner.runJob(
+        *runner.planFor(wl),
+        CardGroup::contiguous(0, runner.spec().cluster.totalCards()), 0,
+        faults);
+}
+
 TEST(Degraded, EmptyPlanMatchesLegacyRunner)
 {
     InferenceRunner runner(hydraMSpec());
     WorkloadModel wl = toyWorkload();
-    InferenceResult legacy = runner.run(wl);
-    InferenceResult faulty = runner.run(wl, FaultPlan{});
+    InferenceResult legacy = runner.runPlan(*runner.planFor(wl));
+    InferenceResult faulty = runFaulted(runner, wl, FaultPlan{});
     ASSERT_TRUE(faulty.ok());
     EXPECT_FALSE(faulty.degraded());
     EXPECT_EQ(faulty.total.makespan, legacy.total.makespan);
     EXPECT_EQ(faulty.total.netBytes, legacy.total.netBytes);
+    EXPECT_EQ(faulty.total.fingerprint(), legacy.total.fingerprint());
 }
 
 TEST(Degraded, SingleCardFailureRedispatchesAndReportsPenalty)
 {
     InferenceRunner runner(hydraMSpec()); // 8 cards
     WorkloadModel wl = toyWorkload();
-    InferenceResult healthy = runner.run(wl);
+    InferenceResult healthy = runner.runPlan(*runner.planFor(wl));
     ASSERT_GT(healthy.total.makespan, 0u);
 
     FaultPlan plan;
     plan.cardFailAt[3] = healthy.total.makespan / 4;
-    InferenceResult res = runner.run(wl, plan);
+    InferenceResult res = runFaulted(runner, wl, plan);
 
     ASSERT_TRUE(res.ok()) << res.error.message;
     EXPECT_TRUE(res.degraded());
@@ -501,7 +513,7 @@ TEST(Degraded, EveryCardDyingIsATerminalError)
     FaultPlan plan;
     plan.cardFailAt[0] = 0;
     plan.cardFailAt[1] = 0;
-    InferenceResult res = runner.run(wl, plan);
+    InferenceResult res = runFaulted(runner, wl, plan);
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.error.kind, RunError::Kind::CardFailed);
     // Both deaths are recorded before the runner gives up.
@@ -510,16 +522,100 @@ TEST(Degraded, EveryCardDyingIsATerminalError)
               std::string::npos);
 }
 
-TEST(Degraded, FusedRunSurfacesCardDeathAsError)
+TEST(Degraded, FusedRunRedispatchesOntoSurvivors)
 {
+    // A fused plan is one unit like any other: a card death re-maps
+    // the whole preloaded unit onto the survivors instead of failing.
     InferenceRunner runner(hydraMSpec());
     WorkloadModel wl = toyWorkload();
+    ExecPlan fused =
+        fusePlan(runner.spec(), runner.costModel(), *runner.planFor(wl));
     FaultPlan plan;
     plan.cardFailAt[2] = 1; // immediately after launch
-    RunResult res = runner.runFused(wl, plan);
+    InferenceResult res = runner.runJob(
+        fused, CardGroup::contiguous(0, runner.spec().cluster.totalCards()),
+        0, plan);
+    ASSERT_TRUE(res.ok()) << res.error.message;
+    EXPECT_EQ(res.failedCards, std::vector<size_t>{2});
+    EXPECT_EQ(res.redispatches, 1u);
+    EXPECT_GT(res.recoveryPenalty, 0u);
+    EXPECT_EQ(res.steps.size(), 1u);
+}
+
+/**
+ * Degraded whole-machine runs pinned on the pre-unification runner
+ * (whole-machine fault runs then shifted kill ticks per step on a
+ * restarting clock; the one absolute clock reproduces them exactly).
+ * Covers switched (hydra-m) and host-mediated (fab-m) networks and
+ * the single-card poseidon: single and double kills, transient
+ * drop/corrupt/degrade faults, and stragglers with and without kills.
+ */
+struct DegradedGolden
+{
+    const char* machine;
+    const char* workload;
+    const char* faults;
+    uint64_t makespan;
+    uint64_t fingerprint;
+    std::vector<size_t> failedCards;
+    size_t redispatches;
+    uint64_t recoveryPenalty;
+    bool ok;
+};
+
+const DegradedGolden kDegradedGoldens[] = {
+    {"hydra-m", "resnet18", "kill=3@0.5", 8832300720982ull,
+     0x2b89d670c9621b33ull, {3}, 1, 134891585984ull, true},
+    {"hydra-m", "resnet20", "kill=2@0.2,kill=5@0.6", 1040419394344ull,
+     0x589947517083e79dull, {2, 5}, 2, 86852935691ull, true},
+    {"hydra-m", "resnet20", "straggle=1:1.5,kill=2@0.5",
+     1206963306421ull, 0x0a07bdab21cf9efdull, {2}, 1, 95860319281ull,
+     true},
+    {"fab-m", "resnet20", "kill=4@1.0", 4743141530248ull,
+     0x882b4069f8d3250cull, {4}, 1, 74257696100ull, true},
+    {"fab-m", "resnet20", "seed=7,drop=0.02,corrupt=0.01,degrade=1.5",
+     5836631674920ull, 0x24bfc785d83ec3b5ull, {}, 0, 0ull, true},
+    {"fab-m", "resnet20", "straggle=0:1.5,kill=1@0.5,kill=6@2.0",
+     6409830581488ull, 0x686f3d5688ab004full, {1, 6}, 2,
+     873164042560ull, true},
+    {"poseidon", "resnet20", "straggle=0:1.5", 5051315825334ull,
+     0x177ab5cd9bc00409ull, {}, 0, 0ull, true},
+    {"poseidon", "resnet20", "straggle=0:1.2,kill=0@0.5",
+     500000000000ull, 0x5bf90bedb9e964a5ull, {0}, 1, 248357643372ull,
+     false},
+};
+
+TEST(Degraded, PinnedDegradedRunsKeepTheirTicks)
+{
+    for (const DegradedGolden& g : kDegradedGoldens) {
+        InferenceRunner runner(machineByName(g.machine));
+        InferenceResult res = runFaulted(
+            runner, workloadByName(g.workload), FaultPlan::parse(g.faults));
+        std::string what =
+            std::string(g.machine) + "/" + g.workload + " " + g.faults;
+        EXPECT_EQ(res.ok(), g.ok) << what << ": " << res.error.message;
+        EXPECT_EQ(res.total.makespan, g.makespan) << what;
+        EXPECT_EQ(res.total.fingerprint(), g.fingerprint) << what;
+        EXPECT_EQ(res.failedCards, g.failedCards) << what;
+        EXPECT_EQ(res.redispatches, g.redispatches) << what;
+        EXPECT_EQ(res.recoveryPenalty, g.recoveryPenalty) << what;
+    }
+}
+
+TEST(Degraded, TerminalErrorTickReadsTheRunClock)
+{
+    // One clock: a card killed at 0.5 s of a whole-machine run reports
+    // its failure at 0.5 s, on the clock cardFailAt is written in —
+    // not at an offset into the unit that happened to be running.
+    InferenceRunner runner(machineByName("poseidon")); // one card
+    InferenceResult res =
+        runFaulted(runner, workloadByName("resnet20"),
+                   FaultPlan::parse("kill=0@0.5"));
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.error.kind, RunError::Kind::CardFailed);
-    EXPECT_EQ(res.error.card, 2u);
+    EXPECT_EQ(res.error.tick, secondsToTicks(0.5));
+    EXPECT_EQ(res.total.makespan, secondsToTicks(0.5));
+    EXPECT_GT(res.steps.size(), 0u); // died mid-run, not in unit 0
 }
 
 } // namespace
