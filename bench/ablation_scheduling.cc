@@ -49,10 +49,7 @@ main()
                 // The fused unit's own makespan: one program, no
                 // per-step barrier.
                 double fused = ticksToSeconds(
-                    runner
-                        .runPlan(fusePlan(runner.spec(),
-                                          runner.costModel(),
-                                          *runner.planFor(wl)))
+                    runner.runPlan(fusePlan(*runner.planFor(wl)))
                         .steps.front()
                         .stats.makespan);
                 t.addRow({wl.name, spec.name, fmtF(stepwise, 2),

@@ -11,12 +11,13 @@
  *   BM_Plan/<m>-<wl>      StepMapper::planStep: machine-independent IR
  *   BM_Lower/<m>-<wl>     lowerPlan: bind cost + network models
  *   BM_Optimize/<m>-<wl>  optimizeProgram at Aggressive (all passes)
- *   BM_CompileCold        full pipeline, cache cleared every iteration
- *   BM_CompileWarm        full pipeline through a warm ProgramCache
- *   BM_CompileEvict       warm pipeline under a tiny LRU cap: every
- *                         compile misses and evicts (thrash cost)
- *   BM_GraphCompile/<wl>  network compiler over a registry model at
- *                         Aggressive (cross-step passes + unit compile)
+ *   BM_CompileCold        compileSteps under unitCacheKey, one step per
+ *                         unit, cache cleared every iteration
+ *   BM_CompileWarm        the same through a warm ProgramCache
+ *   BM_CompileEvict       the same under a tiny LRU cap: every compile
+ *                         misses and evicts (thrash cost)
+ *   BM_GraphCompile/<wl>  planFor(graph, Aggressive) over a registry
+ *                         model (cross-step passes + unit compile)
  *   BM_NetMakespan/<wl>   graph runner end to end; counters export the
  *                         Safe vs Aggressive makespans (the cross-step
  *                         passes' modeled win, tracked across PRs)
@@ -29,8 +30,8 @@
 
 #include "baselines/prototypes.hh"
 #include "bench_util.hh"
+#include "sched/execplan.hh"
 #include "sched/graph/modelspec.hh"
-#include "sched/graph/netcompile.hh"
 #include "sched/progcache.hh"
 
 namespace hydra {
@@ -43,12 +44,16 @@ struct CompileSetup
     WorkloadModel wl;
     OpCostModel cost;
     std::unique_ptr<NetworkModel> net;
+    /** The workload as one-step units (the Safe plan's partition). */
+    std::vector<std::vector<Step>> units;
 
     CompileSetup(PrototypeSpec s, const char* workload)
         : spec(std::move(s)), wl(workloadByName(workload)),
           cost(spec.fpga, size_t{1} << 16, spec.dnum),
           net(spec.makeNetwork())
     {
+        for (const auto& step : wl.steps)
+            units.push_back({step});
     }
 
     StepMapper
@@ -134,15 +139,14 @@ compileCached(benchmark::State& state, const char* machine,
     CompileSetup s(machineByName(machine), workload);
     ProgramCache& cache = ProgramCache::global();
     auto compileAll = [&] {
-        for (const auto& step : s.wl.steps) {
+        for (const auto& unit : s.units) {
             std::string key =
-                stepCacheKey(s.spec, s.spec.cluster, s.spec.cluster,
-                             s.cost.n(), s.wl.logSlots, step);
+                unitCacheKey(s.spec, s.spec.cluster, s.spec.cluster,
+                             s.cost.n(), s.wl.logSlots, unit);
             auto compiled = cache.getOrCompile(key, [&] {
-                return compileStep(s.cost, *s.net,
-                                   s.spec.cluster.totalCards(),
-                                   s.wl.logSlots, s.spec.mapping,
-                                   step);
+                return compileSteps(s.cost, *s.net,
+                                    s.spec.cluster.totalCards(),
+                                    s.wl.logSlots, s.spec.mapping, unit);
             });
             benchmark::DoNotOptimize(compiled.get());
         }
@@ -180,15 +184,14 @@ BM_CompileEvict(benchmark::State& state)
     ProgramCache cache; // local: don't poison the global cache
     cache.setCapacity(2);
     for (auto _ : state) {
-        for (const auto& step : s.wl.steps) {
+        for (const auto& unit : s.units) {
             std::string key =
-                stepCacheKey(s.spec, s.spec.cluster, s.spec.cluster,
-                             s.cost.n(), s.wl.logSlots, step);
+                unitCacheKey(s.spec, s.spec.cluster, s.spec.cluster,
+                             s.cost.n(), s.wl.logSlots, unit);
             auto compiled = cache.getOrCompile(key, [&] {
-                return compileStep(s.cost, *s.net,
-                                   s.spec.cluster.totalCards(),
-                                   s.wl.logSlots, s.spec.mapping,
-                                   step);
+                return compileSteps(s.cost, *s.net,
+                                    s.spec.cluster.totalCards(),
+                                    s.wl.logSlots, s.spec.mapping, unit);
             });
             benchmark::DoNotOptimize(compiled.get());
         }
@@ -205,20 +208,18 @@ void
 BM_GraphCompile(benchmark::State& state, const char* machine,
                 const char* model)
 {
-    PrototypeSpec spec = machineByName(machine);
-    OpCostModel cost(spec.fpga, size_t{1} << 16, spec.dnum);
-    std::unique_ptr<NetworkModel> net = spec.makeNetwork();
+    InferenceRunner runner(machineByName(machine));
     NetworkGraph graph = modelGraphByName(model);
     uint64_t units = 0, changes = 0;
     for (auto _ : state) {
         state.PauseTiming();
         ProgramCache::global().clear();
         state.ResumeTiming();
-        CompiledNetwork cn = compileNetwork(spec, cost, *net, graph,
-                                            OptLevel::Aggressive);
-        units = cn.units.size();
-        changes = cn.report.totalChanges();
-        benchmark::DoNotOptimize(cn.programs.data());
+        std::shared_ptr<const ExecPlan> plan =
+            runner.planFor(graph, OptLevel::Aggressive);
+        units = plan->size();
+        changes = plan->report.totalChanges();
+        benchmark::DoNotOptimize(plan->units.data());
     }
     state.counters["layers"] = static_cast<double>(graph.nodes.size());
     state.counters["units"] = static_cast<double>(units);

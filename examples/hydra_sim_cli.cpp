@@ -13,9 +13,11 @@
  *                  comma list: seed=N,drop=P,corrupt=P,degrade=F,
  *                  dropfirst=K,straggle=CARD:F,kill=CARD@SECONDS)
  *                 [--max-attempts N]   (per-transfer retry budget)
- *                 [--dump-program]     (print each step's compiled
- *                  Program: per-card queue depths, message counts,
- *                  bytes, and the optimizer's pass deltas; no run)
+ *                 [--dump-program]     (print each unit's compiled
+ *                  Program of the plan the run would execute — after
+ *                  --opt, --model and --fused: per-card queue depths,
+ *                  message counts, bytes, and the optimizer's pass
+ *                  deltas; no run)
  *                 [--opt LEVEL]        (compile pass level for every
  *                  run, --dump-program and --dump-graph:
  *                  none|safe|aggressive; default safe)
@@ -86,24 +88,24 @@ parseOptLevel(const std::string& s)
     fatal("unknown opt level '%s' (none|safe|aggressive)", s.c_str());
 }
 
-/** Compile every step and print the per-card program shape plus the
- *  optimizer's pass deltas (the --dump-program flag). */
+/** Print every unit's compiled Program plus the optimizer's pass
+ *  deltas (the --dump-program flag).  Skeleton units (a fused plan)
+ *  resolve exactly as the execution driver resolves them. */
 void
-dumpPrograms(const PrototypeSpec& spec, const WorkloadModel& wl,
-             OptLevel level)
+dumpPrograms(const InferenceRunner& runner, const ExecPlan& plan)
 {
-    OpCostModel cost(spec.fpga, size_t{1} << 16, spec.dnum);
-    std::unique_ptr<NetworkModel> net = spec.makeNetwork();
-    for (size_t si = 0; si < wl.steps.size(); ++si) {
-        const Step& step = wl.steps[si];
-        CompiledStep cs = compileStep(cost, *net,
-                                      spec.cluster.totalCards(),
-                                      wl.logSlots, spec.mapping, step,
-                                      level);
-        std::printf("step %3zu %-24s [%s]\n", si, step.name.c_str(),
-                    procName(step.kind));
-        std::printf("%s\n", describeProgram(cs.program,
-                                            &cs.report).c_str());
+    for (size_t ui = 0; ui < plan.units.size(); ++ui) {
+        const ExecUnit& u = plan.units[ui];
+        std::shared_ptr<const CompiledStep> cs =
+            u.compiled ? u.compiled
+                       : compileUnit(runner.spec(), plan.cluster,
+                                     plan.cluster, runner.costModel(),
+                                     runner.network(), plan.logSlots,
+                                     u.steps, plan.level);
+        std::printf("unit %3zu %-24s [%s, %zu step(s)]\n", ui,
+                    u.name.c_str(), procName(u.lead), u.steps.size());
+        std::printf("%s\n",
+                    describeProgram(cs->program, &cs->report).c_str());
     }
 }
 
@@ -185,16 +187,28 @@ main(int argc, char** argv)
     if (model.empty() && dumpGraph)
         graph = NetworkGraph::fromModel(wl);
 
+    // One compile step and one execution driver for every mode: the
+    // workload or model compiles to a plan, --fused merges it into one
+    // preloaded unit, and the plan runs on the whole machine.  The
+    // dumps print that same plan.
+    InferenceRunner runner(spec);
+    std::shared_ptr<const ExecPlan> plan =
+        model.empty() ? runner.planFor(wl, optLevel)
+                      : runner.planFor(graph, optLevel);
+
     if (dumpGraph) {
         if (optLevel == OptLevel::Aggressive) {
             // Show the post-pass graph: what actually compiles.
-            OpCostModel cost(spec.fpga, size_t{1} << 16, spec.dnum);
-            std::unique_ptr<NetworkModel> net = spec.makeNetwork();
-            CompiledNetwork cn =
-                compileNetwork(spec, cost, *net, graph, optLevel);
-            graph = cn.graph;
+            WorkloadModel post;
+            post.name = graph.name;
+            post.logSlots = graph.logSlots;
+            post.maxLimbs = graph.maxLimbs;
+            for (const ExecUnit& u : plan->units)
+                post.steps.insert(post.steps.end(), u.steps.begin(),
+                                  u.steps.end());
+            graph = NetworkGraph::fromModel(post);
             if (!json)
-                std::printf("%s\n", cn.report.describe().c_str());
+                std::printf("%s\n", plan->report.describe().c_str());
         }
         std::printf("%s\n", json ? graph.toJson().c_str()
                                  : graph.describe().c_str());
@@ -203,15 +217,17 @@ main(int argc, char** argv)
     if (json)
         fatal("--json only applies to --dump-graph");
 
+    if (fused)
+        plan = std::make_shared<ExecPlan>(fusePlan(*plan));
+
     if (dumpProgram) {
-        std::printf("machine : %s, workload: %s, opt level: %s\n\n",
+        std::printf("machine : %s, workload: %s, opt level: %s, "
+                    "%zu unit(s)\n\n",
                     spec.name.c_str(), wl.name.c_str(),
-                    optLevelName(optLevel));
-        dumpPrograms(spec, wl, optLevel);
+                    optLevelName(optLevel), plan->size());
+        dumpPrograms(runner, *plan);
         return 0;
     }
-
-    InferenceRunner runner(spec);
 
     std::printf("machine : %s (%zu server(s) x %zu card(s))\n",
                 spec.name.c_str(), spec.cluster.servers,
@@ -226,18 +242,9 @@ main(int argc, char** argv)
     if (!faults.empty())
         std::printf("faults  : %s\n\n", faults.describe().c_str());
 
-    // One compile step and one execution driver for every mode: the
-    // workload or model compiles to a plan, --fused merges it into one
-    // preloaded unit, and the plan runs on the whole machine.
-    std::shared_ptr<const ExecPlan> plan =
-        model.empty() ? runner.planFor(wl, optLevel)
-                      : runner.planFor(graph, optLevel);
     if (!model.empty())
         std::printf("graph   : %zu layer(s), %s\n\n", graph.nodes.size(),
                     plan->report.describe().c_str());
-    if (fused)
-        plan = std::make_shared<ExecPlan>(
-            fusePlan(spec, runner.costModel(), *plan));
     InferenceResult res = runner.runJob(
         *plan, CardGroup::contiguous(0, spec.cluster.totalCards()), 0,
         faults, retry);

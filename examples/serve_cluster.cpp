@@ -92,9 +92,8 @@ dumpGroupPrograms(const PrototypeSpec& spec, const ServeSpec& serve)
     FleetPartition fleet(spec, serve, wlNames);
     for (const auto& g : fleet.groups()) {
         WorkloadModel wl = workloadByName(wlNames[g.workload]);
-        PrototypeSpec sub = groupSubSpec(spec, g.cards);
-        OpCostModel cost(sub.fpga, size_t{1} << 16, sub.dnum);
-        std::unique_ptr<NetworkModel> net = sub.makeNetwork();
+        InferenceRunner runner(groupSubSpec(spec, g.cards));
+        const ClusterConfig& sub = runner.spec().cluster;
         std::vector<OptLevel> levels;
         for (const auto& t : serve.tenants)
             if (t.workload == wlNames[g.workload] &&
@@ -104,14 +103,14 @@ dumpGroupPrograms(const PrototypeSpec& spec, const ServeSpec& serve)
         if (levels.empty())
             levels.push_back(OptLevel::Safe);
         for (OptLevel lv : levels) {
-            ExecPlan plan = compilePlan(sub, cost, *net, wl, lv);
+            std::shared_ptr<const ExecPlan> plan = runner.planFor(wl, lv);
             std::printf("group %zu: %s on %zu card(s) "
                         "(%zu server(s) x %zu), opt=%s, %zu unit(s)\n",
                         g.id, wl.name.c_str(), g.cards.size(),
-                        sub.cluster.servers, sub.cluster.cardsPerServer,
-                        optLevelName(lv), plan.size());
-            for (size_t ui = 0; ui < plan.units.size(); ++ui) {
-                const ExecUnit& u = plan.units[ui];
+                        sub.servers, sub.cardsPerServer,
+                        optLevelName(lv), plan->size());
+            for (size_t ui = 0; ui < plan->units.size(); ++ui) {
+                const ExecUnit& u = plan->units[ui];
                 std::printf("  unit %3zu %-24s [%s, %zu step(s)]\n",
                             ui, u.name.c_str(), procName(u.lead),
                             u.steps.size());

@@ -1,25 +1,24 @@
 /**
  * @file
- * The unified compiled-execution-plan abstraction (DESIGN.md §16).
+ * The compiled execution plan (DESIGN.md §16): the one artifact every
+ * workload, model graph and card group compiles to.
  *
- * An ExecPlan is the one executable artifact both execution worlds
- * compile to: an ordered sequence of units, each carrying its member
- * steps, its ProgramCache key and (when materialized) its compiled
- * Program, plus the plan's opt-level provenance.  compilePlan()
- * subsumes the two historical entry points:
- *
- *  - the step-list path (InferenceRunner::planFor / planForJob on a
- *    WorkloadModel): at OptLevel::None/Safe every step becomes one
- *    Single unit keyed by stepCacheKey — the exact keys the
- *    pre-ExecPlan runner used, so cache populations and tick streams
- *    are bit-identical;
- *  - the graph path (compileNetwork): at OptLevel::Aggressive the
- *    cross-step passes (boot-plan, fuse-linear, prefetch) partition
- *    the network into possibly multi-layer units via
- *    partitionNetwork(), keyed by unitCacheKey.
+ * An ExecPlan is an ordered sequence of units, each carrying its
+ * member steps by value and (when materialized) its compiled Program,
+ * plus the plan's opt-level provenance.  There is one compile
+ * pipeline: compilePlan() takes a NetworkGraph (a workload's step list
+ * lifts to the equivalent chain through NetworkGraph::fromModel) and
+ * runs partitionNetwork() (sched/graph/netcompile.hh).  At
+ * OptLevel::None/Safe every layer becomes one Single unit; at
+ * Aggressive the cross-step passes (boot-plan, fuse-linear, prefetch)
+ * may merge layers into multi-step units.  Every unit compiles through
+ * the one cached unit compiler, compileUnit() (sched/progcache.hh),
+ * under the one key rule, unitCacheKey() — a one-step unit's key is
+ * the per-step key the step-at-a-time runner always used, so Safe
+ * cache populations and tick streams are unchanged.
  *
  * Unit boundaries generalize step boundaries: everything downstream
- * that used to index steps (resumable first_step windows, cake's
+ * that used to index steps (resumable first_unit windows, cake's
  * preemption slices, federation's checkpointed failover, the
  * fault-free JobCache) indexes units of the tenant's plan instead.
  * The Aggressive partition is a pure function of (workload content,
@@ -28,13 +27,13 @@
  * (workload, level), which is what makes unit indices meaningful
  * across dispatch, preemption and failover.
  *
- * A plan can be *materialized* (programs compiled up front, one
- * ProgramCache access per unit at build time) or a *skeleton*
- * (PlanWindow::none(): keys only; drivers resolve programs on demand
- * via compilePlanUnit, which is also the degraded re-dispatch path
- * where the executing cluster shrank under the plan).  fusePlan()
- * turns any plan into the paper's Section IV-D fused mode: one
- * skeleton unit holding every step.
+ * compilePlan() returns a *skeleton* (no Program resolved);
+ * InferenceRunner::planFor materializes every unit up front, while
+ * serving's planForJob keeps the skeleton and the execution driver
+ * resolves each executed unit through compileUnit — also the degraded
+ * re-dispatch path, where the executing cluster shrank under the plan.
+ * fusePlan() turns any plan into the paper's Section IV-D fused mode:
+ * one skeleton unit holding every step.
  */
 
 #ifndef HYDRA_SCHED_EXECPLAN_HH
@@ -44,8 +43,8 @@
 #include <string>
 #include <vector>
 
-#include "sched/graph/netcompile.hh"
-#include "sched/runner.hh"
+#include "sched/graph/graph.hh"
+#include "sched/progcache.hh"
 
 namespace hydra {
 
@@ -54,7 +53,14 @@ namespace hydra {
  *  boundary at the end). */
 struct ExecUnit
 {
-    NetUnit::Kind kind = NetUnit::Kind::Single;
+    enum class Kind : uint8_t
+    {
+        Single,   ///< one layer, step-compiler semantics
+        Fused,    ///< fuse-linear group or fusePlan()'s whole plan
+        Prefetch, ///< prefetch window (transfers hide under compute)
+    };
+
+    Kind kind = Kind::Single;
     /** Display name: the single layer, or "first..last". */
     std::string name;
     /** Procedure kind of the leading layer (roll-up display). */
@@ -63,27 +69,37 @@ struct ExecUnit
      *  by value so a shrunken cluster can recompile the unit without
      *  the original workload/graph in hand. */
     std::vector<Step> steps;
-    /** ProgramCache key for the plan's own cluster. */
-    std::string key;
     /** Compiled program; null in skeleton plans (resolve on demand
-     *  through compilePlanUnit). */
+     *  through compileUnit). */
     std::shared_ptr<const CompiledStep> compiled;
 };
 
-/** Which units of a plan get their programs materialized at
- *  compilePlan() time.  Units outside the window still get keys. */
-struct PlanWindow
+/** Cross-step pass statistics. */
+struct NetOptReport
 {
-    static constexpr size_t npos = static_cast<size_t>(-1);
+    OptLevel level = OptLevel::None;
+    /** Bootstraps removed by the Eq. 1 level walk. */
+    uint64_t bootsElided = 0;
+    /** Adjacent bootstrap pairs collapsed into one refresh. */
+    uint64_t bootsMerged = 0;
+    /** Layers whose working level was lowered to the tracked level. */
+    uint64_t relevelled = 0;
+    /** Layers folded into fuse-linear groups. */
+    uint64_t fusedSteps = 0;
+    /** Unit boundaries removed by prefetch windows. */
+    uint64_t prefetchedBoundaries = 0;
+    /** Eq. 1-modeled single-card cost of the elided bootstraps. */
+    Tick modeledBootSavings = 0;
 
-    size_t first = 0;
-    size_t count = npos;
+    uint64_t
+    totalChanges() const
+    {
+        return bootsElided + bootsMerged + relevelled + fusedSteps +
+               prefetchedBoundaries;
+    }
 
-    /** Materialize every unit (InferenceRunner::planFor). */
-    static PlanWindow all() { return PlanWindow{}; }
-
-    /** Materialize nothing — a skeleton plan (serving dispatch). */
-    static PlanWindow none() { return PlanWindow{0, 0}; }
+    /** One-line human summary. */
+    std::string describe() const;
 };
 
 /** A compiled execution plan: the unit sequence plus provenance. */
@@ -91,14 +107,6 @@ struct ExecPlan
 {
     std::string machine;
     std::string workload;
-    /**
-     * Window-independent plan identity: machine half + workload name
-     * + every pre-pass step's content key + level.  Two plans share a
-     * key iff they compile the same content for the same machine shape
-     * at the same level — the serving layer's JobCache keys memoized
-     * replays on (this, unit window, card signature).
-     */
-    std::string key;
     OptLevel level = OptLevel::Safe;
     /** Cluster shape the plan was compiled against (the machine, or a
      *  card group's sub-spec). */
@@ -115,53 +123,25 @@ struct ExecPlan
 };
 
 /**
- * Compile `workload` for `spec`'s machine at `level`.  None/Safe take
- * the step-list path (one Single unit per step, legacy cache keys);
- * Aggressive lifts the workload to a NetworkGraph chain and applies
- * the cross-step passes.
- */
-ExecPlan compilePlan(const PrototypeSpec& spec, const OpCostModel& cost,
-                     const NetworkModel& net,
-                     const WorkloadModel& workload,
-                     OptLevel level = OptLevel::Safe,
-                     PlanWindow window = PlanWindow::all());
-
-/**
- * Compile `graph` for `spec`'s machine at `level`.  The graph must be
- * validate()-clean (callers report the SpecError; a cyclic graph
- * fatals in partitionNetwork).
+ * Compile `graph` for `spec`'s machine at `level` into a skeleton
+ * plan (unit boundaries and member steps; no Program resolved).  The
+ * graph must be validate()-clean (callers report the SpecError; a
+ * cyclic graph fatals in partitionNetwork).
  */
 ExecPlan compilePlan(const PrototypeSpec& spec, const OpCostModel& cost,
                      const NetworkModel& net, const NetworkGraph& graph,
-                     OptLevel level = OptLevel::Safe,
-                     PlanWindow window = PlanWindow::all());
-
-/**
- * Resolve one unit's Program through the shared ProgramCache for an
- * executing (sub-)cluster.  With exec_cluster == the plan's own
- * cluster this returns exactly what materialization stored; with a
- * smaller cluster (degraded re-dispatch) it compiles under the
- * surviving card count while keeping the plan's network model.
- */
-std::shared_ptr<const CompiledStep>
-compilePlanUnit(const PrototypeSpec& spec,
-                const ClusterConfig& exec_cluster,
-                const ClusterConfig& net_cluster, const OpCostModel& cost,
-                const NetworkModel& net, size_t log_slots,
-                const ExecUnit& unit, OptLevel level);
+                     OptLevel level = OptLevel::Safe);
 
 /**
  * Section IV-D fused preloading ("multiple tasks can be loaded into
  * each FPGA's task queue at once"): merge every unit of `plan` into
- * one NetUnit::Kind::Fused skeleton unit, so each card's queue holds
+ * one ExecUnit::Kind::Fused skeleton unit, so each card's queue holds
  * the whole inference and a card may start the next layer while its
- * peers drain the current one.  `spec` is the machine the plan was
- * compiled for (only its cluster-independent half enters the key).
- * The fused unit executes — and re-dispatches onto survivors after a
- * card death — like any other unit.
+ * peers drain the current one.  The fused unit executes — and
+ * re-dispatches onto survivors after a card death — like any other
+ * unit.
  */
-ExecPlan fusePlan(const PrototypeSpec& spec, const OpCostModel& cost,
-                  const ExecPlan& plan);
+ExecPlan fusePlan(const ExecPlan& plan);
 
 } // namespace hydra
 

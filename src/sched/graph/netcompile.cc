@@ -1,53 +1,11 @@
 #include "sched/graph/netcompile.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.hh"
 
 namespace hydra {
-
-const char*
-netUnitKindName(NetUnit::Kind k)
-{
-    switch (k) {
-      case NetUnit::Kind::Single: return "single";
-      case NetUnit::Kind::Fused: return "fused";
-      case NetUnit::Kind::Prefetch: return "prefetch";
-    }
-    return "?";
-}
-
-std::string
-NetOptReport::describe() const
-{
-    if (level != OptLevel::Aggressive)
-        return strf("net passes [%s]: step-identical lowering",
-                    optLevelName(level));
-    return strf("net passes [%s]: %llu boot(s) elided (+%llu merged, "
-                "~%.3f s modeled), %llu layer(s) re-levelled, %llu "
-                "fused, %llu boundary(ies) prefetched",
-                optLevelName(level),
-                static_cast<unsigned long long>(bootsElided),
-                static_cast<unsigned long long>(bootsMerged),
-                ticksToSeconds(modeledBootSavings),
-                static_cast<unsigned long long>(relevelled),
-                static_cast<unsigned long long>(fusedSteps),
-                static_cast<unsigned long long>(prefetchedBoundaries));
-}
-
-std::string
-unitCacheKey(const PrototypeSpec& spec, const ClusterConfig& exec_cluster,
-             const ClusterConfig& net_cluster, size_t ring_n,
-             size_t log_slots, const std::vector<const Step*>& members,
-             NetUnit::Kind kind, OptLevel level)
-{
-    std::string key = machineCacheKey(spec, exec_cluster, net_cluster,
-                                      ring_n, log_slots, level);
-    for (const Step* s : members)
-        key += stepContentKey(*s);
-    key += strf("|u=%s,%zu", netUnitKindName(kind), members.size());
-    return key;
-}
 
 namespace {
 
@@ -141,15 +99,15 @@ bootPlanPass(const std::vector<Step>& in, size_t max_limbs,
 
 } // namespace
 
-NetPartition
+std::vector<ExecUnit>
 partitionNetwork(const PrototypeSpec& spec, const OpCostModel& cost,
                  const NetworkModel& net, const NetworkGraph& graph,
-                 OptLevel level)
+                 OptLevel level, NetOptReport& report)
 {
     std::vector<uint32_t> order;
     SpecError err;
     if (!graph.topoOrder(order, err))
-        fatal("compileNetwork on an invalid graph: %s",
+        fatal("partitionNetwork on an invalid graph: %s",
               err.describe().c_str());
 
     std::vector<Step> steps;
@@ -157,158 +115,79 @@ partitionNetwork(const PrototypeSpec& spec, const OpCostModel& cost,
     for (uint32_t id : order)
         steps.push_back(graph.nodes[id].step);
 
-    NetPartition out;
-    out.report.level = level;
+    report = NetOptReport{};
+    report.level = level;
     size_t cards = spec.cluster.totalCards();
     bool aggressive = level == OptLevel::Aggressive;
 
     if (aggressive)
-        steps = bootPlanPass(steps, graph.maxLimbs, graph.logSlots,
-                             cost, net, spec.mapping, cards,
-                             out.report);
+        steps = bootPlanPass(steps, graph.maxLimbs, graph.logSlots, cost,
+                             net, spec.mapping, cards, report);
 
     // Unit partition: fuse-linear groups first, then prefetch windows
     // over the resulting unit list.
-    std::vector<NetUnit> units;
+    std::vector<ExecUnit> units;
     size_t n = steps.size();
     for (size_t i = 0; i < n;) {
+        size_t j = i + 1;
         if (aggressive && fusableHead(steps[i].kind)) {
-            size_t j = i + 1;
             while (j < n && fusableHead(steps[j].kind))
                 ++j;
             if (j < n && steps[j].kind == ProcKind::FC)
                 ++j; // a terminal FC joins the linear group
-            if (j - i >= 2) {
-                NetUnit u;
-                u.kind = NetUnit::Kind::Fused;
-                u.lead = steps[i].kind;
-                for (size_t k = i; k < j; ++k) {
-                    u.nodes.push_back(static_cast<uint32_t>(k));
-                    // Intermediate outputs stay card-local: the next
-                    // member's co-resident units consume them without
-                    // the cross-card broadcast.
-                    if (k + 1 < j && steps[k].agg != AggKind::None) {
-                        steps[k].agg = AggKind::None;
-                        ++out.report.fusedSteps;
-                    }
-                }
-                u.name = steps[i].name + ".." + steps[j - 1].name;
-                units.push_back(std::move(u));
-                i = j;
-                continue;
-            }
         }
-        NetUnit u;
+        ExecUnit u;
         u.lead = steps[i].kind;
         u.name = steps[i].name;
-        u.nodes.push_back(static_cast<uint32_t>(i));
+        if (j - i >= 2) {
+            u.kind = ExecUnit::Kind::Fused;
+            u.name += ".." + steps[j - 1].name;
+            // Intermediate outputs stay card-local: the next member's
+            // co-resident units consume them without the cross-card
+            // broadcast.
+            for (size_t k = i; k + 1 < j; ++k)
+                if (steps[k].agg != AggKind::None) {
+                    steps[k].agg = AggKind::None;
+                    ++report.fusedSteps;
+                }
+        }
+        u.steps.assign(std::make_move_iterator(steps.begin() + i),
+                       std::make_move_iterator(steps.begin() + j));
         units.push_back(std::move(u));
-        ++i;
+        i = j;
     }
 
     if (aggressive && net.overlapsCompute()) {
         // Prefetch: merge up to kPrefetchWindow consecutive units when
         // the earlier unit ends in a cross-card aggregation (there is a
         // transfer to hide) and neither side is a bootstrap barrier.
-        std::vector<NetUnit> merged;
+        std::vector<ExecUnit> merged;
         for (size_t i = 0; i < units.size();) {
-            NetUnit u = std::move(units[i]);
+            ExecUnit u = std::move(units[i]);
             size_t j = i + 1;
-            while (j < units.size() &&
-                   j - i < kPrefetchWindow) {
-                const Step& last = steps[u.nodes.back()];
-                const Step& head = steps[units[j].nodes.front()];
+            while (j < units.size() && j - i < kPrefetchWindow) {
+                const Step& last = u.steps.back();
+                std::vector<Step>& next = units[j].steps;
                 if (last.kind == ProcKind::Bootstrap ||
-                    head.kind == ProcKind::Bootstrap ||
+                    next.front().kind == ProcKind::Bootstrap ||
                     last.agg == AggKind::None)
                     break;
-                u.nodes.insert(u.nodes.end(), units[j].nodes.begin(),
-                               units[j].nodes.end());
-                u.kind = NetUnit::Kind::Prefetch;
-                ++out.report.prefetchedBoundaries;
+                u.steps.insert(u.steps.end(),
+                               std::make_move_iterator(next.begin()),
+                               std::make_move_iterator(next.end()));
+                u.kind = ExecUnit::Kind::Prefetch;
+                ++report.prefetchedBoundaries;
                 ++j;
             }
-            if (u.kind == NetUnit::Kind::Prefetch)
-                u.name = steps[u.nodes.front()].name + ".." +
-                         steps[u.nodes.back()].name;
+            if (u.kind == ExecUnit::Kind::Prefetch)
+                u.name =
+                    u.steps.front().name + ".." + u.steps.back().name;
             merged.push_back(std::move(u));
             i = j;
         }
         units = std::move(merged);
     }
-
-    out.steps = std::move(steps);
-    out.units = std::move(units);
-    return out;
-}
-
-std::shared_ptr<const CompiledStep>
-compileNetUnit(const PrototypeSpec& spec,
-               const ClusterConfig& exec_cluster,
-               const ClusterConfig& net_cluster, const OpCostModel& cost,
-               const NetworkModel& net, size_t log_slots,
-               const std::vector<const Step*>& members,
-               NetUnit::Kind kind, OptLevel level)
-{
-    size_t cards = exec_cluster.totalCards();
-    std::string key;
-    if (members.size() == 1)
-        key = stepCacheKey(spec, exec_cluster, net_cluster, cost.n(),
-                           log_slots, *members[0], level);
-    else
-        key = unitCacheKey(spec, exec_cluster, net_cluster, cost.n(),
-                           log_slots, members, kind, level);
-    return ProgramCache::global().getOrCompile(key, [&] {
-        if (members.size() == 1)
-            return compileStep(cost, net, cards, log_slots,
-                               spec.mapping, *members[0], level);
-        StepMapper mapper(cost, net, cards, log_slots, spec.mapping);
-        PlanBuilder pb(cards);
-        pb.setLogSlots(log_slots);
-        for (const Step* s : members)
-            mapper.planStepInto(pb, *s);
-        CompiledStep cs;
-        Program prog = lowerPlan(pb.take(), cost, net, spec.mapping);
-        cs.program = optimizeProgram(std::move(prog), level,
-                                     net.overlapsCompute(),
-                                     &cs.report);
-        return cs;
-    });
-}
-
-CompiledNetwork
-compileNetwork(const PrototypeSpec& spec, const OpCostModel& cost,
-               const NetworkModel& net, const NetworkGraph& graph,
-               OptLevel level)
-{
-    NetPartition part = partitionNetwork(spec, cost, net, graph, level);
-
-    // Rebuild the post-pass graph (chain in execution order) so dumps
-    // and unit node ids reflect what actually compiles.
-    WorkloadModel post;
-    post.name = graph.name;
-    post.logSlots = graph.logSlots;
-    post.maxLimbs = graph.maxLimbs;
-    post.steps = part.steps;
-    CompiledNetwork out;
-    out.graph = NetworkGraph::fromModel(post);
-    out.units = std::move(part.units);
-    out.report = part.report;
-
-    // Compile every unit through the shared cache.  Single-layer units
-    // use the step compiler's exact key, so the graph path shares
-    // entries with step-list plans and ServeSim.
-    out.programs.reserve(out.units.size());
-    for (const NetUnit& u : out.units) {
-        std::vector<const Step*> members;
-        members.reserve(u.nodes.size());
-        for (uint32_t id : u.nodes)
-            members.push_back(&part.steps[id]);
-        out.programs.push_back(
-            compileNetUnit(spec, spec.cluster, spec.cluster, cost, net,
-                           graph.logSlots, members, u.kind, level));
-    }
-    return out;
+    return units;
 }
 
 } // namespace hydra

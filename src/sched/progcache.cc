@@ -6,19 +6,10 @@
 
 namespace hydra {
 
-CompiledStep
-compileStep(const OpCostModel& cost, const NetworkModel& net,
-            size_t cards, size_t log_slots, const MappingConfig& mapping,
-            const Step& step, OptLevel level)
-{
-    StepMapper mapper(cost, net, cards, log_slots, mapping);
-    CompiledStep out;
-    Program prog = lowerPlan(mapper.planStep(step), cost, net, mapping);
-    out.program = optimizeProgram(std::move(prog), level,
-                                  net.overlapsCompute(), &out.report);
-    return out;
-}
+namespace {
 
+/** Machine half of a unit key: everything the cost/network models
+ *  and the mapper read, except the member steps. */
 std::string
 machineCacheKey(const PrototypeSpec& spec,
                 const ClusterConfig& exec_cluster,
@@ -27,7 +18,6 @@ machineCacheKey(const PrototypeSpec& spec,
 {
     const FpgaParams& f = spec.fpga;
     const MappingConfig& m = spec.mapping;
-    // Machine half: everything the cost/network models read.
     std::string key = strf(
         "m=%s|x=%zux%zu|nx=%zux%zu|n=%zu|d=%zu|f=%.17g,%zu,%zu,%.17g,"
         "%zu,%.17g,%.17g,%.17g|k=%d",
@@ -53,6 +43,7 @@ machineCacheKey(const PrototypeSpec& spec,
     return key;
 }
 
+/** Content half of one member step. */
 std::string
 stepContentKey(const Step& step)
 {
@@ -66,14 +57,51 @@ stepContentKey(const Step& step)
                 step.unitScale, step.outputCts);
 }
 
-std::string
-stepCacheKey(const PrototypeSpec& spec, const ClusterConfig& exec_cluster,
-             const ClusterConfig& net_cluster, size_t ring_n,
-             size_t log_slots, const Step& step, OptLevel level)
+} // namespace
+
+CompiledStep
+compileSteps(const OpCostModel& cost, const NetworkModel& net,
+             size_t cards, size_t log_slots, const MappingConfig& mapping,
+             const std::vector<Step>& steps, OptLevel level)
 {
-    return machineCacheKey(spec, exec_cluster, net_cluster, ring_n,
-                           log_slots, level) +
-           stepContentKey(step);
+    StepMapper mapper(cost, net, cards, log_slots, mapping);
+    PlanBuilder pb(cards);
+    pb.setLogSlots(log_slots);
+    for (const Step& s : steps)
+        mapper.planStepInto(pb, s);
+    CompiledStep out;
+    Program prog = lowerPlan(pb.take(), cost, net, mapping);
+    out.program = optimizeProgram(std::move(prog), level,
+                                  net.overlapsCompute(), &out.report);
+    return out;
+}
+
+std::string
+unitCacheKey(const PrototypeSpec& spec, const ClusterConfig& exec_cluster,
+             const ClusterConfig& net_cluster, size_t ring_n,
+             size_t log_slots, const std::vector<Step>& steps,
+             OptLevel level)
+{
+    std::string key = machineCacheKey(spec, exec_cluster, net_cluster,
+                                      ring_n, log_slots, level);
+    for (const Step& s : steps)
+        key += stepContentKey(s);
+    return key;
+}
+
+std::shared_ptr<const CompiledStep>
+compileUnit(const PrototypeSpec& spec, const ClusterConfig& exec_cluster,
+            const ClusterConfig& net_cluster, const OpCostModel& cost,
+            const NetworkModel& net, size_t log_slots,
+            const std::vector<Step>& steps, OptLevel level)
+{
+    return ProgramCache::global().getOrCompile(
+        unitCacheKey(spec, exec_cluster, net_cluster, cost.n(), log_slots,
+                     steps, level),
+        [&] {
+            return compileSteps(cost, net, exec_cluster.totalCards(),
+                                log_slots, spec.mapping, steps, level);
+        });
 }
 
 ProgramCache&

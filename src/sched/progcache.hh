@@ -7,13 +7,16 @@
  * IV-D); compiling one is pure — a Program depends only on the cost
  * model (card microarchitecture, ring, dnum), the network model (kind,
  * parameters, topology), the card count, the mapping knobs and the
- * step content — and is fault-independent: fault plans act at
+ * unit's member steps — and is fault-independent: fault plans act at
  * *execution* time, so a cached Program stays valid under any
- * FaultPlan.  InferenceRunner (run / degraded re-dispatch / runJob)
- * and ServeSim therefore share one process-wide cache keyed by those
- * inputs, in the counter style of BufferPool: deep serving runs and
- * repeated identical layers (ResNet blocks, transformer layers) hit
- * after the first compile.
+ * FaultPlan.  Every ExecPlan unit (sched/execplan.hh) therefore
+ * compiles through one cached compiler, compileUnit(), keyed by one
+ * rule, unitCacheKey(): plan materialization (InferenceRunner::planFor),
+ * the execution driver's on-demand resolution of skeleton units
+ * (runJob, degraded re-dispatch) and ServeSim all share one
+ * process-wide cache, in the counter style of BufferPool: deep serving
+ * runs and repeated identical layers (ResNet blocks, transformer
+ * layers) hit after the first compile.
  *
  * Keys are explicit human-readable strings covering every mapping
  * input (no hash collisions by construction); step *names* and step
@@ -29,6 +32,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "sched/lower.hh"
 #include "sched/passes.hh"
@@ -44,20 +48,23 @@ struct CompiledStep
 };
 
 /**
- * Compile one step end to end: plan (StepMapper decomposition), lower
- * (bind `cost`/`net`), optimize (`level` pass pipeline, gated on
+ * Compile one unit's member steps end to end, uncached: plan (every
+ * member's StepMapper decomposition into one PlanBuilder, so a
+ * multi-step unit has no internal sync barrier), lower (bind
+ * `cost`/`net`), optimize (`level` pass pipeline, gated on
  * net.overlapsCompute()).
  */
-CompiledStep compileStep(const OpCostModel& cost, const NetworkModel& net,
-                         size_t cards, size_t log_slots,
-                         const MappingConfig& mapping, const Step& step,
-                         OptLevel level = OptLevel::Safe);
+CompiledStep compileSteps(const OpCostModel& cost, const NetworkModel& net,
+                          size_t cards, size_t log_slots,
+                          const MappingConfig& mapping,
+                          const std::vector<Step>& steps,
+                          OptLevel level = OptLevel::Safe);
 
 /**
- * Machine half of a cache key: everything the cost/network models and
- * the mapper read, except the step content.  The network-level
- * compiler (sched/graph/netcompile.hh) appends one stepContentKey()
- * per fused member to this to key multi-step units.
+ * ProgramCache key of one unit: the machine half (everything the
+ * cost/network models and the mapper read) followed by each member
+ * step's content half.  Step names and indices are excluded, so
+ * content-identical layers and units share one entry.
  *
  * @param spec machine description (name + card/network/mapping params)
  * @param exec_cluster topology of the executing (sub-)cluster — the
@@ -68,21 +75,10 @@ CompiledStep compileStep(const OpCostModel& cost, const NetworkModel& net,
  * @param ring_n CKKS ring dimension of the cost model
  * @param log_slots workload slot geometry (bootstrap DFT size)
  */
-std::string machineCacheKey(const PrototypeSpec& spec,
-                            const ClusterConfig& exec_cluster,
-                            const ClusterConfig& net_cluster,
-                            size_t ring_n, size_t log_slots,
-                            OptLevel level = OptLevel::Safe);
-
-/** Step half of a cache key: content only — the step's name/index is
- *  deliberately excluded so identical layers share one entry. */
-std::string stepContentKey(const Step& step);
-
-/** Cache key for one step compilation (machine half + step half). */
-std::string stepCacheKey(const PrototypeSpec& spec,
+std::string unitCacheKey(const PrototypeSpec& spec,
                          const ClusterConfig& exec_cluster,
                          const ClusterConfig& net_cluster, size_t ring_n,
-                         size_t log_slots, const Step& step,
+                         size_t log_slots, const std::vector<Step>& steps,
                          OptLevel level = OptLevel::Safe);
 
 /**
@@ -171,6 +167,17 @@ class ProgramCache
     uint64_t misses_ = 0;
     uint64_t evictions_ = 0;
 };
+
+/**
+ * compileSteps() through ProgramCache::global() under unitCacheKey():
+ * the one cached unit compiler (plan materialization and the
+ * execution driver's degraded / shape-mismatch path).
+ */
+std::shared_ptr<const CompiledStep>
+compileUnit(const PrototypeSpec& spec, const ClusterConfig& exec_cluster,
+            const ClusterConfig& net_cluster, const OpCostModel& cost,
+            const NetworkModel& net, size_t log_slots,
+            const std::vector<Step>& steps, OptLevel level);
 
 } // namespace hydra
 

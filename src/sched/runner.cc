@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "sched/execplan.hh"
-#include "sched/graph/netcompile.hh"
 
 namespace hydra {
 
@@ -102,12 +101,30 @@ InferenceRunner::InferenceRunner(PrototypeSpec spec, size_t ring_n)
 {
 }
 
+namespace {
+
+/** planFor's materialization: resolve every unit's Program through the
+ *  shared ProgramCache for the plan's own cluster. */
+std::shared_ptr<const ExecPlan>
+materialize(ExecPlan plan, const PrototypeSpec& spec,
+            const OpCostModel& cost, const NetworkModel& net)
+{
+    for (ExecUnit& u : plan.units)
+        u.compiled = compileUnit(spec, plan.cluster, plan.cluster, cost,
+                                 net, plan.logSlots, u.steps, plan.level);
+    return std::make_shared<ExecPlan>(std::move(plan));
+}
+
+} // namespace
+
 std::shared_ptr<const ExecPlan>
 InferenceRunner::planFor(const WorkloadModel& workload,
                          OptLevel level) const
 {
-    return std::make_shared<ExecPlan>(
-        compilePlan(spec_, cost_, *net_, workload, level));
+    return materialize(compilePlan(spec_, cost_, *net_,
+                                   NetworkGraph::fromModel(workload),
+                                   level),
+                       spec_, cost_, *net_);
 }
 
 std::shared_ptr<const ExecPlan>
@@ -115,8 +132,8 @@ InferenceRunner::planFor(const NetworkGraph& graph, OptLevel level) const
 {
     SpecError err;
     if (graph.validate(err))
-        return std::make_shared<ExecPlan>(
-            compilePlan(spec_, cost_, *net_, graph, level));
+        return materialize(compilePlan(spec_, cost_, *net_, graph, level),
+                           spec_, cost_, *net_);
     auto plan = std::make_shared<ExecPlan>();
     plan->machine = spec_.name;
     plan->workload = graph.name;
@@ -134,7 +151,7 @@ InferenceRunner::planForJob(const WorkloadModel& workload,
     PrototypeSpec sub = groupSubSpec(spec_, group);
     std::unique_ptr<NetworkModel> net = sub.makeNetwork();
     return std::make_shared<ExecPlan>(compilePlan(
-        sub, cost_, *net, workload, level, PlanWindow::none()));
+        sub, cost_, *net, NetworkGraph::fromModel(workload), level));
 }
 
 InferenceResult
@@ -244,9 +261,8 @@ InferenceRunner::execFaulted(const PrototypeSpec& sub,
             auto compiled =
                 (!degraded && planShape && u.compiled)
                     ? u.compiled
-                    : compilePlanUnit(sub, cluster, sub.cluster, cost_,
-                                      net, plan.logSlots, u,
-                                      plan.level);
+                    : compileUnit(sub, cluster, sub.cluster, cost_, net,
+                                  plan.logSlots, u.steps, plan.level);
             RunResult rr = executor->tryRun(compiled->program);
             if (rr.ok()) {
                 result.total.append(rr.stats, net.stepSyncLatency());

@@ -152,9 +152,10 @@ class InferenceRunner
                              size_t ring_n = size_t{1} << 16);
 
     /**
-     * Compile `workload` into a materialized machine-scoped ExecPlan
-     * (every unit's Program resolved through the shared ProgramCache
-     * at build time).
+     * Compile `workload` (lifted to its chain graph by
+     * NetworkGraph::fromModel) into a materialized machine-scoped
+     * ExecPlan: every unit's Program resolved through compileUnit()
+     * at build time.
      */
     std::shared_ptr<const ExecPlan>
     planFor(const WorkloadModel& workload,
@@ -176,10 +177,10 @@ class InferenceRunner
 
     /**
      * Compile `workload` into a skeleton ExecPlan for `group`'s
-     * sub-machine (unit boundaries and cache keys only; programs
-     * resolve on demand at execution, so repeated jobs over one shared
-     * plan hit the ProgramCache per executed unit — the serving
-     * layer's reuse).  The Aggressive partition is shape-invariant:
+     * sub-machine (unit boundaries and member steps only; programs
+     * resolve through compileUnit() on demand at execution, so
+     * repeated jobs over one shared plan hit the ProgramCache per
+     * executed unit — the serving layer's reuse).  The Aggressive partition is shape-invariant:
      * every group's plan has the same unit count.
      */
     std::shared_ptr<const ExecPlan>

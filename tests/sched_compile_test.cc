@@ -104,8 +104,8 @@ struct Rig
     CompiledStep
     compile(const Step& step, OptLevel level)
     {
-        return compileStep(cost, *net, spec.cluster.totalCards(),
-                           wl.logSlots, spec.mapping, step, level);
+        return compileSteps(cost, *net, spec.cluster.totalCards(),
+                            wl.logSlots, spec.mapping, {step}, level);
     }
 };
 
@@ -246,30 +246,30 @@ TEST(ProgramCacheTest, KeyTracksContentNotName)
     Step a = wl.steps[0];
     Step b = a;
     b.name = "renamed_step";
-    std::string ka = stepCacheKey(spec, spec.cluster, spec.cluster,
-                                  size_t{1} << 16, wl.logSlots, a);
-    EXPECT_EQ(ka, stepCacheKey(spec, spec.cluster, spec.cluster,
-                               size_t{1} << 16, wl.logSlots, b));
+    std::string ka = unitCacheKey(spec, spec.cluster, spec.cluster,
+                                  size_t{1} << 16, wl.logSlots, {a});
+    EXPECT_EQ(ka, unitCacheKey(spec, spec.cluster, spec.cluster,
+                               size_t{1} << 16, wl.logSlots, {b}));
 
     b.limbs += 1;
-    EXPECT_NE(ka, stepCacheKey(spec, spec.cluster, spec.cluster,
-                               size_t{1} << 16, wl.logSlots, b));
+    EXPECT_NE(ka, unitCacheKey(spec, spec.cluster, spec.cluster,
+                               size_t{1} << 16, wl.logSlots, {b}));
 
     // Shrunken executing cluster (degraded re-dispatch) re-keys.
     ClusterConfig degraded{1, spec.cluster.totalCards() - 1};
-    EXPECT_NE(ka, stepCacheKey(spec, degraded, spec.cluster,
-                               size_t{1} << 16, wl.logSlots, a));
+    EXPECT_NE(ka, unitCacheKey(spec, degraded, spec.cluster,
+                               size_t{1} << 16, wl.logSlots, {a}));
 
     // Pass level re-keys.
-    EXPECT_NE(ka, stepCacheKey(spec, spec.cluster, spec.cluster,
-                               size_t{1} << 16, wl.logSlots, a,
+    EXPECT_NE(ka, unitCacheKey(spec, spec.cluster, spec.cluster,
+                               size_t{1} << 16, wl.logSlots, {a},
                                OptLevel::Aggressive));
 
     // A different machine re-keys even with equal geometry.
     PrototypeSpec other = spec;
     other.fpga.clockHz *= 2.0;
-    EXPECT_NE(ka, stepCacheKey(other, other.cluster, other.cluster,
-                               size_t{1} << 16, wl.logSlots, a));
+    EXPECT_NE(ka, unitCacheKey(other, other.cluster, other.cluster,
+                               size_t{1} << 16, wl.logSlots, {a}));
 }
 
 /** Minimal configurable network for the synthetic pass tests. */

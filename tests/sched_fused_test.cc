@@ -22,8 +22,7 @@ ExecPlan
 fusedPlan(const InferenceRunner& runner, const WorkloadModel& wl,
           OptLevel level = OptLevel::Safe)
 {
-    return fusePlan(runner.spec(), runner.costModel(),
-                    *runner.planFor(wl, level));
+    return fusePlan(*runner.planFor(wl, level));
 }
 
 /** The fused unit's own RunStats (one program, no per-step barrier). */
@@ -121,16 +120,14 @@ TEST(Fused, FusePlanMergesEveryStepIntoOneSkeletonUnit)
     InferenceRunner runner(hydraMSpec());
     WorkloadModel wl = makeResNet20Cifar();
     std::shared_ptr<const ExecPlan> plan = runner.planFor(wl);
-    ExecPlan fused = fusePlan(runner.spec(), runner.costModel(), *plan);
+    ExecPlan fused = fusePlan(*plan);
     ASSERT_EQ(fused.size(), 1u);
     const ExecUnit& u = fused.units.front();
-    EXPECT_EQ(u.kind, NetUnit::Kind::Fused);
+    EXPECT_EQ(u.kind, ExecUnit::Kind::Fused);
     EXPECT_EQ(u.compiled, nullptr); // skeleton: resolves at execution
     EXPECT_EQ(u.steps.size(), wl.steps.size());
     EXPECT_EQ(u.name,
               wl.steps.front().name + ".." + wl.steps.back().name);
-    EXPECT_FALSE(u.key.empty());
-    EXPECT_NE(fused.key, plan->key);
     EXPECT_EQ(fused.workload, plan->workload);
 }
 

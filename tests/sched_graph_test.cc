@@ -445,45 +445,47 @@ struct NetRig
           net(spec.makeNetwork())
     {
     }
-
-    CompiledNetwork
-    compile(const NetworkGraph& g, OptLevel level)
-    {
-        return compileNetwork(spec, cost, *net, g, level);
-    }
 };
+
+/** The materialized Aggressive plan of `g` on `machine`. */
+std::shared_ptr<const ExecPlan>
+aggressivePlan(const char* machine, const NetworkGraph& g)
+{
+    return InferenceRunner(machineByName(machine))
+        .planFor(g, OptLevel::Aggressive);
+}
 
 TEST(NetCompile, AggressiveFusesLinearChains)
 {
     // fab-m's host-mediated network cannot overlap transfers with
     // compute, so prefetch stays off and fused units stay visible.
-    NetRig rig("fab-m");
-    CompiledNetwork cn =
-        rig.compile(modelGraphByName("resnet50"), OptLevel::Aggressive);
-    EXPECT_GT(cn.report.fusedSteps, 0u);
-    EXPECT_EQ(cn.report.prefetchedBoundaries, 0u);
-    ASSERT_EQ(cn.programs.size(), cn.units.size());
+    std::shared_ptr<const ExecPlan> plan =
+        aggressivePlan("fab-m", modelGraphByName("resnet50"));
+    EXPECT_GT(plan->report.fusedSteps, 0u);
+    EXPECT_EQ(plan->report.prefetchedBoundaries, 0u);
 
     bool anyFused = false;
-    for (const NetUnit& u : cn.units)
-        if (u.kind == NetUnit::Kind::Fused) {
+    for (const ExecUnit& u : plan->units) {
+        EXPECT_NE(u.compiled, nullptr) << u.name;
+        if (u.kind == ExecUnit::Kind::Fused) {
             anyFused = true;
-            EXPECT_GE(u.nodes.size(), 2u);
+            EXPECT_GE(u.steps.size(), 2u);
             EXPECT_NE(u.name.find(".."), std::string::npos);
         }
+    }
     EXPECT_TRUE(anyFused);
 }
 
 TEST(NetCompile, AggressivePrefetchesOnOverlappingNetworks)
 {
-    NetRig rig("hydra-m"); // switched: transfers overlap compute
-    CompiledNetwork cn =
-        rig.compile(modelGraphByName("resnet50"), OptLevel::Aggressive);
-    EXPECT_GT(cn.report.prefetchedBoundaries, 0u);
+    // hydra-m is switched: transfers overlap compute.
+    std::shared_ptr<const ExecPlan> plan =
+        aggressivePlan("hydra-m", modelGraphByName("resnet50"));
+    EXPECT_GT(plan->report.prefetchedBoundaries, 0u);
     bool anyPrefetch = false;
-    for (const NetUnit& u : cn.units) {
-        anyPrefetch |= u.kind == NetUnit::Kind::Prefetch;
-        EXPECT_LE(u.nodes.size(), kPrefetchWindow * 4);
+    for (const ExecUnit& u : plan->units) {
+        anyPrefetch |= u.kind == ExecUnit::Kind::Prefetch;
+        EXPECT_LE(u.steps.size(), kPrefetchWindow * 4);
     }
     EXPECT_TRUE(anyPrefetch);
 }
@@ -495,12 +497,12 @@ TEST(NetCompile, BootPlanMergesAdjacentAndElidesRedundant)
     // elides outright (23 levels of headroom, 1 needed).
     NetworkGraph g = parseModelGraph(
         "model=m,limbs=24,pcmm=q:64:1,boot=b1:4,boot=b2:4,fc=out:64");
-    NetRig rig("hydra-m");
-    CompiledNetwork cn = rig.compile(g, OptLevel::Aggressive);
-    EXPECT_EQ(cn.report.bootsMerged, 1u);
-    EXPECT_EQ(cn.report.bootsElided, 1u);
-    for (const LayerNode& n : cn.graph.nodes)
-        EXPECT_NE(n.step.kind, ProcKind::Bootstrap) << n.step.name;
+    std::shared_ptr<const ExecPlan> plan = aggressivePlan("hydra-m", g);
+    EXPECT_EQ(plan->report.bootsMerged, 1u);
+    EXPECT_EQ(plan->report.bootsElided, 1u);
+    for (const ExecUnit& u : plan->units)
+        for (const Step& s : u.steps)
+            EXPECT_NE(s.kind, ProcKind::Bootstrap) << s.name;
 }
 
 TEST(NetCompile, BootPlanKeepsLoadBearingRefreshAndRelevels)
@@ -515,18 +517,18 @@ TEST(NetCompile, BootPlanKeepsLoadBearingRefreshAndRelevels)
         "boot=b1:4,boot=b2:4,"
         "nonlin=t1:8,nonlin=t2:8,nonlin=t3:8,nonlin=t4:8,nonlin=t5:8,"
         "fc=out:16");
-    NetRig rig("hydra-m");
-    CompiledNetwork cn = rig.compile(g, OptLevel::Aggressive);
-    EXPECT_EQ(cn.report.bootsMerged, 1u);
-    EXPECT_EQ(cn.report.bootsElided, 0u);
-    EXPECT_GE(cn.report.relevelled, 2u);
+    std::shared_ptr<const ExecPlan> plan = aggressivePlan("hydra-m", g);
+    EXPECT_EQ(plan->report.bootsMerged, 1u);
+    EXPECT_EQ(plan->report.bootsElided, 0u);
+    EXPECT_GE(plan->report.relevelled, 2u);
 
     size_t boots = 0;
-    for (const LayerNode& n : cn.graph.nodes)
-        if (n.step.kind == ProcKind::Bootstrap) {
-            ++boots;
-            EXPECT_EQ(n.step.parallelism, 8u); // 4 + 4 combined
-        }
+    for (const ExecUnit& u : plan->units)
+        for (const Step& s : u.steps)
+            if (s.kind == ProcKind::Bootstrap) {
+                ++boots;
+                EXPECT_EQ(s.parallelism, 8u); // 4 + 4 combined
+            }
     EXPECT_EQ(boots, 1u);
 
     // The rewritten graph still executes end to end.
@@ -628,21 +630,20 @@ TEST(GraphIR, BranchAndJoinValidatesAndOrdersDeterministically)
 TEST(ExecPlanPath, DagSafePlansAreTickIdenticalAcrossReruns)
 {
     NetworkGraph g = diamondGraph();
-    NetRig rig("hydra-m");
-    ExecPlan a = compilePlan(rig.spec, rig.cost, *rig.net, g);
-    ExecPlan b = compilePlan(rig.spec, rig.cost, *rig.net, g);
-    ASSERT_EQ(a.size(), 4u); // Safe: one Single unit per layer
-    ASSERT_EQ(b.size(), a.size());
-    EXPECT_EQ(a.key, b.key);
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a.units[i].kind, NetUnit::Kind::Single);
-        EXPECT_EQ(a.units[i].key, b.units[i].key);
-        ASSERT_NE(a.units[i].compiled, nullptr);
+    InferenceRunner runner(machineByName("hydra-m"));
+    std::shared_ptr<const ExecPlan> a = runner.planFor(g);
+    std::shared_ptr<const ExecPlan> b = runner.planFor(g);
+    ASSERT_EQ(a->size(), 4u); // Safe: one Single unit per layer
+    ASSERT_EQ(b->size(), a->size());
+    for (size_t i = 0; i < a->size(); ++i) {
+        EXPECT_EQ(a->units[i].kind, ExecUnit::Kind::Single);
+        ASSERT_NE(a->units[i].compiled, nullptr);
+        // The rerun resolves the very same cache entry.
+        EXPECT_EQ(a->units[i].compiled, b->units[i].compiled);
     }
 
-    InferenceRunner runner(machineByName("hydra-m"));
-    InferenceResult ra = runner.runPlan(a);
-    InferenceResult rb = runner.runPlan(b);
+    InferenceResult ra = runner.runPlan(*a);
+    InferenceResult rb = runner.runPlan(*b);
     ASSERT_TRUE(ra.ok()) << ra.error.message;
     EXPECT_EQ(ra.total.makespan, rb.total.makespan);
     EXPECT_EQ(ra.total.fingerprint(), rb.total.fingerprint());
@@ -661,16 +662,6 @@ TEST(ExecPlanPath, SafePlanRunsBitIdenticalToLegacyRun)
     ASSERT_EQ(plan->size(), wl.steps.size());
     EXPECT_EQ(plan->level, OptLevel::Safe);
 
-    // Safe units carry the legacy per-step cache keys, so the plan
-    // populates the exact ProgramCache entries the old path did.
-    NetRig rig("hydra-m");
-    for (size_t i = 0; i < wl.steps.size(); ++i)
-        EXPECT_EQ(plan->units[i].key,
-                  stepCacheKey(rig.spec, rig.spec.cluster,
-                               rig.spec.cluster, rig.cost.n(),
-                               wl.logSlots, wl.steps[i]))
-            << i;
-
     // The pre-ExecPlan runner's ticks and fingerprint, pinned.
     InferenceResult viaPlan = runner.runPlan(*plan);
     ASSERT_TRUE(viaPlan.ok());
@@ -678,7 +669,8 @@ TEST(ExecPlanPath, SafePlanRunsBitIdenticalToLegacyRun)
     EXPECT_EQ(viaPlan.total.fingerprint(), 0xb3f7f8fb739406d4ull);
     // runPlan is the job driver over every card from tick 0.
     InferenceResult viaJob = runner.runJob(
-        *plan, CardGroup::contiguous(0, rig.spec.cluster.totalCards()), 0);
+        *plan, CardGroup::contiguous(0, runner.spec().cluster.totalCards()),
+        0);
     EXPECT_EQ(viaJob.total.fingerprint(), viaPlan.total.fingerprint());
     EXPECT_EQ(viaJob.stepEnds, viaPlan.stepEnds);
 }
@@ -717,7 +709,7 @@ TEST(ExecPlanPath, SkeletonJobPlanMatchesLegacyRunJob)
         CardGroup::contiguous(0, spec.cluster.cardsPerServer);
     std::shared_ptr<const ExecPlan> plan = runner.planForJob(wl, group);
     for (const ExecUnit& u : plan->units)
-        EXPECT_EQ(u.compiled, nullptr); // skeleton: keys only
+        EXPECT_EQ(u.compiled, nullptr); // skeleton: steps only
 
     // The pre-ExecPlan step-list runJob's ticks and fingerprints,
     // pinned; the skeleton plan is start-invariant, so its boundaries
@@ -772,8 +764,66 @@ TEST(ExecPlanPath, AggressiveUnitCountIsShapeInvariant)
     }
 }
 
+TEST(ExecPlanPath, UnitsAreTheProgramCacheEntries)
+{
+    // One compile pipeline: a workload plan is its chain graph's plan,
+    // unit for unit, and every materialized unit IS the ProgramCache
+    // entry under its unitCacheKey (no second key rule, no copy).
+    for (const char* machine : {"hydra-m", "fab-m"}) {
+        PrototypeSpec spec = machineByName(machine);
+        InferenceRunner runner(spec);
+        for (const std::string& name : workloadNames()) {
+            WorkloadModel wl = workloadByName(name);
+            for (OptLevel lv : {OptLevel::None, OptLevel::Safe,
+                                OptLevel::Aggressive}) {
+                std::string ctx = std::string(machine) + "/" + name +
+                                  " @ " + optLevelName(lv);
+                std::shared_ptr<const ExecPlan> plan =
+                    runner.planFor(wl, lv);
+                std::shared_ptr<const ExecPlan> graphPlan =
+                    runner.planFor(NetworkGraph::fromModel(wl), lv);
+                ASSERT_EQ(plan->size(), graphPlan->size()) << ctx;
+                for (size_t i = 0; i < plan->size(); ++i) {
+                    const ExecUnit& u = plan->units[i];
+                    const ExecUnit& g = graphPlan->units[i];
+                    EXPECT_EQ(u.kind, g.kind) << ctx << " unit " << i;
+                    EXPECT_EQ(u.name, g.name) << ctx << " unit " << i;
+                    ASSERT_EQ(u.steps.size(), g.steps.size()) << ctx;
+                    for (size_t k = 0; k < u.steps.size(); ++k)
+                        expectStepEq(u.steps[k], g.steps[k],
+                                     ctx + " unit " + std::to_string(i));
+                    std::shared_ptr<const CompiledStep> entry =
+                        ProgramCache::global().lookup(unitCacheKey(
+                            spec, spec.cluster, spec.cluster,
+                            runner.costModel().n(), wl.logSlots,
+                            u.steps, lv));
+                    ASSERT_NE(entry, nullptr) << ctx << " unit " << i;
+                    EXPECT_EQ(u.compiled, entry) << ctx << " unit " << i;
+                    EXPECT_EQ(g.compiled, entry) << ctx << " unit " << i;
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Bounded ProgramCache: LRU order, eviction counter.
+
+TEST(ProgCache, OneStepUnitKeyIsTheLegacyStepKey)
+{
+    // The per-step key of the step-at-a-time compiler, captured before
+    // the unit key rule replaced it: a one-step unit keys the same
+    // ProgramCache entry byte for byte.
+    PrototypeSpec spec = machineByName("hydra-m");
+    WorkloadModel wl = workloadByName("resnet18");
+    ASSERT_EQ(wl.steps[1].name, "relu1");
+    EXPECT_EQ(unitCacheKey(spec, spec.cluster, spec.cluster,
+                           size_t{1} << 16, wl.logSlots, {wl.steps[1]}),
+              "m=Hydra-M|x=1x8|nx=1x8|n=65536|d=4|f=300000000,512,4,"
+              "460000000000,33554432,1,0,1|k=0|nw=12500000000,1000000,"
+              "500000,2|mc=8,59,3,3|ls=15|o=safe"
+              "|s=3,128,0,8,0,15,10,1,15,1,32");
+}
 
 TEST(ProgCache, BoundedCapacityEvictsLeastRecentlyUsed)
 {
@@ -784,14 +834,14 @@ TEST(ProgCache, BoundedCapacityEvictsLeastRecentlyUsed)
     ProgramCache cache; // local: the global cache stays untouched
     cache.setCapacity(2);
     auto get = [&](size_t i) {
-        std::string key = stepCacheKey(rig.spec, rig.spec.cluster,
+        std::vector<Step> unit{wl.steps[i]};
+        std::string key = unitCacheKey(rig.spec, rig.spec.cluster,
                                        rig.spec.cluster, rig.cost.n(),
-                                       wl.logSlots, wl.steps[i]);
+                                       wl.logSlots, unit);
         return cache.getOrCompile(key, [&] {
-            return compileStep(rig.cost, *rig.net,
-                               rig.spec.cluster.totalCards(),
-                               wl.logSlots, rig.spec.mapping,
-                               wl.steps[i]);
+            return compileSteps(rig.cost, *rig.net,
+                                rig.spec.cluster.totalCards(),
+                                wl.logSlots, rig.spec.mapping, unit);
         });
     };
 

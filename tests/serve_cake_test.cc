@@ -448,11 +448,10 @@ TEST(CakeQueueUnit, FifoRankReplaysAdmissionQueueOrder)
 
 TEST(JobCacheUnit, DistinctPlansAndCardSetsNeverShareAnEntry)
 {
-    // Exact keys: a different plan object (even one with an equal key
-    // string), card set or unit window is a different entry.
+    // Exact keys: a different plan object (even one with equal
+    // content), card set or unit window is a different entry.
     ExecPlan a;
     ExecPlan b;
-    a.key = b.key = "same-content";
     InferenceResult res;
     res.total.makespan = 100;
     res.stepEnds = {40, 100};

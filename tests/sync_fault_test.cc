@@ -528,8 +528,7 @@ TEST(Degraded, FusedRunRedispatchesOntoSurvivors)
     // the whole preloaded unit onto the survivors instead of failing.
     InferenceRunner runner(hydraMSpec());
     WorkloadModel wl = toyWorkload();
-    ExecPlan fused =
-        fusePlan(runner.spec(), runner.costModel(), *runner.planFor(wl));
+    ExecPlan fused = fusePlan(*runner.planFor(wl));
     FaultPlan plan;
     plan.cardFailAt[2] = 1; // immediately after launch
     InferenceResult res = runner.runJob(
