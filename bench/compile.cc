@@ -31,7 +31,6 @@
 #include "baselines/prototypes.hh"
 #include "bench_util.hh"
 #include "sched/execplan.hh"
-#include "sched/graph/modelspec.hh"
 #include "sched/progcache.hh"
 
 namespace hydra {
@@ -202,14 +201,14 @@ BM_CompileEvict(benchmark::State& state)
 }
 BENCHMARK(BM_CompileEvict)->Unit(benchmark::kMicrosecond);
 
-/** Network compiler over a declarative registry model: cross-step
+/** Network compiler over a registry workload: cross-step
  *  passes plus per-unit compilation (cache cleared per iteration). */
 void
 BM_GraphCompile(benchmark::State& state, const char* machine,
                 const char* model)
 {
     InferenceRunner runner(machineByName(machine));
-    NetworkGraph graph = modelGraphByName(model);
+    NetworkGraph graph = NetworkGraph::fromModel(workloadByName(model));
     uint64_t units = 0, changes = 0;
     for (auto _ : state) {
         state.PauseTiming();
@@ -233,7 +232,7 @@ BM_NetMakespan(benchmark::State& state, const char* machine,
                const char* model)
 {
     InferenceRunner runner(machineByName(machine));
-    NetworkGraph graph = modelGraphByName(model);
+    NetworkGraph graph = NetworkGraph::fromModel(workloadByName(model));
     Tick safe = 0, aggressive = 0;
     for (auto _ : state) {
         safe = runner.runPlan(*runner.planFor(graph, OptLevel::Safe))

@@ -6,7 +6,7 @@
  * Usage:
  *   hydra_sim_cli [--machine hydra-s|hydra-m|hydra-l|fab-s|fab-m|
  *                  fab-l|poseidon]
- *                 [--workload resnet18|resnet50|bert|opt|resnet20]
+ *                 [--workload NAME]    (see --list-workloads)
  *                 [--cards N]          (custom Hydra with N cards)
  *                 [--fused]            (Section IV-D preloading)
  *                 [--faults SPEC]      (fault injection; SPEC is a
@@ -15,30 +15,24 @@
  *                 [--max-attempts N]   (per-transfer retry budget)
  *                 [--dump-program]     (print each unit's compiled
  *                  Program of the plan the run would execute — after
- *                  --opt, --model and --fused: per-card queue depths,
+ *                  --opt and --fused: per-card queue depths,
  *                  message counts, bytes, and the optimizer's pass
  *                  deltas; no run)
  *                 [--opt LEVEL]        (compile pass level for every
  *                  run, --dump-program and --dump-graph:
  *                  none|safe|aggressive; default safe)
- *                 [--model NAME]       (compile a declarative-registry
- *                  model through the network compiler instead of a
- *                  --workload step list; --fused and --faults apply
- *                  to it like to any plan)
- *                 [--dump-graph]       (print the model's NetworkGraph
+ *                 [--dump-graph]       (print the workload's NetworkGraph
  *                  IR — layers, levels, rotations, edges — after the
- *                  --opt passes; no run.  Without --model the
- *                  --workload step list is lifted into a graph)
+ *                  --opt passes; no run)
  *                 [--json]             (emit --dump-graph as JSON)
  *                 [--list-machines]    (print machine registry, exit)
  *                 [--list-workloads]   (print workload registry, exit)
- *                 [--list-models]      (print declarative model
- *                  registry, exit)
  */
 
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,9 +40,9 @@
 #include "analysis/energy.hh"
 #include "baselines/prototypes.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "math/simd/simd.hh"
-#include "sched/graph/modelspec.hh"
 #include "sched/execplan.hh"
 #include "sched/progcache.hh"
 
@@ -74,6 +68,20 @@ printRegistry(const char* what, const std::vector<std::string>& names)
     std::printf("%s:\n", what);
     for (const auto& n : names)
         std::printf("  %s\n", n.c_str());
+}
+
+/** The value of `flag` as a whole-token count in 1..max(T); fatal()
+ *  on anything else. */
+template <typename T>
+T
+parseCount(const std::string& flag, const std::string& v)
+{
+    size_t n = 0;
+    if (!parseSize(v, n) || n == 0 || n > std::numeric_limits<T>::max())
+        fatal("%s wants an integer in 1..%ju, got '%s'", flag.c_str(),
+              static_cast<uintmax_t>(std::numeric_limits<T>::max()),
+              v.c_str());
+    return static_cast<T>(n);
 }
 
 OptLevel
@@ -116,7 +124,6 @@ main(int argc, char** argv)
 {
     std::string machine = "hydra-m";
     std::string workload = "resnet18";
-    std::string model;
     std::string faultSpec;
     size_t cards = 0;
     bool fused = false;
@@ -136,14 +143,12 @@ main(int argc, char** argv)
             machine = next();
         else if (arg == "--workload")
             workload = next();
-        else if (arg == "--model")
-            model = next();
         else if (arg == "--dump-graph")
             dumpGraph = true;
         else if (arg == "--json")
             json = true;
         else if (arg == "--cards")
-            cards = std::strtoul(next().c_str(), nullptr, 10);
+            cards = parseCount<size_t>(arg, next());
         else if (arg == "--fused")
             fused = true;
         else if (arg == "--dump-program")
@@ -153,16 +158,12 @@ main(int argc, char** argv)
         else if (arg == "--faults")
             faultSpec = next();
         else if (arg == "--max-attempts")
-            retry.maxAttempts = static_cast<uint32_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            retry.maxAttempts = parseCount<uint32_t>(arg, next());
         else if (arg == "--list-machines") {
             printRegistry("machines", machineNames());
             return 0;
         } else if (arg == "--list-workloads") {
             printRegistry("workloads", workloadNames());
-            return 0;
-        } else if (arg == "--list-models") {
-            printRegistry("models", modelSpecNames());
             return 0;
         } else
             fatal("unknown argument '%s' (see the file header)",
@@ -171,32 +172,17 @@ main(int argc, char** argv)
 
     PrototypeSpec spec = resolveMachine(machine, cards);
 
-    // The graph path: resolve a declarative model (or lift the
-    // workload's step list) into the NetworkGraph IR.
-    NetworkGraph graph;
-    if (!model.empty()) {
-        SpecError err;
-        if (!tryModelGraphByName(model, graph, err)) {
-            std::fprintf(stderr, "bad --model: %s\n",
-                         err.describe().c_str());
-            return 1;
-        }
-    }
-    WorkloadModel wl =
-        model.empty() ? resolveWorkloadModel(workload) : graph.toModel();
-    if (model.empty() && dumpGraph)
-        graph = NetworkGraph::fromModel(wl);
+    WorkloadModel wl = workloadByName(workload);
 
     // One compile step and one execution driver for every mode: the
-    // workload or model compiles to a plan, --fused merges it into one
+    // workload compiles to a plan, --fused merges it into one
     // preloaded unit, and the plan runs on the whole machine.  The
     // dumps print that same plan.
     InferenceRunner runner(spec);
-    std::shared_ptr<const ExecPlan> plan =
-        model.empty() ? runner.planFor(wl, optLevel)
-                      : runner.planFor(graph, optLevel);
+    std::shared_ptr<const ExecPlan> plan = runner.planFor(wl, optLevel);
 
     if (dumpGraph) {
+        NetworkGraph graph = NetworkGraph::fromModel(wl);
         if (optLevel == OptLevel::Aggressive) {
             // Show the post-pass graph: what actually compiles.
             WorkloadModel post;
@@ -242,9 +228,8 @@ main(int argc, char** argv)
     if (!faults.empty())
         std::printf("faults  : %s\n\n", faults.describe().c_str());
 
-    if (!model.empty())
-        std::printf("graph   : %zu layer(s), %s\n\n", graph.nodes.size(),
-                    plan->report.describe().c_str());
+    std::printf("graph   : %zu layer(s), %s\n\n", wl.steps.size(),
+                plan->report.describe().c_str());
     InferenceResult res = runner.runJob(
         *plan, CardGroup::contiguous(0, spec.cluster.totalCards()), 0,
         faults, retry);

@@ -13,9 +13,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "baselines/prototypes.hh"
+#include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "sched/mapping.hh"
 #include "sync/executor.hh"
@@ -25,16 +26,15 @@ using namespace hydra;
 int
 main(int argc, char** argv)
 {
-    size_t servers = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 2;
-    size_t per_server = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 4;
+    size_t servers = 2, per_server = 4;
+    if ((argc > 1 && !parseSize(argv[1], servers)) ||
+        (argc > 2 && !parseSize(argv[2], per_server)) || !servers ||
+        !per_server)
+        fatal("usage: %s [servers] [cards_per_server] [faults] "
+              "(counts are integers >= 1)",
+              argv[0]);
     FaultPlan plan =
         FaultPlan::parse(argc > 3 ? argv[3] : std::string());
-    if (!servers || !per_server) {
-        std::fprintf(stderr,
-                     "usage: %s [servers] [cards_per_server] [faults]\n",
-                     argv[0]);
-        return 1;
-    }
 
     ClusterConfig cluster{servers, per_server};
     size_t cards = cluster.totalCards();

@@ -60,6 +60,7 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -70,6 +71,7 @@
 
 #include "baselines/prototypes.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "sched/execplan.hh"
 #include "sched/progcache.hh"
 #include "serve/partition.hh"
@@ -183,10 +185,15 @@ main(int argc, char** argv)
                       v.c_str());
         } else if (arg == "--cluster-faults")
             clusterFaultStr = next();
-        else if (arg == "--max-attempts")
-            retry.maxAttempts = static_cast<uint32_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
-        else if (arg == "--json")
+        else if (arg == "--max-attempts") {
+            std::string v = next();
+            size_t n = 0;
+            if (!parseSize(v, n) || n == 0 || n > UINT32_MAX)
+                fatal("--max-attempts wants an integer in 1..%u, got "
+                      "'%s'",
+                      UINT32_MAX, v.c_str());
+            retry.maxAttempts = static_cast<uint32_t>(n);
+        } else if (arg == "--json")
             json = true;
         else if (arg == "--dump-program")
             dumpProgram = true;

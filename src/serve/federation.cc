@@ -6,7 +6,6 @@
 
 #include "common/logging.hh"
 #include "sched/execplan.hh"
-#include "sched/graph/modelspec.hh"
 #include "sched/progcache.hh"
 #include "serve/cake.hh"
 #include "serve/jobcache.hh"
@@ -190,11 +189,8 @@ struct Engine
           cardsPer(spec_.cluster.totalCards())
     {
         models.reserve(wlNames.size());
-        // Unified resolution: hand-built step registry first, then the
-        // declarative model registry — serving tenants can name a
-        // graph-compiled model ("mlp3") like any legacy workload.
         for (const auto& n : wlNames)
-            models.push_back(resolveWorkloadModel(n));
+            models.push_back(workloadByName(n));
         size_t n = serve.clusters ? serve.clusters : 1;
         clusters.reserve(n);
         for (size_t c = 0; c < n; ++c)

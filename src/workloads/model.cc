@@ -439,6 +439,25 @@ allBenchmarks()
 
 namespace {
 
+/** A 3-layer encrypted MLP (two PCMM + activation + bootstrap blocks
+ *  and an FC head): a small serving tenant with no paper twin. */
+WorkloadModel
+makeMlp3()
+{
+    Builder b;
+    b.model.name = "MLP-3";
+    b.model.logSlots = 15;
+    b.model.maxLimbs = 24;
+    b.pcmm("fc1", 8192, 1.0);
+    b.nonlin("act1", 8);
+    b.boot("boot0", 4);
+    b.pcmm("fc2", 8192, 1.0);
+    b.nonlin("act2", 8);
+    b.boot("boot1", 4);
+    b.fc("out", 512);
+    return std::move(b.model);
+}
+
 struct WorkloadEntry
 {
     const char* name;
@@ -448,7 +467,7 @@ struct WorkloadEntry
 const WorkloadEntry kWorkloadRegistry[] = {
     {"resnet18", makeResNet18}, {"resnet50", makeResNet50},
     {"bert", makeBertBase},     {"opt", makeOpt67B},
-    {"resnet20", makeResNet20Cifar},
+    {"resnet20", makeResNet20Cifar}, {"mlp3", makeMlp3},
 };
 
 } // namespace

@@ -101,9 +101,8 @@ OpMix nonLinearMix();
 /// @name Step factories.
 /// The building vocabulary of every model: each factory fixes one
 /// procedure's op mix, working level, aggregation pattern and output
-/// packing.  The hand-built models below and the declarative frontend
-/// (sched/graph/modelspec.hh) both construct steps through these, so a
-/// parsed layer is field-identical to its hand-built counterpart.
+/// packing.  Every model below, and any test graph, constructs its
+/// steps through these.
 /// @{
 Step makeConvStep(const std::string& name, size_t par,
                   double scale = 1.0, size_t out_cts = 32);
@@ -157,9 +156,11 @@ WorkloadModel makeResNet20Cifar();
 /** All four, in the paper's column order. */
 std::vector<WorkloadModel> allBenchmarks();
 
-/// @name Workload registry (CLI name resolution and discoverability).
+/// @name Workload registry.
+/// The one name -> model table: CLI flags, serving tenants and
+/// benchmarks all resolve through it.
 /// @{
-/** CLI names of every registered workload model. */
+/** Names of every registered workload model. */
 std::vector<std::string> workloadNames();
 
 /** True when `name` resolves via workloadByName(). */

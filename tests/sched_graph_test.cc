@@ -1,12 +1,10 @@
 /**
  * @file
  * Graph-compiler tests (DESIGN.md §15): the NetworkGraph IR must
- * round-trip losslessly with the flat step-list world, the declarative
- * registry specs must reproduce the hand-built models field for field,
- * malformed model specs must fail with a named SpecError (table + 4000
- * fuzz iterations, never a crash), Safe-level graph execution must be
- * tick-identical to the hand-built step lists (golden pins on two
- * machines), and the Aggressive cross-step passes (boot-plan,
+ * round-trip losslessly with the flat step-list world, unknown
+ * workload names must fail listing the registry, Safe-level graph
+ * execution must be tick-identical to the step lists (golden pins on
+ * two machines), and the Aggressive cross-step passes (boot-plan,
  * fuse-linear, prefetch) must fire where modeled and strictly reduce
  * the BERT makespan.
  */
@@ -19,13 +17,29 @@
 
 #include "baselines/prototypes.hh"
 #include "sched/execplan.hh"
-#include "sched/graph/modelspec.hh"
 #include "sched/graph/netcompile.hh"
 #include "sched/progcache.hh"
 #include "serve/sim.hh"
 
 namespace hydra {
 namespace {
+
+/** A chain graph named "m" over `steps`, lifted like any workload. */
+NetworkGraph
+chainGraph(std::vector<Step> steps)
+{
+    WorkloadModel m;
+    m.name = "m";
+    m.steps = std::move(steps);
+    return NetworkGraph::fromModel(m);
+}
+
+/** The registry workload `name` lifted into the graph IR. */
+NetworkGraph
+registryGraph(const std::string& name)
+{
+    return NetworkGraph::fromModel(workloadByName(name));
+}
 
 /** Compile `graph` at `level` and run it on the whole machine. */
 InferenceResult
@@ -158,7 +172,7 @@ TEST(GraphIR, ValidateRejectsStructuralBreakage)
 TEST(GraphIR, DescribeAndJsonCarryTheLayers)
 {
     NetworkGraph g =
-        parseModelGraph("model=tiny,conv=alpha:8,relu=beta:8");
+        chainGraph({makeConvStep("alpha", 8), makeReluStep("beta", 8)});
     std::string text = g.describe();
     EXPECT_NE(text.find("alpha"), std::string::npos);
     EXPECT_NE(text.find("beta"), std::string::npos);
@@ -172,192 +186,25 @@ TEST(GraphIR, DescribeAndJsonCarryTheLayers)
 }
 
 // ---------------------------------------------------------------------------
-// Declarative frontend: registry fidelity, grammar, structured errors.
+// The workload registry: the one name -> model table.
 
-TEST(ModelSpec, RegistryReproducesHandBuiltModels)
+TEST(ModelSpec, Mlp3IsARegistryWorkload)
 {
-    for (const char* name :
-         {"resnet18", "resnet50", "bert", "opt", "resnet20"}) {
-        ASSERT_TRUE(modelSpecExists(name)) << name;
-        WorkloadModel ref = workloadByName(name);
-        WorkloadModel got = modelGraphByName(name).toModel();
-        EXPECT_EQ(got.name, ref.name);
-        EXPECT_EQ(got.logSlots, ref.logSlots);
-        EXPECT_EQ(got.maxLimbs, ref.maxLimbs);
-        ASSERT_EQ(got.steps.size(), ref.steps.size()) << name;
-        for (size_t i = 0; i < ref.steps.size(); ++i)
-            expectStepEq(got.steps[i], ref.steps[i],
-                         std::string(name) + "/" + ref.steps[i].name);
-    }
-}
-
-TEST(ModelSpec, Mlp3IsDeclarativeOnly)
-{
-    EXPECT_TRUE(modelSpecExists("mlp3"));
-    EXPECT_FALSE(workloadExists("mlp3"));
-
-    // The unified resolver reaches it, so serving tenants can name it.
-    WorkloadModel m;
-    SpecError err;
-    ASSERT_TRUE(tryResolveWorkloadModel("mlp3", m, err))
-        << err.describe();
+    // The serving-tenant MLP resolves and runs like any paper model.
+    ASSERT_TRUE(workloadExists("mlp3"));
+    WorkloadModel m = workloadByName("mlp3");
     EXPECT_EQ(m.name, "MLP-3");
-    EXPECT_FALSE(m.steps.empty());
-
-    // Hand-built names keep resolving through the legacy registry.
-    WorkloadModel r18 = resolveWorkloadModel("resnet18");
-    EXPECT_EQ(r18.name, workloadByName("resnet18").name);
+    InferenceRunner runner(machineByName("hydra-m"));
+    InferenceResult res = runner.runPlan(*runner.planFor(m));
+    ASSERT_TRUE(res.ok());
+    EXPECT_EQ(res.steps.size(), m.steps.size());
 }
 
 TEST(ModelSpec, UnknownNamesListTheRegistry)
 {
-    NetworkGraph g;
-    SpecError err;
-    EXPECT_FALSE(tryModelGraphByName("nope", g, err));
-    EXPECT_EQ(err.token, "nope");
-    EXPECT_NE(err.message.find("unknown model"), std::string::npos);
-    EXPECT_NE(err.message.find("mlp3"), std::string::npos);
-
-    WorkloadModel m;
-    EXPECT_FALSE(tryResolveWorkloadModel("nope", m, err));
-    EXPECT_NE(err.message.find("unknown workload or model"),
-              std::string::npos);
-    EXPECT_NE(err.message.find("resnet50"), std::string::npos);
-    EXPECT_NE(err.message.find("mlp3"), std::string::npos);
-}
-
-TEST(ModelSpec, ParseErrorsNameTheToken)
-{
-    struct Bad
-    {
-        const char* spec;
-        const char* message;
-        const char* token;
-    };
-    const Bad kBad[] = {
-        {"", "model spec wants a model=NAME item", "model"},
-        {"model=m", "model spec declares no layers", "m"},
-        {"bogus", "model spec item is not key=value", "bogus"},
-        {"model=m,model=n,conv=c:4", "duplicate model name", "n"},
-        {"model=m,conv=c1", "conv wants NAME:PAR[:SCALE[:CTS]]", "c1"},
-        {"model=m,conv=c1:0", "layer wants an integer count >= 1", "0"},
-        {"model=m,conv=c1:4:-2", "layer scale wants a number > 0",
-         "-2"},
-        {"model=m,relu=r*:4", "layer wants a name of [A-Za-z0-9_.-]",
-         "r*"},
-        {"model=m,boot=b", "boot wants NAME:CTS", "b"},
-        {"model=m,pcmm=q:4", "pcmm wants NAME:PAR:SCALE", "q:4"},
-        {"model=m,wat=1",
-         "unknown model spec key (want model/slots/limbs/conv/relu/"
-         "pool/fc/boot/pcmm/ccmm/nonlin/norm/block/end)",
-         "wat"},
-        {"model=m,slots=0", "slots wants 1 <= log2(slots) <= 20", "0"},
-        {"model=m,limbs=65", "limbs wants 1 <= limbs <= 64", "65"},
-        {"model=m,conv=c:4,end", "end without an open block", "end"},
-        {"model=m,block=b:2,conv=c:4", "block is missing its end",
-         "b:2"},
-        {"model=m,block=b:2,block=c:2,end", "blocks do not nest",
-         "block=c:2"},
-        {"model=m,block=b:0,end", "block count wants 1..1024", "0"},
-        {"model=m,block=b:2,slots=15,end",
-         "header key is not allowed inside a block", "slots"},
-        {"model=m,conv=c:4,conv=c:8", "duplicate layer name", "c"},
-    };
-    for (const Bad& b : kBad) {
-        NetworkGraph g;
-        SpecError err;
-        EXPECT_FALSE(tryParseModelGraph(b.spec, g, err)) << b.spec;
-        EXPECT_EQ(err.message, b.message) << b.spec;
-        EXPECT_EQ(err.token, b.token) << b.spec;
-        EXPECT_NE(err.describe().find(b.token), std::string::npos);
-    }
-}
-
-TEST(ModelSpec, BlockExpansionPrefixesNames)
-{
-    WorkloadModel m = parseModelGraph("model=m,conv=stem:8,"
-                                      "block=b:2:5,conv=_c:4,relu=_r:4,"
-                                      "end,fc=out:16")
-                          .toModel();
-    ASSERT_EQ(m.steps.size(), 6u);
-    EXPECT_EQ(m.steps[0].name, "stem");
-    EXPECT_EQ(m.steps[1].name, "b5_c");
-    EXPECT_EQ(m.steps[2].name, "b5_r");
-    EXPECT_EQ(m.steps[3].name, "b6_c");
-    EXPECT_EQ(m.steps[4].name, "b6_r");
-    EXPECT_EQ(m.steps[5].name, "out");
-    EXPECT_EQ(m.steps[3].kind, ProcKind::ConvBN);
-}
-
-/** splitmix64: deterministic fuzz stream, no <random> heft. */
-uint64_t
-nextRand(uint64_t& s)
-{
-    s += 0x9e3779b97f4a7c15ull;
-    uint64_t z = s;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-std::string
-mutateSpec(std::string s, uint64_t& rng)
-{
-    if (s.empty())
-        return s;
-    switch (nextRand(rng) % 5) {
-      case 0: // flip a byte to a random printable
-        s[nextRand(rng) % s.size()] =
-            static_cast<char>(' ' + nextRand(rng) % 95);
-        break;
-      case 1: // delete a byte
-        s.erase(nextRand(rng) % s.size(), 1);
-        break;
-      case 2: // insert a random printable
-        s.insert(nextRand(rng) % s.size(), 1,
-                 static_cast<char>(' ' + nextRand(rng) % 95));
-        break;
-      case 3: // truncate
-        s.resize(nextRand(rng) % s.size());
-        break;
-      default: { // duplicate a chunk
-        size_t at = nextRand(rng) % s.size();
-        size_t len = 1 + nextRand(rng) % 16;
-        s.insert(at, s.substr(at, len));
-        break;
-      }
-    }
-    return s;
-}
-
-TEST(ModelSpec, FuzzedSpecsFailStructurallyOrParseCoherently)
-{
-    const char* text = modelSpecText("resnet50");
-    ASSERT_NE(text, nullptr);
-    const std::string base = text;
-    uint64_t rng = 0x5eedc0ffee15ull;
-    size_t rejected = 0;
-    for (int i = 0; i < 4000; ++i) {
-        std::string s = mutateSpec(base, rng);
-        if (nextRand(rng) & 1)
-            s = mutateSpec(std::move(s), rng);
-        NetworkGraph g;
-        SpecError err;
-        if (!tryParseModelGraph(s, g, err)) {
-            // Rejection is always named: a message and an offending
-            // token, never an abort or an empty error.
-            EXPECT_FALSE(err.message.empty()) << s;
-            EXPECT_FALSE(err.describe().empty());
-            ++rejected;
-            continue;
-        }
-        // Accepted mutants must still be coherent graphs.
-        EXPECT_FALSE(g.nodes.empty());
-        SpecError verr;
-        EXPECT_TRUE(g.validate(verr)) << verr.describe();
-    }
-    // Byte-level mutation of a rich spec must trip the parser often.
-    EXPECT_GT(rejected, 500u);
+    EXPECT_DEATH(workloadByName("nope"),
+                 "unknown workload 'nope' \\(want "
+                 "resnet18\\|resnet50\\|bert\\|opt\\|resnet20\\|mlp3\\)");
 }
 
 // ---------------------------------------------------------------------------
@@ -384,7 +231,7 @@ TEST(NetCompile, SafeLoweringIsTickIdenticalToStepLists)
 {
     for (const GraphGolden& g : kGraphGoldens) {
         InferenceRunner runner(machineByName(g.machine));
-        NetworkGraph graph = modelGraphByName(g.model);
+        NetworkGraph graph = registryGraph(g.model);
         InferenceResult viaGraph = executeGraph(runner, graph);
         InferenceResult viaSteps =
             runner.runPlan(*runner.planFor(workloadByName(g.model)));
@@ -402,7 +249,7 @@ TEST(NetCompile, SafeLoweringIsTickIdenticalToStepLists)
 TEST(NetCompile, NoneLevelMatchesSafeTicks)
 {
     InferenceRunner runner(machineByName("hydra-m"));
-    NetworkGraph graph = modelGraphByName("resnet50");
+    NetworkGraph graph = registryGraph("resnet50");
     EXPECT_EQ(executeGraph(runner, graph, OptLevel::None).total.makespan,
               executeGraph(runner, graph, OptLevel::Safe).total.makespan);
 }
@@ -410,7 +257,7 @@ TEST(NetCompile, NoneLevelMatchesSafeTicks)
 TEST(NetCompile, AggressiveElidesBertBootstrapsAndWins)
 {
     InferenceRunner runner(machineByName("hydra-m"));
-    NetworkGraph graph = modelGraphByName("bert");
+    NetworkGraph graph = registryGraph("bert");
     std::shared_ptr<const ExecPlan> plan =
         runner.planFor(graph, OptLevel::Aggressive);
     const NetOptReport& rep = plan->report;
@@ -460,7 +307,7 @@ TEST(NetCompile, AggressiveFusesLinearChains)
     // fab-m's host-mediated network cannot overlap transfers with
     // compute, so prefetch stays off and fused units stay visible.
     std::shared_ptr<const ExecPlan> plan =
-        aggressivePlan("fab-m", modelGraphByName("resnet50"));
+        aggressivePlan("fab-m", registryGraph("resnet50"));
     EXPECT_GT(plan->report.fusedSteps, 0u);
     EXPECT_EQ(plan->report.prefetchedBoundaries, 0u);
 
@@ -480,7 +327,7 @@ TEST(NetCompile, AggressivePrefetchesOnOverlappingNetworks)
 {
     // hydra-m is switched: transfers overlap compute.
     std::shared_ptr<const ExecPlan> plan =
-        aggressivePlan("hydra-m", modelGraphByName("resnet50"));
+        aggressivePlan("hydra-m", registryGraph("resnet50"));
     EXPECT_GT(plan->report.prefetchedBoundaries, 0u);
     bool anyPrefetch = false;
     for (const ExecUnit& u : plan->units) {
@@ -495,8 +342,9 @@ TEST(NetCompile, BootPlanMergesAdjacentAndElidesRedundant)
     // Two back-to-back refreshes right after a depth-1 layer: they
     // merge into one combined refresh, which the level walk then
     // elides outright (23 levels of headroom, 1 needed).
-    NetworkGraph g = parseModelGraph(
-        "model=m,limbs=24,pcmm=q:64:1,boot=b1:4,boot=b2:4,fc=out:64");
+    NetworkGraph g =
+        chainGraph({makePcmmStep("q", 64, 1.0), makeBootStep("b1", 4),
+                    makeBootStep("b2", 4), makeFcStep("out", 64)});
     std::shared_ptr<const ExecPlan> plan = aggressivePlan("hydra-m", g);
     EXPECT_EQ(plan->report.bootsMerged, 1u);
     EXPECT_EQ(plan->report.bootsElided, 1u);
@@ -511,12 +359,15 @@ TEST(NetCompile, BootPlanKeepsLoadBearingRefreshAndRelevels)
     // middle is load-bearing (20 more levels follow) and must survive
     // with the combined ciphertext count.  Layers that run past the
     // tracked level get re-levelled instead of silently overdrawing.
-    NetworkGraph g = parseModelGraph(
-        "model=m,limbs=24,"
-        "nonlin=s1:8,nonlin=s2:8,nonlin=s3:8,nonlin=s4:8,nonlin=s5:8,"
-        "boot=b1:4,boot=b2:4,"
-        "nonlin=t1:8,nonlin=t2:8,nonlin=t3:8,nonlin=t4:8,nonlin=t5:8,"
-        "fc=out:16");
+    std::vector<Step> steps;
+    for (const char* n : {"s1", "s2", "s3", "s4", "s5"})
+        steps.push_back(makeNonLinStep(n, 8));
+    steps.push_back(makeBootStep("b1", 4));
+    steps.push_back(makeBootStep("b2", 4));
+    for (const char* n : {"t1", "t2", "t3", "t4", "t5"})
+        steps.push_back(makeNonLinStep(n, 8));
+    steps.push_back(makeFcStep("out", 16));
+    NetworkGraph g = chainGraph(std::move(steps));
     std::shared_ptr<const ExecPlan> plan = aggressivePlan("hydra-m", g);
     EXPECT_EQ(plan->report.bootsMerged, 1u);
     EXPECT_EQ(plan->report.bootsElided, 0u);
@@ -560,15 +411,17 @@ TEST(NetCompile, InvalidGraphSurfacesStructuredError)
 
 TEST(NetCompile, DeclarativeModelServesAsTenant)
 {
-    // Serving tenants resolve through resolveWorkloadModel, so a
-    // declarative-only registry model is a legal workload class.
+    // Serving tenants resolve through the workload registry, so mlp3
+    // is a workload class like any paper model; the hash pins the
+    // whole run.
     ServeSim sim(machineByName("hydra-m"),
                  ServeSpec::parse(
                      "seed=3,duration=120,tenant=enc:open:mlp3:0.05"),
                  FaultPlan::parse(""));
     ServeStats st = sim.run();
-    EXPECT_GT(st.completed, 0u);
+    EXPECT_EQ(st.completed, 6u);
     EXPECT_EQ(st.offered, st.completed + st.shed);
+    EXPECT_EQ(st.hash(), 0xf9085e37c98f796bull);
 }
 
 // ---------------------------------------------------------------------------

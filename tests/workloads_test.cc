@@ -1,10 +1,15 @@
 /**
  * @file
  * Workload-model tests: Table I invariants (op mixes, parallelism
- * ranges, ciphertext counts) and structural sanity of the four models.
+ * ranges, ciphertext counts), structural sanity of the four models,
+ * and content pins over every registry workload.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "workloads/model.hh"
 
@@ -146,6 +151,73 @@ TEST(ProcNames, AllDistinct)
         for (size_t j = i + 1; j < kNumProcKinds; ++j)
             EXPECT_STRNE(procName(static_cast<ProcKind>(i)),
                          procName(static_cast<ProcKind>(j)));
+}
+
+/** FNV-1a over every Step field, unitScale by its bit pattern. */
+uint64_t
+stepDigest(const std::vector<Step>& steps)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto u64 = [&](uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const Step& s : steps) {
+        u64(static_cast<uint64_t>(s.kind));
+        u64(s.name.size());
+        for (char c : s.name)
+            u64(static_cast<unsigned char>(c));
+        u64(s.parallelism);
+        u64(s.perUnit.rotations);
+        u64(s.perUnit.cmults);
+        u64(s.perUnit.pmults);
+        u64(s.perUnit.hadds);
+        u64(s.limbs);
+        u64(static_cast<uint64_t>(s.agg));
+        u64(s.polyDegree);
+        uint64_t bits = 0;
+        std::memcpy(&bits, &s.unitScale, sizeof bits);
+        u64(bits);
+        u64(s.outputCts);
+    }
+    return h;
+}
+
+TEST(WorkloadRegistry, ContentPinsEveryName)
+{
+    struct Pin
+    {
+        const char* name;
+        const char* model;
+        size_t logSlots;
+        size_t maxLimbs;
+        size_t steps;
+        uint64_t digest;
+    };
+    const Pin kPins[] = {
+        {"resnet18", "ResNet-18", 15, 24, 50, 0x039e8fb76dfb470eull},
+        {"resnet50", "ResNet-50", 15, 24, 123, 0x0f881930634ab9b7ull},
+        {"bert", "BERT-base", 15, 24, 146, 0xe6379b8248d9e782ull},
+        {"opt", "OPT-6.7B", 15, 24, 386, 0x15a4bacd97c8c742ull},
+        {"resnet20", "ResNet-20 (CIFAR-10)", 15, 24, 46,
+         0x4e4772941f18f766ull},
+        {"mlp3", "MLP-3", 15, 24, 7, 0x1737834537dd1423ull},
+    };
+    std::vector<std::string> names;
+    for (const Pin& p : kPins) {
+        names.push_back(p.name);
+        ASSERT_TRUE(workloadExists(p.name)) << p.name;
+        WorkloadModel m = workloadByName(p.name);
+        EXPECT_EQ(m.name, p.model);
+        EXPECT_EQ(m.logSlots, p.logSlots) << p.name;
+        EXPECT_EQ(m.maxLimbs, p.maxLimbs) << p.name;
+        EXPECT_EQ(m.steps.size(), p.steps) << p.name;
+        EXPECT_EQ(stepDigest(m.steps), p.digest) << p.name;
+    }
+    EXPECT_EQ(workloadNames(), names);
+    EXPECT_FALSE(workloadExists("nope"));
 }
 
 } // namespace
