@@ -1,15 +1,15 @@
 /**
  * @file
- * Google-benchmark harness for the schedule compiler (plan -> lower ->
- * optimize -> cache): per-stage wall time over a whole workload's
+ * Google-benchmark harness for the schedule compiler (map -> optimize
+ * -> cache): per-stage wall time over a whole workload's
  * steps, plus the ProgramCache's cold/warm cost split.  Counters
  * export compiled-program shape (tasks, messages) and cache hit rate,
  * so `--json` snapshots (BENCH_compile.json) track compilation cost
  * and reuse across PRs.
  *
  * Cases:
- *   BM_Plan/<m>-<wl>      StepMapper::planStep: machine-independent IR
- *   BM_Lower/<m>-<wl>     lowerPlan: bind cost + network models
+ *   BM_MapM               StepMapper::mapStep over resnet18 on hydra-m:
+ *                         decomposition and pricing
  *   BM_Optimize/<m>-<wl>  optimizeProgram at Aggressive (all passes)
  *   BM_CompileCold        compileSteps under unitCacheKey, one step per
  *                         unit, cache cleared every iteration
@@ -64,47 +64,6 @@ struct CompileSetup
 };
 
 void
-BM_Plan(benchmark::State& state, const char* machine,
-        const char* workload)
-{
-    CompileSetup s(machineByName(machine), workload);
-    StepMapper mapper = s.mapper();
-    uint64_t ops = 0;
-    for (auto _ : state) {
-        ops = 0;
-        for (const auto& step : s.wl.steps) {
-            LogicalPlan plan = mapper.planStep(step);
-            ops += plan.ops.size();
-            benchmark::DoNotOptimize(plan.ops.data());
-        }
-    }
-    state.counters["steps"] = static_cast<double>(s.wl.steps.size());
-    state.counters["plan_ops"] = static_cast<double>(ops);
-}
-
-void
-BM_Lower(benchmark::State& state, const char* machine,
-         const char* workload)
-{
-    CompileSetup s(machineByName(machine), workload);
-    StepMapper mapper = s.mapper();
-    std::vector<LogicalPlan> plans;
-    for (const auto& step : s.wl.steps)
-        plans.push_back(mapper.planStep(step));
-    uint64_t tasks = 0;
-    for (auto _ : state) {
-        tasks = 0;
-        for (const auto& plan : plans) {
-            Program prog = lowerPlan(plan, s.cost, *s.net,
-                                     s.spec.mapping);
-            tasks += countProgram(prog).computeTasks;
-            benchmark::DoNotOptimize(tasks);
-        }
-    }
-    state.counters["compute_tasks"] = static_cast<double>(tasks);
-}
-
-void
 BM_Optimize(benchmark::State& state, const char* machine,
             const char* workload)
 {
@@ -112,8 +71,7 @@ BM_Optimize(benchmark::State& state, const char* machine,
     StepMapper mapper = s.mapper();
     std::vector<Program> programs;
     for (const auto& step : s.wl.steps)
-        programs.push_back(lowerPlan(mapper.planStep(step), s.cost,
-                                     *s.net, s.spec.mapping));
+        programs.push_back(mapper.mapStep(step));
     uint64_t changes = 0;
     for (auto _ : state) {
         changes = 0;
@@ -252,25 +210,23 @@ BM_NetMakespan(benchmark::State& state, const char* machine,
 }
 
 void
-BM_PlanM(benchmark::State& state)
+BM_MapM(benchmark::State& state)
 {
-    BM_Plan(state, "hydra-m", "resnet18");
+    CompileSetup s(machineByName("hydra-m"), "resnet18");
+    StepMapper mapper = s.mapper();
+    uint64_t tasks = 0;
+    for (auto _ : state) {
+        tasks = 0;
+        for (const auto& step : s.wl.steps) {
+            Program prog = mapper.mapStep(step);
+            tasks += countProgram(prog).computeTasks;
+            benchmark::DoNotOptimize(prog.cards.data());
+        }
+    }
+    state.counters["steps"] = static_cast<double>(s.wl.steps.size());
+    state.counters["compute_tasks"] = static_cast<double>(tasks);
 }
-BENCHMARK(BM_PlanM)->Unit(benchmark::kMicrosecond);
-
-void
-BM_PlanFabM(benchmark::State& state)
-{
-    BM_Plan(state, "fab-m", "resnet18");
-}
-BENCHMARK(BM_PlanFabM)->Unit(benchmark::kMicrosecond);
-
-void
-BM_LowerM(benchmark::State& state)
-{
-    BM_Lower(state, "hydra-m", "resnet18");
-}
-BENCHMARK(BM_LowerM)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MapM)->Unit(benchmark::kMicrosecond);
 
 void
 BM_OptimizeM(benchmark::State& state)

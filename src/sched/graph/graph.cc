@@ -44,24 +44,6 @@ NetworkGraph::fromModel(const WorkloadModel& model)
     return g;
 }
 
-WorkloadModel
-NetworkGraph::toModel() const
-{
-    std::vector<uint32_t> order;
-    SpecError err;
-    if (!topoOrder(order, err))
-        fatal("NetworkGraph::toModel on a cyclic graph: %s",
-              err.describe().c_str());
-    WorkloadModel m;
-    m.name = name;
-    m.logSlots = logSlots;
-    m.maxLimbs = maxLimbs;
-    m.steps.reserve(order.size());
-    for (uint32_t id : order)
-        m.steps.push_back(nodes[id].step);
-    return m;
-}
-
 bool
 NetworkGraph::topoOrder(std::vector<uint32_t>& order, SpecError& err) const
 {

@@ -1,7 +1,7 @@
 /**
  * @file
  * NetworkGraph: the whole-network IR of the graph compiler, one level
- * above the per-step LogicalPlan (DESIGN.md §15).
+ * above the per-step StepMapper (DESIGN.md §15).
  *
  * A node is one schedulable layer (a workloads/model.hh Step) annotated
  * with the level metadata the cross-step passes need: the modulus-chain
@@ -10,11 +10,8 @@
  * layers, weighted by the ciphertext count the producer emits — the
  * payload a prefetch pass can move early.
  *
- * The IR round-trips with the flat step-list world: fromModel() lifts a
- * WorkloadModel into a chain graph, toModel() lowers any (acyclic)
- * graph back to a step list in topological order, so every existing
- * consumer of WorkloadModel (InferenceRunner, ServeSim, energy
- * analysis) can run a graph-defined model unchanged.
+ * fromModel() lifts a flat WorkloadModel into a chain graph; the graph
+ * compiler (sched/graph/netcompile.hh) walks it in topoOrder().
  *
  * Depth accounting (paper Eq. 1 generalized across steps): a linear
  * layer consumes one level (its rescale); a non-linear layer consumes
@@ -77,9 +74,6 @@ struct NetworkGraph
 
     /** Lift a flat step list into a chain graph (level-annotated). */
     static NetworkGraph fromModel(const WorkloadModel& model);
-
-    /** Lower back to a step list, nodes in topological order. */
-    WorkloadModel toModel() const;
 
     /**
      * Topological execution order (Kahn, smallest node id first, so

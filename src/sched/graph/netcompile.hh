@@ -3,7 +3,7 @@
  * Network-level compilation: the cross-step passes and unit partition
  * behind compilePlan() (sched/execplan.hh) — DESIGN.md §15.  Units
  * compile afterwards, one at a time, through compileUnit()
- * (sched/progcache.hh: plan -> lower -> optimize -> cache).
+ * (sched/progcache.hh: map -> optimize -> cache).
  *
  * At OptLevel::None and Safe the partition is a pure chain walk: one
  * Single unit per layer, whose one-step ProgramCache key is the
@@ -19,7 +19,7 @@
  *    op at its true level instead of the hand-calibrated average —
  *    rescale placement).
  *  - fuse-linear: maximal runs of adjacent ConvBN/Pooling layers
- *    (with a terminal FC allowed) plan into ONE Program; intermediate
+ *    (with a terminal FC allowed) map into ONE Program; intermediate
  *    broadcasts are elided (outputs stay card-local, consumed by the
  *    next layer's co-resident units), and the per-step sync barrier
  *    between members disappears.

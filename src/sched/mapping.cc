@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "sched/lower.hh"
 
 namespace hydra {
 
@@ -17,6 +16,17 @@ pow2Floor(size_t v)
     return v == 0 ? 0 : std::bit_floor(v);
 }
 
+/** OpCost scaled by a repetition count. */
+OpCost
+scaled(OpCost c, uint64_t count)
+{
+    c.cycles *= count;
+    c.hbmBytes *= count;
+    for (auto& x : c.cuOps)
+        x *= count;
+    return c;
+}
+
 /** The representative op mix of one whole bootstrap (energy model). */
 OpMix
 bootstrapCostMix()
@@ -25,6 +35,27 @@ bootstrapCostMix()
 }
 
 } // namespace
+
+Tick
+bootstrapLocalTicks(const OpCostModel& cost, const NetworkModel& net,
+                    const MappingConfig& config, size_t log_slots,
+                    size_t limbs)
+{
+    DftOpTimes t = DftOpTimes::fromCostModel(cost, net, limbs);
+    DftPlan plan =
+        optimizeDftPlan(config.dftLevels, log_slots, 1, t);
+    double dft_s = dftTime(plan, 1, t);
+    size_t deg = config.evalExpDegree;
+    auto op_s = [&](HeOpType op) {
+        return ticksToSeconds(cost.opLatency(op, limbs));
+    };
+    double evaexp_s = (deg / 2.0 + 1) * op_s(HeOpType::CMult) +
+                      static_cast<double>(deg + 1) *
+                          (op_s(HeOpType::PMult) + op_s(HeOpType::HAdd));
+    double daf_s =
+        static_cast<double>(config.dafIters) * op_s(HeOpType::CMult);
+    return secondsToTicks(2.0 * dft_s + evaexp_s + daf_s);
+}
 
 StepMapper::StepMapper(const OpCostModel& cost, const NetworkModel& net,
                        size_t cards, size_t log_slots,
@@ -35,24 +66,19 @@ StepMapper::StepMapper(const OpCostModel& cost, const NetworkModel& net,
     HYDRA_ASSERT(cards_ >= 1, "need at least one card");
 }
 
-LogicalPlan
-StepMapper::planStep(const Step& step) const
-{
-    PlanBuilder pb(cards_);
-    pb.setLogSlots(logSlots_);
-    planStepInto(pb, step);
-    return pb.take();
-}
-
 Program
 StepMapper::mapStep(const Step& step) const
 {
-    return lowerPlan(planStep(step), cost_, net_, config_);
+    ProgramBuilder pb(cards_);
+    mapStepInto(pb, step);
+    return pb.take();
 }
 
 void
-StepMapper::planStepInto(PlanBuilder& pb, const Step& step) const
+StepMapper::mapStepInto(ProgramBuilder& pb, const Step& step) const
 {
+    HYDRA_ASSERT(pb.cardCount() == cards_,
+                 "program builder card count differs from the mapper's");
     switch (step.kind) {
       case ProcKind::ConvBN:
       case ProcKind::Pooling:
@@ -60,21 +86,48 @@ StepMapper::planStepInto(PlanBuilder& pb, const Step& step) const
       case ProcKind::PCMM:
       case ProcKind::CCMM:
       case ProcKind::Norm:
-        planUniform(pb, step);
+        mapUniform(pb, step);
         break;
       case ProcKind::NonLinear:
-        planNonLinear(pb, step);
+        mapNonLinear(pb, step);
         break;
       case ProcKind::Bootstrap:
-        planBootstrap(pb, step);
+        mapBootstrap(pb, step);
         break;
       default:
         panic("unmapped ProcKind %d", static_cast<int>(step.kind));
     }
 }
 
+uint64_t
+StepMapper::addTerms(ProgramBuilder& pb, size_t card,
+                     std::initializer_list<Term> terms, size_t limbs,
+                     uint32_t label, std::vector<uint64_t> wait_msgs) const
+{
+    Tick dur = 0;
+    OpCost c{};
+    // Zero-count costed terms still raise c.limbs (max on +=).
+    for (const Term& t : terms) {
+        if (t.timed)
+            dur += t.count * cost_.opLatency(t.op, limbs);
+        if (t.costed)
+            c += scaled(cost_.cost(t.op, limbs), t.count);
+    }
+    return pb.addCompute(card, dur, c, label, std::move(wait_msgs));
+}
+
+uint64_t
+StepMapper::sendCts(ProgramBuilder& pb, size_t src, size_t dst,
+                    uint64_t cts, size_t limbs,
+                    uint64_t after_compute) const
+{
+    uint64_t bytes = cts * cost_.ciphertextBytes(limbs);
+    return dst == kBroadcast ? pb.broadcastFrom(src, bytes, after_compute)
+                             : pb.sendTo(src, dst, bytes, after_compute);
+}
+
 void
-StepMapper::planUniform(PlanBuilder& pb, const Step& step) const
+StepMapper::mapUniform(ProgramBuilder& pb, const Step& step) const
 {
     size_t units = step.effectiveUnits();
     size_t c_n = cards_;
@@ -93,7 +146,10 @@ StepMapper::planUniform(PlanBuilder& pb, const Step& step) const
         return s / rounds + (k < s % rounds ? 1 : 0);
     };
 
-    // Compute chunks (CT_i: convolution inputs are local).
+    // Compute chunks (CT_i: convolution inputs are local).  The
+    // roofline is taken once on one unit's mix, then repeated per unit.
+    OpCost unit_cost = cost_.mixCost(step.perUnit, limbs);
+    Tick unit_ticks = cost_.latency(unit_cost);
     std::vector<std::vector<uint64_t>> chunk_id(
         c_n, std::vector<uint64_t>(rounds, 0));
     std::vector<uint64_t> last_id(c_n, 0);
@@ -102,8 +158,8 @@ StepMapper::planUniform(PlanBuilder& pb, const Step& step) const
             size_t u = chunk_units(c, k);
             if (!u)
                 continue;
-            chunk_id[c][k] =
-                pb.addMixRepeat(c, step.perUnit, u, limbs, label);
+            chunk_id[c][k] = pb.addCompute(c, unit_ticks * u,
+                                           scaled(unit_cost, u), label);
             last_id[c] = chunk_id[c][k];
         }
     }
@@ -133,7 +189,7 @@ StepMapper::planUniform(PlanBuilder& pb, const Step& step) const
                 // card's last chunk if this round had no units).
                 uint64_t after = chunk_id[s][k] ? chunk_id[s][k]
                                                 : last_id[s];
-                pb.broadcastFrom(s, cts, limbs, after);
+                sendCts(pb, s, kBroadcast, cts, limbs, after);
             }
         }
         return;
@@ -144,22 +200,22 @@ StepMapper::planUniform(PlanBuilder& pb, const Step& step) const
     for (size_t stride = 1; stride < c_n; stride <<= 1) {
         for (size_t dst = 0; dst + stride < c_n; dst += 2 * stride) {
             size_t src = dst + stride;
-            uint64_t msg = pb.sendTo(src, dst, 1, limbs, last_id[src]);
-            last_id[dst] = pb.addOpList(dst, {{HeOpType::HAdd, 1}},
-                                        limbs, label, {msg});
+            uint64_t msg = sendCts(pb, src, dst, 1, limbs, last_id[src]);
+            last_id[dst] = addTerms(pb, dst, {{HeOpType::HAdd, 1}}, limbs,
+                                    label, {msg});
         }
     }
-    uint64_t msg = pb.broadcastFrom(0, 1, limbs, last_id[0]);
+    uint64_t msg = sendCts(pb, 0, kBroadcast, 1, limbs, last_id[0]);
     for (size_t c = 1; c < c_n; ++c)
-        pb.addOpList(c, {}, limbs, label, {msg});
+        addTerms(pb, c, {}, limbs, label, {msg});
 }
 
 void
-StepMapper::planNonLinear(PlanBuilder& pb, const Step& step) const
+StepMapper::mapNonLinear(ProgramBuilder& pb, const Step& step) const
 {
     size_t units = step.effectiveUnits();
     if (cards_ == 1 || units >= cards_) {
-        planUniform(pb, step);
+        mapUniform(pb, step);
         return;
     }
     // Fewer evaluations than cards: split each polynomial evaluation
@@ -168,24 +224,23 @@ StepMapper::planNonLinear(PlanBuilder& pb, const Step& step) const
     uint32_t label = pb.label(procName(step.kind));
     size_t degree = step.polyDegree ? step.polyDegree : 15;
     for (size_t u = 0; u < units; ++u)
-        planPolyEvalTree(pb, u * group, group, degree, step.limbs,
-                         label);
+        mapPolyEvalTree(pb, u * group, group, degree, step.limbs, label);
 }
 
 void
-StepMapper::planPolyEvalTree(PlanBuilder& pb, size_t base, size_t group,
-                             size_t degree, size_t limbs,
-                             uint32_t label) const
+StepMapper::mapPolyEvalTree(ProgramBuilder& pb, size_t base,
+                            size_t group, size_t degree, size_t limbs,
+                            uint32_t label) const
 {
     if (group <= 1 || degree < 4) {
         // Whole evaluation on one node.
         uint64_t terms = degree + 1;
         uint64_t cms = degree >= 2 ? degree / 2 + 1 : 0;
-        pb.addOpList(base,
-                     {{HeOpType::CMult, cms},
-                      {HeOpType::PMult, terms},
-                      {HeOpType::HAdd, terms}},
-                     limbs, label);
+        addTerms(pb, base,
+                 {{HeOpType::CMult, cms},
+                  {HeOpType::PMult, terms},
+                  {HeOpType::HAdd, terms}},
+                 limbs, label);
         return;
     }
 
@@ -201,16 +256,16 @@ StepMapper::planPolyEvalTree(PlanBuilder& pb, size_t base, size_t group,
     // Phase A: power ladder x^2, x^4, ... distributed to lower-numbered
     // nodes; each level's product is forwarded to the mirror node.
     for (size_t i = 0; i < m; ++i)
-        last_id[i] = pb.addOpList(base + i, {{HeOpType::CMult, 1}},
-                                  limbs, label); // x^2
+        last_id[i] = addTerms(pb, base + i, {{HeOpType::CMult, 1}},
+                              limbs, label); // x^2
     for (size_t j = 1; j <= tree_depth; ++j) {
         size_t cnt = m >> j;
         for (size_t i = 0; i < cnt; ++i) {
-            last_id[i] = pb.addOpList(base + i, {{HeOpType::CMult, 1}},
-                                      limbs, label);
+            last_id[i] = addTerms(pb, base + i, {{HeOpType::CMult, 1}},
+                                  limbs, label);
             size_t dst = i + cnt;
             uint64_t msg =
-                pb.sendTo(base + i, base + dst, 1, limbs, last_id[i]);
+                sendCts(pb, base + i, base + dst, 1, limbs, last_id[i]);
             wait_msgs[dst].push_back(msg);
         }
     }
@@ -221,12 +276,11 @@ StepMapper::planPolyEvalTree(PlanBuilder& pb, size_t base, size_t group,
     uint64_t local_cms =
         std::max<uint64_t>(1, (degree >= 2 ? degree / 2 : 1) / m);
     for (size_t i = 0; i < m; ++i)
-        last_id[i] = pb.addOpList(base + i,
-                                  {{HeOpType::CMult, local_cms},
-                                   {HeOpType::PMult, terms},
-                                   {HeOpType::HAdd, terms}},
-                                  limbs, label,
-                                  std::move(wait_msgs[i]));
+        last_id[i] = addTerms(pb, base + i,
+                              {{HeOpType::CMult, local_cms},
+                               {HeOpType::PMult, terms},
+                               {HeOpType::HAdd, terms}},
+                              limbs, label, std::move(wait_msgs[i]));
 
     // Phase C: tree merge -- the upper node multiplies by the splitting
     // power and sends, the lower node accumulates (Alg. 1 final loop).
@@ -234,12 +288,12 @@ StepMapper::planPolyEvalTree(PlanBuilder& pb, size_t base, size_t group,
         size_t half = num / 2;
         for (size_t i = 0; i < half; ++i) {
             size_t upper = i + half;
-            uint64_t mul_id = pb.addOpList(
-                base + upper, {{HeOpType::CMult, 1}}, limbs, label);
+            uint64_t mul_id = addTerms(pb, base + upper,
+                                       {{HeOpType::CMult, 1}}, limbs, label);
             uint64_t msg =
-                pb.sendTo(base + upper, base + i, 1, limbs, mul_id);
-            last_id[i] = pb.addOpList(base + i, {{HeOpType::HAdd, 1}},
-                                      limbs, label, {msg});
+                sendCts(pb, base + upper, base + i, 1, limbs, mul_id);
+            last_id[i] = addTerms(pb, base + i, {{HeOpType::HAdd, 1}},
+                                  limbs, label, {msg});
         }
     }
 }
@@ -252,9 +306,9 @@ StepMapper::dftPlanFor(size_t group_cards, size_t limbs) const
 }
 
 void
-StepMapper::planDftLevels(PlanBuilder& pb, size_t base, size_t group,
-                          const DftPlan& plan, size_t limbs,
-                          uint32_t label) const
+StepMapper::mapDftLevels(ProgramBuilder& pb, size_t base, size_t group,
+                         const DftPlan& plan, size_t limbs,
+                         uint32_t label) const
 {
     for (const auto& lvl : plan.levels) {
         uint64_t b = lvl.bs;
@@ -264,10 +318,10 @@ StepMapper::planDftLevels(PlanBuilder& pb, size_t base, size_t group,
             size_t card = base + i;
             // Baby steps are replicated on every node (Section III-B
             // point (1): aggregating distributed bs is inefficient).
-            pb.addOpList(card, {{HeOpType::Rotate, b}}, limbs, label);
+            addTerms(pb, card, {{HeOpType::Rotate, b}}, limbs, label);
             // Giant steps assigned to this node + local accumulation.
-            last_id[i] = pb.addOpList(
-                card,
+            last_id[i] = addTerms(
+                pb, card,
                 {{HeOpType::PMult, gs_s * b},
                  {HeOpType::HAdd, gs_s * (b - 1) + (gs_s - 1)},
                  {HeOpType::Rotate, gs_s}},
@@ -279,26 +333,26 @@ StepMapper::planDftLevels(PlanBuilder& pb, size_t base, size_t group,
                 size_t half = num / 2;
                 for (size_t i = 0; i < half; ++i) {
                     size_t upper = i + half;
-                    uint64_t msg = pb.sendTo(base + upper, base + i, 1,
-                                             limbs, last_id[upper]);
+                    uint64_t msg = sendCts(pb, base + upper, base + i, 1,
+                                           limbs, last_id[upper]);
                     last_id[i] =
-                        pb.addOpList(base + i, {{HeOpType::HAdd, 1}},
-                                     limbs, label, {msg});
+                        addTerms(pb, base + i, {{HeOpType::HAdd, 1}},
+                                 limbs, label, {msg});
                 }
             }
             // The leader redistributes the level result for the next
             // level's baby steps.
             for (size_t i = 1; i < group; ++i) {
                 uint64_t msg =
-                    pb.sendTo(base, base + i, 1, limbs, last_id[0]);
-                pb.addOpList(base + i, {}, limbs, label, {msg});
+                    sendCts(pb, base, base + i, 1, limbs, last_id[0]);
+                addTerms(pb, base + i, {}, limbs, label, {msg});
             }
         }
     }
 }
 
 void
-StepMapper::planBootstrap(PlanBuilder& pb, const Step& step) const
+StepMapper::mapBootstrap(ProgramBuilder& pb, const Step& step) const
 {
     size_t boots = std::max<size_t>(1, step.parallelism);
     uint32_t label = pb.label(procName(step.kind));
@@ -306,11 +360,13 @@ StepMapper::planBootstrap(PlanBuilder& pb, const Step& step) const
     size_t group = boots >= cards_ ? 1 : pow2Floor(cards_ / boots);
     if (group <= 1) {
         // Data-parallel: each card refreshes its share locally.
+        Tick boot_ticks = bootstrapLocalTime(step.limbs);
+        OpCost boot_cost = cost_.mixCost(bootstrapCostMix(), step.limbs);
         for (size_t c = 0; c < cards_; ++c) {
             size_t s = boots / cards_ + (c < boots % cards_ ? 1 : 0);
             if (s)
-                pb.addBootstrapLocal(c, bootstrapCostMix(), s,
-                                     step.limbs, label);
+                pb.addCompute(c, boot_ticks * s, scaled(boot_cost, s),
+                              label);
         }
         return;
     }
@@ -323,22 +379,22 @@ StepMapper::planBootstrap(PlanBuilder& pb, const Step& step) const
         size_t reps = boots / n_groups + (g < boots % n_groups ? 1 : 0);
         for (size_t r = 0; r < reps; ++r) {
             // CoeffToSlot.
-            planDftLevels(pb, base, group, plan, step.limbs, label);
+            mapDftLevels(pb, base, group, plan, step.limbs, label);
             // EvaExp (Alg. 1 tree over the group).
-            planPolyEvalTree(pb, base, group, config_.evalExpDegree,
-                             step.limbs, label);
+            mapPolyEvalTree(pb, base, group, config_.evalExpDegree,
+                            step.limbs, label);
             // Double-angle + sine extraction on the group leader
             // (limited parallelism: the paper's Boot scaling is the
             // most modest of all procedures).  rot/ha/pm are timed but
             // only the CMult iterations carry hardware cost.
-            pb.addOpList(base,
-                         {{HeOpType::CMult, config_.dafIters},
-                          {HeOpType::Rotate, 1, true, false},
-                          {HeOpType::HAdd, 1, true, false},
-                          {HeOpType::PMult, 1, true, false}},
-                         step.limbs, label);
+            addTerms(pb, base,
+                     {{HeOpType::CMult, config_.dafIters},
+                      {HeOpType::Rotate, 1, true, false},
+                      {HeOpType::HAdd, 1, true, false},
+                      {HeOpType::PMult, 1, true, false}},
+                     step.limbs, label);
             // SlotToCoeff.
-            planDftLevels(pb, base, group, plan, step.limbs, label);
+            mapDftLevels(pb, base, group, plan, step.limbs, label);
         }
     }
 }

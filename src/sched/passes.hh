@@ -1,11 +1,11 @@
 /**
  * @file
- * Program optimization passes: stage 3 of the schedule compiler
- * (plan -> lower -> optimize).  Rewrites an executable Program before
+ * Program optimization passes: stage 2 of the schedule compiler
+ * (map -> optimize -> cache).  Rewrites an executable Program before
  * it is preloaded, with per-pass before/after statistics.
  *
  * Levels:
- *  - None: the lowered Program untouched.
+ *  - None: the mapped Program untouched.
  *  - Safe: provably tick-neutral rewrites only.  Today that is the
  *    canonical compute-queue reorder — maximal runs of adjacent
  *    dependency-free tasks (no waitMsgs, not anchoring any send) are

@@ -65,14 +65,12 @@ compileSteps(const OpCostModel& cost, const NetworkModel& net,
              const std::vector<Step>& steps, OptLevel level)
 {
     StepMapper mapper(cost, net, cards, log_slots, mapping);
-    PlanBuilder pb(cards);
-    pb.setLogSlots(log_slots);
+    ProgramBuilder pb(cards);
     for (const Step& s : steps)
-        mapper.planStepInto(pb, s);
+        mapper.mapStepInto(pb, s);
     CompiledStep out;
-    Program prog = lowerPlan(pb.take(), cost, net, mapping);
-    out.program = optimizeProgram(std::move(prog), level,
-                                  net.overlapsCompute(), &out.report);
+    out.program = optimizeProgram(pb.take(), level, net.overlapsCompute(),
+                                  &out.report);
     return out;
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared compiled-program cache: the reuse layer of the schedule
- * compiler (plan -> lower -> optimize -> cache).
+ * compiler (map -> optimize -> cache).
  *
  * The paper's host software preloads instruction streams (Section
  * IV-D); compiling one is pure — a Program depends only on the cost
@@ -34,7 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sched/lower.hh"
+#include "sched/mapping.hh"
 #include "sched/passes.hh"
 #include "sched/runner.hh"
 
@@ -48,11 +48,10 @@ struct CompiledStep
 };
 
 /**
- * Compile one unit's member steps end to end, uncached: plan (every
- * member's StepMapper decomposition into one PlanBuilder, so a
- * multi-step unit has no internal sync barrier), lower (bind
- * `cost`/`net`), optimize (`level` pass pipeline, gated on
- * net.overlapsCompute()).
+ * Compile one unit's member steps end to end, uncached: map (every
+ * member's priced StepMapper decomposition into one ProgramBuilder, so
+ * a multi-step unit has no internal sync barrier), then optimize
+ * (`level` pass pipeline, gated on net.overlapsCompute()).
  */
 CompiledStep compileSteps(const OpCostModel& cost, const NetworkModel& net,
                           size_t cards, size_t log_slots,

@@ -165,7 +165,8 @@ class InferenceRunner
      * Compile `graph` through the network compiler (DESIGN.md §15)
      * into a materialized machine-scoped ExecPlan; plan.report holds
      * the cross-step pass statistics.  At OptLevel::Safe the plan is
-     * tick-identical to planFor(graph.toModel()); Aggressive enables
+     * tick-identical to planFor() on a WorkloadModel holding the
+     * graph's steps in topoOrder(); Aggressive enables
      * the cross-step passes (boot-plan, fuse-linear, prefetch).  An
      * invalid graph yields a unit-less plan whose ExecPlan::error the
      * execute calls surface as InferenceResult::error — never an

@@ -81,13 +81,11 @@ TEST(GraphIR, RoundTripsEveryRegistryWorkload)
         ASSERT_EQ(g.edges.size(), wl.steps.size() - 1) << name;
         EXPECT_GT(g.totalEdgeCts(), 0u) << name;
 
-        WorkloadModel back = g.toModel();
-        EXPECT_EQ(back.name, wl.name);
-        EXPECT_EQ(back.logSlots, wl.logSlots);
-        EXPECT_EQ(back.maxLimbs, wl.maxLimbs);
-        ASSERT_EQ(back.steps.size(), wl.steps.size()) << name;
+        EXPECT_EQ(g.name, wl.name);
+        EXPECT_EQ(g.logSlots, wl.logSlots);
+        EXPECT_EQ(g.maxLimbs, wl.maxLimbs);
         for (size_t i = 0; i < wl.steps.size(); ++i)
-            expectStepEq(back.steps[i], wl.steps[i],
+            expectStepEq(g.nodes[i].step, wl.steps[i],
                          name + "/" + wl.steps[i].name);
     }
 }
@@ -473,11 +471,10 @@ TEST(GraphIR, BranchAndJoinValidatesAndOrdersDeterministically)
     EXPECT_EQ(g.nodes[2].levelIn, 23u);
     EXPECT_EQ(g.nodes[3].levelIn, 19u);
 
-    // Lowering follows the topological order losslessly.
-    WorkloadModel back = g.toModel();
-    ASSERT_EQ(back.steps.size(), 4u);
-    EXPECT_EQ(back.steps[0].name, "stem");
-    EXPECT_EQ(back.steps[3].name, "join");
+    // The order walks the diamond stem, branches, join.
+    EXPECT_EQ(order, (std::vector<uint32_t>{0, 1, 2, 3}));
+    EXPECT_EQ(g.nodes[order[0]].step.name, "stem");
+    EXPECT_EQ(g.nodes[order[3]].step.name, "join");
 }
 
 TEST(ExecPlanPath, DagSafePlansAreTickIdenticalAcrossReruns)

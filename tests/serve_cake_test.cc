@@ -436,8 +436,9 @@ TEST(CakeQueueUnit, FifoRankReplaysAdmissionQueueOrder)
             }
         }
         ASSERT_EQ(q.depth(), ref.depth());
-        if (ref.oldest())
+        if (ref.oldest()) {
             ASSERT_EQ(q.firstPushed()->id, ref.oldest()->id) << step;
+        }
     }
     EXPECT_GT(pops, 500u);
 }

@@ -120,9 +120,11 @@ TEST(ServeSim, KillBelowFloorDissolvesAndSheds)
     expectAccounted(st);
 
     // The nlp tenant's group is untouched: it sheds nothing.
-    for (const auto& t : st.tenants)
-        if (t.name == "nlp")
+    for (const auto& t : st.tenants) {
+        if (t.name == "nlp") {
             EXPECT_EQ(t.shed, 0u);
+        }
+    }
 }
 
 TEST(ServeSim, KillWithSiblingDonatesAndCompletes)

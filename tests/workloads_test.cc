@@ -67,8 +67,9 @@ TEST_P(ModelTest, StepsAreWellFormed)
         EXPECT_LE(s.limbs, m.maxLimbs) << s.name;
         EXPECT_GE(s.effectiveUnits(), 1u) << s.name;
         EXPECT_FALSE(s.name.empty());
-        if (s.kind == ProcKind::NonLinear)
+        if (s.kind == ProcKind::NonLinear) {
             EXPECT_GT(s.polyDegree, 0u) << s.name;
+        }
     }
 }
 
