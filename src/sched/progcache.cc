@@ -71,6 +71,10 @@ compileSteps(const OpCostModel& cost, const NetworkModel& net,
     CompiledStep out;
     out.program = optimizeProgram(pb.take(), level, net.overlapsCompute(),
                                   &out.report);
+    // The one static check of every Program a plan runs: executors
+    // fed from here skip their per-run prevalidation.
+    HYDRA_ASSERT(out.program.validate().empty(),
+                 "compiled program fails Program::validate()");
     return out;
 }
 

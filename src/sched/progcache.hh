@@ -51,7 +51,9 @@ struct CompiledStep
  * Compile one unit's member steps end to end, uncached: map (every
  * member's priced StepMapper decomposition into one ProgramBuilder, so
  * a multi-step unit has no internal sync barrier), then optimize
- * (`level` pass pipeline, gated on net.overlapsCompute()).
+ * (`level` pass pipeline, gated on net.overlapsCompute()), then assert
+ * that Program::validate() finds nothing -- the one validation each
+ * plan's Program gets.
  */
 CompiledStep compileSteps(const OpCostModel& cost, const NetworkModel& net,
                           size_t cards, size_t log_slots,

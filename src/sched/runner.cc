@@ -229,8 +229,11 @@ InferenceRunner::execFaulted(const PrototypeSpec& sub,
     // as i.
     std::vector<size_t> alive = cards;
     ClusterConfig cluster = sub.cluster;
+    // Every Program below comes from compileSteps(), which validated
+    // it once at compile time.
     auto executor = std::make_unique<ClusterExecutor>(cluster, net);
     executor->setRetryPolicy(retry);
+    executor->setPrevalidate(false);
     // Materialized programs are only valid while the executing cluster
     // matches the plan's shape; after a death (or a shape mismatch)
     // every attempt resolves through the ProgramCache.
@@ -295,6 +298,7 @@ InferenceRunner::execFaulted(const PrototypeSpec& sub,
             degraded = true;
             executor = std::make_unique<ClusterExecutor>(cluster, net);
             executor->setRetryPolicy(retry);
+            executor->setPrevalidate(false);
         }
     }
     return result;

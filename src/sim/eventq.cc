@@ -1,5 +1,7 @@
 #include "sim/eventq.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace hydra {
@@ -7,7 +9,7 @@ namespace hydra {
 void
 EventQueue::advanceTo(Tick t)
 {
-    HYDRA_ASSERT(events_.empty() || events_.top().when >= t,
+    HYDRA_ASSERT(events_.empty() || events_.front().when >= t,
                  "advancing the clock past a pending event");
     if (t > now_)
         now_ = t;
@@ -17,7 +19,8 @@ void
 EventQueue::schedule(Tick when, std::function<void()> cb)
 {
     HYDRA_ASSERT(when >= now_, "scheduling into the past");
-    events_.push(Event{when, seq_++, std::move(cb)});
+    events_.push_back(Event{when, seq_++, std::move(cb)});
+    std::push_heap(events_.begin(), events_.end(), later);
 }
 
 bool
@@ -25,10 +28,9 @@ EventQueue::step()
 {
     if (events_.empty())
         return false;
-    // priority_queue::top() returns const ref; move out via const_cast
-    // is UB -- copy the callback instead (cheap relative to sim work).
-    Event ev = events_.top();
-    events_.pop();
+    std::pop_heap(events_.begin(), events_.end(), later);
+    Event ev = std::move(events_.back());
+    events_.pop_back();
     now_ = ev.when;
     ++executed_;
     ev.cb();

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace hydra {
@@ -80,15 +79,18 @@ class EventQueue
         Tick when;
         uint64_t seq;
         std::function<void()> cb;
-
-        bool
-        operator>(const Event& o) const
-        {
-            return when != o.when ? when > o.when : seq > o.seq;
-        }
     };
 
-    std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
+    /** Heap order: the earliest (when, seq) on top. */
+    static bool
+    later(const Event& a, const Event& b)
+    {
+        return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
+
+    /** Binary min-heap on (when, seq).  A plain vector, not a
+     *  priority_queue, so step() can move the callback out. */
+    std::vector<Event> events_;
     Tick now_ = 0;
     uint64_t seq_ = 0;
     uint64_t executed_ = 0;

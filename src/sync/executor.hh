@@ -141,7 +141,9 @@ class ClusterExecutor
     void setTimeOrigin(Tick t) { origin_ = t; }
     Tick timeOrigin() const { return origin_; }
 
-    /** Run Program::validate() before executing (default on). */
+    /** Run Program::validate() before executing (default on).
+     *  InferenceRunner turns it off: compileSteps() already validated
+     *  every Program it runs. */
     void setPrevalidate(bool on) { prevalidate_ = on; }
 
     /** Record per-task occupancy intervals into RunStats::timeline. */

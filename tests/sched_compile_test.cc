@@ -12,11 +12,13 @@
 
 #include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "baselines/prototypes.hh"
 #include "common/rng.hh"
+#include "sched/execplan.hh"
 #include "sched/progcache.hh"
 #include "sync/executor.hh"
 
@@ -269,6 +271,16 @@ TEST(CompilePipeline, SafeLevelIsTickNeutralPerStep)
     }
 }
 
+/**
+ * Every Program a plan runs comes from compileSteps(), which asserts
+ * Program::validate() once; InferenceRunner's executors then skip the
+ * per-run prevalidation.  Check that contract on every machine x
+ * workload at every pass level: each distinct unit Program validates
+ * clean and runs on a default (prevalidating) executor.  The one-step
+ * Aggressive Programs of resnet20 are checked on their own too: at
+ * Aggressive a plan fuses or prefetches them, so the sweep below does
+ * not reach them.
+ */
 TEST(CompilePipeline, AggressiveOutputValidatesAndExecutes)
 {
     for (const char* machine : {"hydra-m", "fab-m"}) {
@@ -281,6 +293,37 @@ TEST(CompilePipeline, AggressiveOutputValidatesAndExecutes)
             EXPECT_TRUE(rr.ok()) << rr.error.message;
         }
     }
+
+    size_t programs = 0;
+    for (const std::string& machine : machineNames()) {
+        PrototypeSpec spec = machineByName(machine);
+        InferenceRunner runner(spec);
+        std::unique_ptr<NetworkModel> net = spec.makeNetwork();
+        ClusterExecutor ex(spec.cluster, *net);
+        for (const std::string& workload : workloadNames()) {
+            for (OptLevel level :
+                 {OptLevel::None, OptLevel::Safe, OptLevel::Aggressive}) {
+                auto plan = runner.planFor(workloadByName(workload), level);
+                ASSERT_TRUE(plan->error.ok()) << plan->error.message;
+                std::set<const CompiledStep*> seen;
+                for (const ExecUnit& u : plan->units) {
+                    if (!seen.insert(u.compiled.get()).second)
+                        continue;
+                    ++programs;
+                    const Program& prog = u.compiled->program;
+                    EXPECT_TRUE(prog.validate().empty())
+                        << machine << "/" << workload << " @ "
+                        << optLevelName(level) << " unit " << u.name;
+                    RunResult rr = ex.tryRun(prog);
+                    EXPECT_TRUE(rr.ok())
+                        << machine << "/" << workload << " @ "
+                        << optLevelName(level) << " unit " << u.name
+                        << ": " << rr.error.message;
+                }
+            }
+        }
+    }
+    EXPECT_GT(programs, machineNames().size() * workloadNames().size());
 }
 
 TEST(ProgramCacheTest, SecondRunHitsEveryStep)

@@ -55,6 +55,29 @@ TEST(EventQueue, ExecutedCountTracks)
     EXPECT_EQ(eq.executedCount(), 2u);
 }
 
+/** Counts copies of itself; moves are free. */
+struct CopyCounter
+{
+    int* copies;
+
+    explicit CopyCounter(int* c) : copies(c) {}
+    CopyCounter(const CopyCounter& o) : copies(o.copies) { ++*copies; }
+    CopyCounter(CopyCounter&& o) noexcept : copies(o.copies) {}
+};
+
+TEST(EventQueue, StepMovesCallbacksWithoutCopying)
+{
+    EventQueue eq;
+    int copies = 0;
+    int fired = 0;
+    for (int i = 0; i < 8; ++i)
+        eq.schedule(static_cast<Tick>(8 - i),
+                    [c = CopyCounter(&copies), &fired] { ++fired; });
+    eq.run();
+    EXPECT_EQ(fired, 8);
+    EXPECT_EQ(copies, 0);
+}
+
 TEST(EventQueue, TickConversionRoundTrips)
 {
     EXPECT_EQ(secondsToTicks(1.0), kTicksPerSecond);

@@ -3,7 +3,8 @@
  * Property/fuzz tests of the Procedure-1 executor: randomized programs
  * with consistent message ordering must always complete (no deadlock),
  * deterministically, with conserved compute time -- under both
- * overlapping (Hydra) and blocking (FAB) networks.
+ * overlapping (Hydra) and blocking (FAB) networks.  One digest pin
+ * fixes the executor's exact schedules, timelines and diagnostics.
  */
 
 #include <gtest/gtest.h>
@@ -246,6 +247,194 @@ TEST_P(FuzzTest, EmptyFaultPlanIsTickIdenticalToLegacyRun)
     EXPECT_EQ(got.stats.commBusy, want.commBusy);
     EXPECT_EQ(got.stats.retries, 0u);
     EXPECT_EQ(got.stats.retryBackoffTicks, 0u);
+}
+
+/**
+ * Broadcast-heavy program in the shape of a large-cluster keyswitch
+ * step: each round one card computes and broadcasts, every other card
+ * runs a CT_d task on the broadcast, and some rounds add a
+ * point-to-point transfer.  Comm queues follow one global message
+ * order, so the program never deadlocks.
+ */
+Program
+broadcastProgram(size_t cards, uint64_t seed, size_t rounds)
+{
+    Rng rng(seed);
+    ProgramBuilder pb(cards);
+    uint32_t l = pb.label("bcast");
+    std::vector<uint64_t> last_compute(cards, 0);
+    for (size_t k = 0; k < rounds; ++k) {
+        size_t src = rng.uniformU64(cards);
+        last_compute[src] =
+            pb.addCompute(src, 20 + rng.uniformU64(200), OpCost{}, l);
+        uint64_t msg = pb.broadcastFrom(src, 1 + rng.uniformU64(4000),
+                                        last_compute[src]);
+        for (size_t c = 0; c < cards; ++c)
+            if (c != src)
+                last_compute[c] = pb.addCompute(
+                    c, 5 + rng.uniformU64(80), OpCost{}, l, {msg});
+        if (rng.uniformU64(3) == 0) {
+            size_t a = rng.uniformU64(cards);
+            size_t b = (a + 1 + rng.uniformU64(cards - 1)) % cards;
+            pb.sendTo(a, b, 1 + rng.uniformU64(999), last_compute[a]);
+        }
+    }
+    return pb.take();
+}
+
+/** FNV-1a over everything one executor run exposes. */
+struct EngineDigest
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    size_t runs = 0;
+
+    void
+    u64(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    void
+    add(const RunResult& r)
+    {
+        ++runs;
+        u64(r.stats.fingerprint());
+        u64(r.stats.timeline.size());
+        for (const TaskEvent& e : r.stats.timeline) {
+            u64(e.card);
+            u64(e.start);
+            u64(e.end);
+            u64(static_cast<uint64_t>(e.kind));
+            u64(e.label);
+        }
+        u64(static_cast<uint64_t>(r.error.kind));
+        u64(r.error.card);
+        u64(r.error.msg);
+        u64(r.error.tick);
+        u64(r.error.attempts);
+        for (char c : r.error.deadlock.describe())
+            u64(static_cast<unsigned char>(c));
+    }
+};
+
+/**
+ * Engine pin: one digest over the stats fingerprint, the timeline and
+ * the structured error of every FuzzTest program with and without a
+ * fault plan, 64-card broadcast-heavy programs on both network kinds
+ * (the large host-mediated and overlapping cluster shapes), and
+ * deadlocking programs.  Any change in event order, timing or
+ * diagnostics moves it.
+ */
+TEST(FuzzGolden, EngineDigestPinsParent)
+{
+    EngineDigest d;
+    RetryPolicy retry;
+    retry.maxAttempts = 3;
+    retry.backoffBase = 50;
+
+    for (size_t cards : {2, 3, 4, 8, 16}) {
+        for (bool overlaps : {false, true}) {
+            for (uint64_t seed : {11, 22, 33, 44}) {
+                ClusterConfig cfg{1, cards};
+                FuzzNetwork net(3, 20, overlaps);
+                ClusterExecutor ex(cfg, net);
+                ex.setRecordTimeline(true);
+                ex.setRetryPolicy(retry);
+                Tick total = 0;
+                d.add(ex.tryRun(randomProgram(cards, seed, 40, 30, total)));
+                ex.setFaultPlan(randomFaultPlan(seed * 100 + cards, cards));
+                d.add(ex.tryRun(randomProgram(cards, seed, 40, 30, total)));
+            }
+        }
+    }
+
+    // A mild plan the 64-card programs survive through retries.
+    FaultPlan mild;
+    mild.seed = 9;
+    mild.dropRate = 0.1;
+    mild.corruptRate = 0.1;
+    mild.linkDegrade = 1.3;
+    mild.stragglers[9] = 2.5;
+    RetryPolicy patient = retry;
+    patient.maxAttempts = 8;
+    RetryPolicy timed = retry;
+    timed.timeout = 2000;
+    for (bool overlaps : {false, true}) {
+        for (uint64_t seed : {5, 6}) {
+            ClusterConfig cfg{4, 16};
+            FuzzNetwork net(1, 20, overlaps);
+            ClusterExecutor ex(cfg, net);
+            ex.setRecordTimeline(true);
+            ex.setRetryPolicy(patient);
+            d.add(ex.tryRun(broadcastProgram(64, seed, 24)));
+            ex.setFaultPlan(mild);
+            d.add(ex.tryRun(broadcastProgram(64, seed, 24)));
+            ex.setRetryPolicy(timed);
+            ex.setFaultPlan(randomFaultPlan(seed, 64));
+            ex.setTimeOrigin(5000);
+            d.add(ex.tryRun(broadcastProgram(64, seed, 24)));
+        }
+    }
+
+    for (bool overlaps : {false, true}) {
+        // A 4-card ring whose every card posts its recv before its
+        // send: a wait-for cycle.
+        ClusterConfig cfg{1, 4};
+        FuzzNetwork net(3, 20, overlaps);
+        ClusterExecutor ex(cfg, net);
+        ex.setRecordTimeline(true);
+        ProgramBuilder ring(4);
+        uint32_t l = ring.label("ring");
+        std::vector<uint64_t> msgs;
+        for (size_t c = 0; c < 4; ++c)
+            msgs.push_back(ring.newMsg());
+        for (size_t c = 0; c < 4; ++c) {
+            uint64_t id = ring.addCompute(c, 10 + c, OpCost{}, l);
+            ring.addRecv(c, msgs[(c + 3) % 4], (c + 3) % 4, 8);
+            ring.addSend(c, msgs[c], (c + 1) % 4, 8, id);
+        }
+        d.add(ex.tryRun(ring.take()));
+
+        // A valid program where a third card also receives a
+        // point-to-point message and posts ready for it first: the
+        // send must still wait for its own receiver, whose recv sits
+        // behind a late transfer.
+        ProgramBuilder extra(4);
+        uint32_t e = extra.label("extra");
+        uint64_t slow = extra.addCompute(3, 500, OpCost{}, e);
+        uint64_t late = extra.sendTo(3, 1, 8, slow);
+        uint64_t early = extra.newMsg();
+        uint64_t p0 = extra.addCompute(0, 9, OpCost{}, e);
+        extra.addRecv(2, early, 0, 8);
+        extra.addSend(0, early, 1, 8, p0);
+        extra.addRecv(1, early, 0, 8);
+        extra.addCompute(1, 5, OpCost{}, e, {late, early});
+        d.add(ex.tryRun(extra.take()));
+
+        // Invalid programs run without prevalidation: an unmatched
+        // recv, a wait on a message that never arrives, a send whose
+        // payload compute does not exist, and a broadcast one card
+        // never receives.
+        ex.setPrevalidate(false);
+        ProgramBuilder bad(4);
+        uint32_t b = bad.label("bad");
+        uint64_t c0 = bad.addCompute(0, 7, OpCost{}, b);
+        bad.addRecv(1, 900, 0, 8);
+        bad.addCompute(2, 5, OpCost{}, b, {901});
+        bad.addSend(3, 902, 2, 8, 12345);
+        bad.addRecv(2, 902, 3, 8);
+        uint64_t bc = bad.newMsg();
+        bad.addSend(0, bc, kBroadcast, 16, c0);
+        bad.addRecv(1, bc, 0, 16);
+        bad.addRecv(3, bc, 0, 16);
+        d.add(ex.tryRun(bad.take()));
+    }
+
+    EXPECT_EQ(d.runs, 98u);
+    EXPECT_EQ(d.h, 0x8e1be80f6c1952b7ull);
 }
 
 TEST(FuzzEdge, EmptyProgramFinishesInstantly)
