@@ -1,11 +1,14 @@
 /**
  * @file
  * Bootstrap explorer: (1) run a REAL CKKS bootstrap with the functional
- * library at laptop scale and verify the refreshed message; (2) sweep
- * the Eq. 1 Radix/bs space for a chosen slot count and card count and
- * print the cost surface with its optimum (paper Table V methodology).
+ * library at laptop scale, print the Eq. 1 DftPlans its C2S/S2C run and
+ * the keyswitches it spends, and verify the refreshed message (exit
+ * status 1 when the error reaches 2e-3); (2) sweep the Eq. 1 Radix/bs
+ * space for a chosen slot count and card count and print the cost
+ * surface with its optimum (paper Table V methodology).
  */
 
+#include <cmath>
 #include <cstdio>
 
 #include "baselines/prototypes.hh"
@@ -47,14 +50,32 @@ main()
         encoder.encode(msg, params.scale(), /*n_limbs=*/1));
     std::printf("input level: %zu limb(s)\n", exhausted.level());
 
+    std::printf("C2S plan %s, S2C plan %s, %zu rotation keys\n",
+                boot.coeffToSlotPlan().describe().c_str(),
+                boot.slotToCoeffPlan().describe().c_str(),
+                boot.requiredRotations().size());
+
+    OpCounter counter;
+    eval.setCounter(&counter);
     Ciphertext fresh = boot.bootstrap(eval, exhausted);
+    eval.setCounter(nullptr);
     auto got = encoder.decode(decryptor.decrypt(fresh));
     double worst = 0;
     for (size_t i = 0; i < msg.size(); ++i)
         worst = std::max(worst, std::abs(got[i].real() - msg[i]));
+    std::printf("keyswitches per bootstrap: %llu (%s)\n",
+                static_cast<unsigned long long>(
+                    counter.count(HeOpType::KeySwitch)),
+                counter.summary().c_str());
     std::printf("refreshed level: %zu limbs, max error %.2e "
                 "(pipeline depth %zu)\n\n",
                 fresh.level(), worst, boot.depth());
+    constexpr double kErrorBound = 2e-3;
+    if (!(worst < kErrorBound)) {
+        std::fprintf(stderr, "bootstrap error %.2e >= %.0e\n", worst,
+                     kErrorBound);
+        return 1;
+    }
 
     // --- 2. Eq. 1 cost surface ---------------------------------------
     size_t log_slots = 15;

@@ -1,5 +1,6 @@
 #include "fhe/bootstrap.hh"
 
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <set>
@@ -9,6 +10,91 @@
 
 namespace hydra {
 
+namespace {
+
+/**
+ * Eq. 1 inputs for the host library, in seconds: one rotate, one fused
+ * plaintext multiply-accumulate less its add, and one HAdd, measured at
+ * CkksParams::bootstrapTest() (n = 2^10, 20 limbs) on one thread of a
+ * 4-core Xeon with AVX-512 kernels.  Only the ratios steer the plan.
+ */
+constexpr DftOpTimes kHostDftOpTimes{5.8e-3, 86e-6, 10e-6, 0.0};
+
+/**
+ * Default levels per direction.  With Taylor degree 7 and r = 7 the
+ * depth is 17, which leaves 3 of bootstrapTest()'s 20 levels; a dense
+ * (one-level) direction would need more than 46 rotation keys next to
+ * a two-level one, because their giant steps do not line up.
+ */
+constexpr size_t kDefaultDftLevels = 2;
+
+size_t
+log2Exact(size_t x)
+{
+    HYDRA_ASSERT(std::has_single_bit(x), "expected a power of two");
+    return static_cast<size_t>(std::countr_zero(x));
+}
+
+} // namespace
+
+DftPlan
+hostDftPlan(size_t levels, size_t slots)
+{
+    size_t log_slots = log2Exact(slots);
+    return optimizeDftPlan(levels, log_slots, 1, kHostDftOpTimes,
+                           log_slots);
+}
+
+std::vector<MatrixDiagonals>
+specialFftFactors(const CkksEncoder& encoder, const DftPlan& plan,
+                  bool inverse)
+{
+    size_t s = encoder.slots();
+    size_t log_s = log2Exact(s);
+    size_t top = log_s; // log2 of the largest block length left
+    std::vector<MatrixDiagonals> out;
+    for (size_t i = 0; i < plan.levels.size(); ++i) {
+        size_t radix = plan.levels[i].radix;
+        size_t k = log2Exact(radix);
+        HYDRA_ASSERT(k >= 1 && k <= top, "plan radices must multiply to "
+                                         "the slot count");
+        size_t low = top - k; // blocks of 2^(low+1) .. 2^top entries
+        size_t stride = size_t{1} << low;
+
+        // Column c of the factor is its stages applied to e_c.
+        CMatrix cols(s);
+        for (size_t c = 0; c < s; ++c) {
+            std::vector<cplx> v(s, cplx(0, 0));
+            v[c] = cplx(1, 0);
+            if (inverse) {
+                for (size_t lg = top; lg > low; --lg)
+                    encoder.fftSpecialInvStage(v, size_t{1} << lg);
+                for (auto& x : v)
+                    x /= static_cast<double>(radix);
+            } else {
+                for (size_t lg = low + 1; lg <= top; ++lg)
+                    encoder.fftSpecialStage(v, size_t{1} << lg);
+            }
+            cols[c] = std::move(v);
+        }
+
+        MatrixDiagonals f;
+        f.stride = stride;
+        size_t count = i == 0 ? radix : 2 * radix;
+        f.base = i == 0 ? 0 : s - radix * stride;
+        f.diags.assign(count, std::vector<cplx>(s));
+        for (size_t d = 0; d < count; ++d) {
+            size_t off = f.base + d * stride;
+            for (size_t j = 0; j < s; ++j)
+                f.diags[d][j] = cols[(j + off) % s][j];
+        }
+        out.push_back(std::move(f));
+        top = low;
+    }
+    HYDRA_ASSERT(top == 0, "plan radices must multiply to the slot count");
+    return out;
+}
+
 Bootstrapper::Bootstrapper(const CkksContext& ctx,
                            const CkksEncoder& encoder,
                            const BootstrapConfig& config)
@@ -16,63 +102,49 @@ Bootstrapper::Bootstrapper(const CkksContext& ctx,
 {
     size_t s = ctx.slots();
     double scale = ctx.params().scale();
+    if (config_.coeffToSlot.levels.empty())
+        config_.coeffToSlot = hostDftPlan(kDefaultDftLevels, s);
+    if (config_.slotToCoeff.levels.empty())
+        config_.slotToCoeff = hostDftPlan(kDefaultDftLevels, s);
 
-    // Embedding roots zeta_j; U[j][i] = zeta_j^i for i < n defines the
-    // decode map.  See encoder.hh.
-    CMatrix a(s, std::vector<cplx>(s));
-    CMatrix b(s, std::vector<cplx>(s));
-    CMatrix v0(s, std::vector<cplx>(s));
-    CMatrix v1(s, std::vector<cplx>(s));
-    double inv_n = 1.0 / static_cast<double>(ctx.n());
-    for (size_t j = 0; j < s; ++j) {
-        cplx zeta = encoder.embeddingRoot(j);
-        cplx zi(1.0, 0.0); // zeta^i
-        for (size_t i = 0; i < s; ++i) {
-            a[j][i] = zi;
-            zi *= zeta;
-        }
-        // zeta^(i+s) continues from zi = zeta^s.
-        for (size_t i = 0; i < s; ++i) {
-            b[j][i] = zi;
-            zi *= zeta;
-        }
-        // V0[i][j] = conj(zeta_j^i)/n, V1[i][j] = conj(zeta_j^{i+s})/n:
-        // transpose-with-conjugate of A and B.
-        for (size_t i = 0; i < s; ++i) {
-            v0[i][j] = std::conj(a[j][i]) * inv_n;
-            v1[i][j] = std::conj(b[j][i]) * inv_n;
-        }
-    }
-
-    c2sLow_ = std::make_unique<LinearTransform>(encoder, v0, scale,
-                                                config_.babySteps);
-    c2sHigh_ = std::make_unique<LinearTransform>(encoder, v1, scale,
-                                                 config_.babySteps);
-    s2cLow_ = std::make_unique<LinearTransform>(encoder, a, scale,
-                                                config_.babySteps);
-    s2cHigh_ = std::make_unique<LinearTransform>(encoder, b, scale,
-                                                 config_.babySteps);
+    // C2S computes w = fftSpecialInv(z) / 2 (bit-reversed), so that
+    // w + conj(w) and i (conj(w) - w) are the real and imaginary
+    // coefficient halves; the 1/2 rides on level 0's diagonals.
+    std::vector<MatrixDiagonals> c2s =
+        specialFftFactors(encoder, config_.coeffToSlot, true);
+    for (auto& diag : c2s[0].diags)
+        for (auto& x : diag)
+            x *= 0.5;
+    for (size_t i = 0; i < c2s.size(); ++i)
+        c2s_.emplace_back(encoder, c2s[i], scale,
+                          config_.coeffToSlot.levels[i].bs);
+    std::vector<MatrixDiagonals> s2c =
+        specialFftFactors(encoder, config_.slotToCoeff, false);
+    for (size_t i = 0; i < s2c.size(); ++i)
+        s2c_.emplace_back(encoder, s2c[i], scale,
+                          config_.slotToCoeff.levels[i].bs);
 }
 
 std::vector<int>
 Bootstrapper::requiredRotations() const
 {
     std::set<int> steps;
-    for (const auto* lt : {c2sLow_.get(), c2sHigh_.get(), s2cLow_.get(),
-                           s2cHigh_.get()})
-        for (int r : lt->requiredRotations())
-            steps.insert(r);
+    for (const auto* lts : {&c2s_, &s2c_})
+        for (const LinearTransform& lt : *lts)
+            for (int r : lt.requiredRotations())
+                steps.insert(r);
     return {steps.begin(), steps.end()};
 }
 
 size_t
 Bootstrapper::depth() const
 {
-    // C2S (1) + scaling to the series range (1) + exp ladder
-    // + double angle (r) + sine extraction constant (1) + S2C (1).
+    // C2S levels + scaling to the series range (1) + exp ladder
+    // + double angle (r) + sine extraction constant (1) + S2C levels.
     size_t deg = config_.useChebyshev ? config_.chebyshevDegree
                                       : config_.taylorDegree;
-    return 1 + 1 + polyEvalDepth(deg) + config_.doubleAngleIters + 1 + 1;
+    return c2s_.size() + 1 + polyEvalDepth(deg) +
+           config_.doubleAngleIters + 1 + s2c_.size();
 }
 
 Ciphertext
@@ -105,14 +177,16 @@ Bootstrapper::modRaise(const Ciphertext& ct) const
 std::pair<Ciphertext, Ciphertext>
 Bootstrapper::coeffToSlot(const Evaluator& eval, const Ciphertext& ct) const
 {
-    // w = V z; c_half = w + conj(w).  Both matrices read the same
-    // rotations of ct, so the baby steps are hoisted once for the pair.
-    std::vector<Ciphertext> baby = c2sLow_->babySteps(eval, ct);
-    Ciphertext re = c2sLow_->applyBaby(eval, baby);
-    eval.addInPlace(re, eval.conjugate(re));
-    Ciphertext im = c2sHigh_->applyBaby(eval, baby);
-    eval.addInPlace(im, eval.conjugate(im));
-    return {std::move(re), std::move(im)};
+    // w = (lo + i hi) / 2 over the coefficient halves, so re = w +
+    // conj(w) and im = i (conj(w) - w): one conjugation, and the
+    // multiply by i is the exact monomial X^{n/2}.
+    Ciphertext w = ct;
+    for (const LinearTransform& f : c2s_)
+        w = f.apply(eval, w);
+    Ciphertext u = eval.conjugate(w);
+    Ciphertext re = eval.add(w, u);
+    eval.subInPlace(u, w);
+    return {std::move(re), eval.mulByI(u)};
 }
 
 Ciphertext
@@ -176,9 +250,11 @@ Ciphertext
 Bootstrapper::slotToCoeff(const Evaluator& eval, const Ciphertext& re,
                           const Ciphertext& im) const
 {
-    Ciphertext zr = s2cLow_->apply(eval, re);
-    eval.addInPlace(zr, s2cHigh_->apply(eval, im));
-    return zr;
+    // z = A (lo + i hi): one factored chain over the recombined halves.
+    Ciphertext x = eval.add(re, eval.mulByI(im));
+    for (auto f = s2c_.rbegin(); f != s2c_.rend(); ++f)
+        x = f->apply(eval, x);
+    return x;
 }
 
 Ciphertext

@@ -25,6 +25,12 @@ CkksContext::CkksContext(const CkksParams& params)
     pModQ_.resize(params_.levels);
     for (size_t k = 0; k < params_.levels; ++k)
         pModQ_[k] = basis_->mod(k).reduceU64(special);
+
+    std::vector<i64> monomial(params_.n, 0);
+    monomial[params_.n / 2] = 1;
+    iMonomial_ = RnsPoly::fromSigned(basis_, params_.levels, false,
+                                     monomial);
+    iMonomial_.toNtt();
 }
 
 u64

@@ -43,10 +43,18 @@ class CkksContext
     /** Galois element for complex conjugation. */
     u64 galoisForConjugation() const { return 2 * params_.n - 1; }
 
+    /**
+     * The monomial X^{n/2} in NTT form over every chain limb.  Every
+     * embedding root has zeta_j^{n/2} = i, so a pointwise product with
+     * it multiplies each slot by i (Evaluator::mulByI).
+     */
+    const RnsPoly& iMonomialNtt() const { return iMonomial_; }
+
   private:
     CkksParams params_;
     std::shared_ptr<const RnsBasis> basis_;
     std::vector<u64> pModQ_;
+    RnsPoly iMonomial_;
 };
 
 } // namespace hydra

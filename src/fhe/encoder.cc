@@ -76,17 +76,23 @@ CkksEncoder::fftSpecial(std::vector<cplx>& vals) const
         if (i < j)
             std::swap(vals[i], vals[j]);
     }
-    for (size_t len = 2; len <= n; len <<= 1) {
-        for (size_t i = 0; i < n; i += len) {
-            size_t lenh = len >> 1;
-            size_t lenq = len << 2;
-            for (size_t j = 0; j < lenh; ++j) {
-                size_t idx = (rotGroup_[j] % lenq) * (m_ / lenq);
-                cplx u = vals[i + j];
-                cplx v = vals[i + j + lenh] * ksiPows_[idx];
-                vals[i + j] = u + v;
-                vals[i + j + lenh] = u - v;
-            }
+    for (size_t len = 2; len <= n; len <<= 1)
+        fftSpecialStage(vals, len);
+}
+
+void
+CkksEncoder::fftSpecialStage(std::vector<cplx>& vals, size_t len) const
+{
+    size_t n = vals.size();
+    for (size_t i = 0; i < n; i += len) {
+        size_t lenh = len >> 1;
+        size_t lenq = len << 2;
+        for (size_t j = 0; j < lenh; ++j) {
+            size_t idx = (rotGroup_[j] % lenq) * (m_ / lenq);
+            cplx u = vals[i + j];
+            cplx v = vals[i + j + lenh] * ksiPows_[idx];
+            vals[i + j] = u + v;
+            vals[i + j + lenh] = u - v;
         }
     }
 }
@@ -96,20 +102,8 @@ CkksEncoder::fftSpecialInv(std::vector<cplx>& vals) const
 {
     size_t n = vals.size();
     HYDRA_ASSERT(n == slots_, "fftSpecialInv length mismatch");
-    for (size_t len = n; len >= 2; len >>= 1) {
-        for (size_t i = 0; i < n; i += len) {
-            size_t lenh = len >> 1;
-            size_t lenq = len << 2;
-            for (size_t j = 0; j < lenh; ++j) {
-                size_t idx =
-                    (lenq - rotGroup_[j] % lenq) % lenq * (m_ / lenq);
-                cplx u = vals[i + j] + vals[i + j + lenh];
-                cplx v = (vals[i + j] - vals[i + j + lenh]) * ksiPows_[idx];
-                vals[i + j] = u;
-                vals[i + j + lenh] = v;
-            }
-        }
-    }
+    for (size_t len = n; len >= 2; len >>= 1)
+        fftSpecialInvStage(vals, len);
     int log_n = 0;
     while ((1u << log_n) < n)
         ++log_n;
@@ -121,6 +115,23 @@ CkksEncoder::fftSpecialInv(std::vector<cplx>& vals) const
     double inv = 1.0 / static_cast<double>(n);
     for (auto& v : vals)
         v *= inv;
+}
+
+void
+CkksEncoder::fftSpecialInvStage(std::vector<cplx>& vals, size_t len) const
+{
+    size_t n = vals.size();
+    for (size_t i = 0; i < n; i += len) {
+        size_t lenh = len >> 1;
+        size_t lenq = len << 2;
+        for (size_t j = 0; j < lenh; ++j) {
+            size_t idx = (lenq - rotGroup_[j] % lenq) % lenq * (m_ / lenq);
+            cplx u = vals[i + j] + vals[i + j + lenh];
+            cplx v = (vals[i + j] - vals[i + j + lenh]) * ksiPows_[idx];
+            vals[i + j] = u;
+            vals[i + j + lenh] = v;
+        }
+    }
 }
 
 Plaintext

@@ -102,6 +102,20 @@ class CkksEncoder
     void fftSpecialInv(std::vector<cplx>& vals) const;
 
     /**
+     * One butterfly stage of fftSpecial over blocks of `len` entries,
+     * in place.  fftSpecial is the bit-reversal permutation followed by
+     * these stages for len = 2, 4, ..., slots.
+     */
+    void fftSpecialStage(std::vector<cplx>& vals, size_t len) const;
+
+    /**
+     * One unscaled butterfly stage of fftSpecialInv, in place.
+     * fftSpecialInv is these stages for len = slots, ..., 4, 2, then
+     * the bit-reversal permutation and the 1/slots scaling.
+     */
+    void fftSpecialInvStage(std::vector<cplx>& vals, size_t len) const;
+
+    /**
      * The j-th embedding root zeta_j = exp(i*pi*(5^j mod 2n)/n); the
      * matrix U with U[j][i] = zeta_j^i defines decode(pt)_j =
      * sum_i coeff_i * zeta_j^i / scale for i < n.  Exposed for the

@@ -129,6 +129,23 @@ Evaluator::addMulPlain(Ciphertext& acc, const Ciphertext& a,
 }
 
 Ciphertext
+Evaluator::mulByI(const Ciphertext& a) const
+{
+    const RnsPoly& mono = ctx_.iMonomialNtt();
+    Ciphertext out = a;
+    for (RnsPoly* p : {&out.c0, &out.c1}) {
+        HYDRA_ASSERT(p->nttForm() && !p->hasSpecial(),
+                     "mulByI expects an NTT-form ciphertext");
+        parallelFor(0, p->limbCount(), [&](size_t k) {
+            simd::kernels().mulSpan(p->limbData(k), mono.limbData(k),
+                                    p->n(), p->mod(k));
+        });
+    }
+    count(HeOpType::PMult, out.level());
+    return out;
+}
+
+Ciphertext
 Evaluator::mulRelin(const Ciphertext& a, const Ciphertext& b) const
 {
     HYDRA_ASSERT(relin_ != nullptr, "relin key not set");

@@ -65,6 +65,13 @@ class Evaluator
 
     Ciphertext square(const Ciphertext& a) const;
 
+    /**
+     * Multiply every slot by i: a pointwise product with the NTT form
+     * of the monomial X^{n/2}.  Exact; costs no level and no key, and
+     * leaves the scale unchanged.
+     */
+    Ciphertext mulByI(const Ciphertext& a) const;
+
     /** Multiply by a scalar constant encoded on the fly at `scale`. */
     Ciphertext mulConstant(const Ciphertext& a, cplx c,
                            double scale) const;

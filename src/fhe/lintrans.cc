@@ -1,5 +1,6 @@
 #include "fhe/lintrans.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -19,43 +20,58 @@ maxNorm(const std::vector<cplx>& v)
     return m;
 }
 
+/** All generalized diagonals of a square matrix. */
+MatrixDiagonals
+denseDiagonals(const CMatrix& matrix)
+{
+    size_t s = matrix.size();
+    for (const auto& row : matrix)
+        HYDRA_ASSERT(row.size() == s, "matrix must be square");
+    MatrixDiagonals out;
+    out.diags.assign(s, std::vector<cplx>(s));
+    for (size_t d = 0; d < s; ++d)
+        for (size_t j = 0; j < s; ++j)
+            out.diags[d][j] = matrix[j][(j + d) % s];
+    return out;
+}
+
 } // namespace
 
 LinearTransform::LinearTransform(const CkksEncoder& encoder,
-                                 const CMatrix& matrix, double scale,
-                                 size_t bs)
-    : slots_(encoder.slots()), scale_(scale)
+                                 const MatrixDiagonals& diagonals,
+                                 double scale, size_t bs)
+    : slots_(encoder.slots()), stride_(diagonals.stride), scale_(scale)
 {
-    HYDRA_ASSERT(matrix.size() == slots_, "matrix must be slots x slots");
-    for (const auto& row : matrix)
-        HYDRA_ASSERT(row.size() == slots_, "matrix must be square");
+    size_t count = diagonals.diags.size();
+    HYDRA_ASSERT(count > 0 && stride_ > 0 && count * stride_ <= slots_,
+                 "diagonal set must fit in the slot count");
+    for (const auto& diag : diagonals.diags)
+        HYDRA_ASSERT(diag.size() == slots_, "diagonal length != slots");
 
     if (bs == 0) {
         bs = 1;
-        while (bs * bs < slots_)
+        while (bs * bs < count)
             bs <<= 1;
     }
-    HYDRA_ASSERT(slots_ % bs == 0, "baby-step count must divide slots");
-    bs_ = bs;
-    gs_ = slots_ / bs;
+    bs_ = std::min(bs, count);
+    gs_ = (count + bs_ - 1) / bs_;
 
-    // Extract generalized diagonals, pre-rotate each by -(g*bs), encode.
+    // Pre-rotate each non-zero diagonal by -shift_g and encode it.
     giant_.resize(gs_);
+    shift_.resize(gs_);
     needBaby_.assign(bs_, false);
     for (size_t g = 0; g < gs_; ++g) {
-        for (size_t b = 0; b < bs_; ++b) {
-            size_t d = g * bs_ + b;
-            std::vector<cplx> diag(slots_);
-            for (size_t j = 0; j < slots_; ++j)
-                diag[j] = matrix[j][(j + d) % slots_];
+        size_t shift = (diagonals.base + g * bs_ * stride_) % slots_;
+        shift_[g] = shift;
+        for (size_t b = 0; b < bs_ && g * bs_ + b < count; ++b) {
+            const std::vector<cplx>& diag = diagonals.diags[g * bs_ + b];
             if (maxNorm(diag) < 1e-14)
                 continue; // structurally zero diagonal
-            // Pre-rotate right by g*bs so the giant-step rotation of the
-            // partial sum aligns the plaintext with the ciphertext.
+            // Pre-rotate right by shift_g so the giant-step rotation of
+            // the partial sum aligns the plaintext with the ciphertext.
             std::vector<cplx> rotated(slots_);
-            size_t shift = g * bs_;
             for (size_t j = 0; j < slots_; ++j)
-                rotated[j] = diag[(j + slots_ - shift % slots_) % slots_];
+                rotated[j] = diag[(j + slots_ - shift) % slots_];
             // Encode at full level so any ciphertext level works.
             giant_[g].push_back(
                 {b, encoder.encode(rotated, scale_, encoder.maxLevels())});
@@ -65,14 +81,22 @@ LinearTransform::LinearTransform(const CkksEncoder& encoder,
     }
 }
 
+LinearTransform::LinearTransform(const CkksEncoder& encoder,
+                                 const CMatrix& matrix, double scale,
+                                 size_t bs)
+    : LinearTransform(encoder, denseDiagonals(matrix), scale, bs)
+{
+}
+
 std::vector<int>
 LinearTransform::requiredRotations() const
 {
     std::vector<int> steps;
     for (size_t b = 1; b < bs_; ++b)
-        steps.push_back(static_cast<int>(b));
-    for (size_t g = 1; g < gs_; ++g)
-        steps.push_back(static_cast<int>(g * bs_));
+        steps.push_back(static_cast<int>(b * stride_));
+    for (size_t g = 0; g < gs_; ++g)
+        if (shift_[g] != 0)
+            steps.push_back(static_cast<int>(shift_[g]));
     return steps;
 }
 
@@ -84,13 +108,14 @@ LinearTransform::babySteps(const Evaluator& eval,
     std::vector<int> steps;
     for (size_t b = 1; b < bs_; ++b)
         if (needBaby_[b])
-            steps.push_back(static_cast<int>(b));
+            steps.push_back(static_cast<int>(b * stride_));
     std::vector<Ciphertext> hoisted = eval.rotateHoisted(ct, steps);
     std::vector<Ciphertext> baby(bs_);
     if (needBaby_[0])
         baby[0] = ct;
     for (size_t i = 0; i < steps.size(); ++i)
-        baby[static_cast<size_t>(steps[i])] = std::move(hoisted[i]);
+        baby[static_cast<size_t>(steps[i]) / stride_] =
+            std::move(hoisted[i]);
     return baby;
 }
 
@@ -115,8 +140,9 @@ LinearTransform::applyBaby(const Evaluator& eval,
         Ciphertext acc = eval.mulPlain(baby[terms[0].b], terms[0].pt);
         for (size_t t = 1; t < terms.size(); ++t)
             eval.addMulPlain(acc, baby[terms[t].b], terms[t].pt);
-        partial[g] = g == 0 ? std::move(acc)
-                            : eval.rotate(acc, static_cast<int>(g * bs_));
+        partial[g] = shift_[g] == 0
+                         ? std::move(acc)
+                         : eval.rotate(acc, static_cast<int>(shift_[g]));
     });
 
     // Summing the partials in fixed g order reproduces the serial

@@ -3,10 +3,14 @@
  * Homomorphic linear transforms on slot vectors via the Baby-Step
  * Giant-Step (BSGS) diagonal method (paper Section III-B, Fig. 3(d)).
  *
- * For an s x s matrix M acting on the slot vector z:
- *     M z = sum_g rot_{g*bs}( sum_b diag'_{g*bs+b}(M) . rot_b(z) )
- * where diag'_d is the d-th generalized diagonal pre-rotated by -g*bs.
- * Rotation count drops from O(s) to bs + gs with bs * gs >= s.
+ * A transform is a set of generalized diagonals at offsets
+ * d_k = base + k*t (k < K, stride t).  With d_k = shift_g + b*t for
+ * giant step g = k / bs, baby step b = k % bs, shift_g = base + g*bs*t:
+ *     M z = sum_g rot_{shift_g}( sum_b diag'_k(M) . rot_{b*t}(z) )
+ * where diag'_k is diagonal d_k pre-rotated by -shift_g.  Rotation
+ * count drops from K to bs + gs with bs * gs >= K.  A dense s x s
+ * matrix is the case base = 0, t = 1, K = s; a sparse FFT factor of
+ * the bootstrapping DFT has ~2r diagonals at a larger stride.
  */
 
 #ifndef HYDRA_FHE_LINTRANS_HH
@@ -21,16 +25,33 @@ namespace hydra {
 /** Dense complex matrix, row-major, slots x slots. */
 using CMatrix = std::vector<std::vector<cplx>>;
 
+/**
+ * Generalized diagonals base + stride * k (k < diags.size()) of a
+ * slots x slots matrix M: diags[k][j] = M[j][(j + base + stride * k)
+ * mod slots].  Every other diagonal of M is zero.
+ */
+struct MatrixDiagonals
+{
+    size_t base = 0;
+    size_t stride = 1;
+    std::vector<std::vector<cplx>> diags;
+};
+
 /** One precomputed homomorphic matrix-vector product. */
 class LinearTransform
 {
   public:
     /**
-     * Precompute the encoded diagonals of `matrix` at plaintext scale
+     * Precompute the encoded non-zero diagonals at plaintext scale
      * `scale`.
-     * @param bs baby-step count; 0 selects ceil(sqrt(slots)) rounded to
-     *           a power of two.
+     * @param bs baby-step count, at most the diagonal count; 0 selects
+     *           ceil(sqrt(diagonal count)) rounded to a power of two.
      */
+    LinearTransform(const CkksEncoder& encoder,
+                    const MatrixDiagonals& diagonals, double scale,
+                    size_t bs = 0);
+
+    /** A dense matrix: all its diagonals, base 0 and stride 1. */
     LinearTransform(const CkksEncoder& encoder, const CMatrix& matrix,
                     double scale, size_t bs = 0);
 
@@ -38,10 +59,11 @@ class LinearTransform
     std::vector<int> requiredRotations() const;
 
     /**
-     * Hoisted baby steps rot_b(ct), indexed by b in [0, babySteps()).
+     * Hoisted baby steps rot_{b*t}(ct), indexed by b in
+     * [0, babySteps()).
      * Entries no stored diagonal reads stay empty.  Transforms with the
-     * same baby-step count can share one set over the same ciphertext
-     * (Bootstrapper::coeffToSlot hoists once for both C2S matrices).
+     * same baby-step count and stride can share one set over the same
+     * ciphertext.
      */
     std::vector<Ciphertext> babySteps(const Evaluator& eval,
                                       const Ciphertext& ct) const;
@@ -69,17 +91,20 @@ class LinearTransform
     struct Term
     {
         size_t b;
-        /** Encoded diagonal, pre-rotated by -(g*bs). */
+        /** Encoded diagonal, pre-rotated by -shift_g. */
         Plaintext pt;
     };
 
     size_t slots_;
+    size_t stride_;
     size_t bs_;
     size_t gs_;
     double scale_;
     size_t diagonals_ = 0;
     /** Per giant step g, its stored diagonals in increasing b. */
     std::vector<std::vector<Term>> giant_;
+    /** Per giant step g, its rotation shift_g mod slots. */
+    std::vector<size_t> shift_;
     /** Whether some stored diagonal reads baby step b. */
     std::vector<bool> needBaby_;
 };

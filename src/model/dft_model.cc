@@ -100,14 +100,13 @@ enumerate(size_t levels_left, size_t logs_left, size_t max_log,
 
 DftPlan
 optimizeDftPlan(size_t levels, size_t log_slots, size_t cards,
-                const DftOpTimes& t)
+                const DftOpTimes& t, size_t max_log_radix)
 {
     HYDRA_ASSERT(levels >= 1 && log_slots >= levels,
                  "log_slots must cover the level count");
-    // Radix up to 2^8 = 256 per level (hardware table sizes cap it).
     std::vector<std::vector<size_t>> compositions;
     std::vector<size_t> current;
-    enumerate(levels, log_slots, 8, current, compositions);
+    enumerate(levels, log_slots, max_log_radix, current, compositions);
     HYDRA_ASSERT(!compositions.empty(), "no radix composition");
 
     DftPlan best;

@@ -76,9 +76,12 @@ double dftTime(const DftPlan& plan, size_t cards, const DftOpTimes& t);
  * @param levels number of matrix levels (depth consumed)
  * @param log_slots log2 of the DFT length
  * @param cards accelerator node count
+ * @param max_log_radix largest log2 radix of one level: 8 matches the
+ *        hardware's table sizes; the host library passes log_slots so
+ *        a one-level plan is the dense transform
  */
 DftPlan optimizeDftPlan(size_t levels, size_t log_slots, size_t cards,
-                        const DftOpTimes& t);
+                        const DftOpTimes& t, size_t max_log_radix = 8);
 
 } // namespace hydra
 

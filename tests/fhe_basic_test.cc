@@ -123,6 +123,22 @@ TEST_F(FheBasicTest, MultiplyByImaginaryUnit)
         EXPECT_NEAR(std::abs(got[i] - a[i] * cplx(0, 1)), 0.0, 1e-4);
 }
 
+TEST_F(FheBasicTest, MulByIIsExactAndFree)
+{
+    // The monomial X^{n/2} multiplies every slot by i without a level
+    // or a key; twice it is an exact negation.
+    auto a = randomComplexVec(h_.ctx.slots(), 22);
+    auto ct = h_.encryptVec(a, 3);
+    Ciphertext once = h_.eval.mulByI(ct);
+    EXPECT_EQ(once.level(), ct.level());
+    EXPECT_EQ(once.scale, ct.scale);
+    auto got = h_.decryptVec(once);
+    for (size_t i = 0; i < a.size(); ++i)
+        EXPECT_NEAR(std::abs(got[i] - a[i] * cplx(0, 1)), 0.0, 1e-5);
+    EXPECT_TRUE(test::ciphertextsIdentical(h_.eval.mulByI(once),
+                                           h_.eval.negate(ct)));
+}
+
 TEST_F(FheBasicTest, RotationMovesSlotsLeft)
 {
     size_t s = h_.ctx.slots();

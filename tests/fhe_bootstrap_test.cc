@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numbers>
+#include <string>
 
 #include "fhe/bootstrap.hh"
 #include "fhe_test_util.hh"
+#include "math/ntt.hh"
 
 namespace hydra {
 namespace {
@@ -78,17 +81,20 @@ TEST(Bootstrap, CoeffToSlotExtractsCoefficients)
     auto ct = h.encryptVec(v); // full level
     auto [re, im] = b.boot.coeffToSlot(h.eval, ct);
 
-    // Reference: the encoded plaintext's coefficients over the scale.
+    // Reference: the encoded plaintext's coefficients over the scale,
+    // in bit-reversed slot order (C2S skips the FFT's bit reversal).
     Plaintext pt = h.encoder.encode(v, h.ctx.params().scale(), 1);
     const Modulus& q0 = h.ctx.basis()->mod(0);
+    int log_s = std::countr_zero(s);
     std::vector<cplx> c_lo(s), c_hi(s);
     for (size_t i = 0; i < s; ++i) {
+        size_t c = static_cast<size_t>(bitReverse(i, log_s));
         c_lo[i] = cplx(static_cast<double>(q0.toCentered(
-                           pt.poly.limb(0)[i])) /
+                           pt.poly.limb(0)[c])) /
                            pt.scale,
                        0.0);
         c_hi[i] = cplx(static_cast<double>(q0.toCentered(
-                           pt.poly.limb(0)[i + s])) /
+                           pt.poly.limb(0)[c + s])) /
                            pt.scale,
                        0.0);
     }
@@ -141,6 +147,27 @@ TEST(Bootstrap, EvalModRemovesQ0Multiples)
     EXPECT_LT(maxError(m, h.decryptVec(out)), 1e-3);
 }
 
+TEST(Bootstrap, EvalModHoldsAtMaxOverflow)
+{
+    // The worst overflow the fit range covers: every slot sits at
+    // m +- (q0/Delta) * maxOverflow, |I| = 18.
+    BootHarness b(btParams());
+    auto& h = b.h;
+    double q0 = static_cast<double>(h.ctx.basis()->mod(0).value());
+    double delta = h.ctx.params().scale();
+    double step = q0 / delta * BootstrapConfig{}.maxOverflow;
+
+    size_t s = h.ctx.slots();
+    auto m = test::randomRealVec(s, 62, 0.01);
+    std::vector<cplx> x(s);
+    Rng rng(63);
+    for (size_t j = 0; j < s; ++j)
+        x[j] = m[j] + (rng.uniformU64(2) ? step : -step);
+    auto ct = h.encryptVec(x);
+    auto out = b.boot.evalMod(h.eval, ct, delta);
+    EXPECT_LT(maxError(m, h.decryptVec(out)), 1e-3);
+}
+
 TEST(Bootstrap, EndToEndRefresh)
 {
     BootHarness b(btParams());
@@ -187,7 +214,7 @@ TEST(Bootstrap, ChebyshevEvalModSavesLevels)
     auto fresh = b.boot.bootstrap(h.eval, ct);
     EXPECT_LT(maxError(v, h.decryptVec(fresh)), 2e-3);
 
-    BootstrapConfig taylor; // defaults: deg 7, r = 9
+    BootstrapConfig taylor; // defaults: deg 7, r = 7
     CkksParams p = btParams();
     CkksContext ctx(p);
     CkksEncoder enc(ctx);
@@ -206,39 +233,190 @@ TEST(Bootstrap, DepthMatchesConfiguration)
     CkksContext ctx(p);
     CkksEncoder enc(ctx);
     Bootstrapper boot(ctx, enc, cfg);
-    // 1 c2s + 1 kappa + (4) taylor + 9 DAF + 1 sine + 1 s2c = 17
-    EXPECT_EQ(boot.depth(), 17u);
-    EXPECT_LT(boot.depth(), p.levels);
+    // c2s levels + 1 kappa + (4) taylor + 9 DAF + 1 sine + s2c levels
+    size_t c2s = boot.coeffToSlotPlan().levels.size();
+    size_t s2c = boot.slotToCoeffPlan().levels.size();
+    EXPECT_EQ(c2s, 2u);
+    EXPECT_EQ(s2c, 2u);
+    EXPECT_EQ(boot.depth(), c2s + 1 + 4 + 9 + 1 + s2c);
+
+    // Defaults: two-level C2S and S2C, r = 7 -> depth 17, so
+    // bootstrapTest's 20 levels leave 3 for the caller.
+    Bootstrapper def(ctx, enc);
+    EXPECT_EQ(def.depth(), 17u);
+    EXPECT_LT(def.depth(), p.levels);
+    EXPECT_LE(def.requiredRotations().size(), 46u);
+}
+
+/**
+ * Rotations one factored DFT runs, in closed form over its plan (see
+ * specialFftFactors): level 0 has r diagonals at base 0, every other
+ * level 2r at base -r t.  Each level runs bs - 1 hoisted baby steps
+ * and one rotation per giant step except the one whose shift is 0
+ * (none for a non-top level whose bs spans all 2r diagonals).
+ */
+uint64_t
+planRotations(const DftPlan& plan)
+{
+    uint64_t total = 0;
+    for (size_t i = 0; i < plan.levels.size(); ++i) {
+        size_t r = plan.levels[i].radix;
+        size_t count = i == 0 ? r : 2 * r;
+        size_t bs = std::min(plan.levels[i].bs, count);
+        size_t gs = count / bs;
+        bool zero_shift = i == 0 || bs <= r;
+        total += (bs - 1) + gs - (zero_shift ? 1 : 0);
+    }
+    return total;
+}
+
+TEST(Bootstrap, DftRotationsMatchPlanClosedForm)
+{
+    // The functional C2S/S2C run exactly the rotations the Eq. 1 plan
+    // prices: per level, the baby and giant steps it uses, plus the
+    // one conjugation of C2S.
+    struct Case
+    {
+        size_t n;
+        size_t c2sLevels;
+        size_t s2cLevels;
+    };
+    for (const Case& c : {Case{1 << 10, 2, 2}, Case{1 << 8, 1, 3},
+                          Case{1 << 8, 3, 1}}) {
+        CkksParams p = btParams(c.n);
+        BootstrapConfig cfg;
+        cfg.coeffToSlot = hostDftPlan(c.c2sLevels, p.n / 2);
+        cfg.slotToCoeff = hostDftPlan(c.s2cLevels, p.n / 2);
+        BootHarness b(p, cfg);
+        auto& h = b.h;
+        auto v = test::randomComplexVec(h.ctx.slots(), 64, 0.01);
+        auto ct = h.encryptVec(v);
+
+        OpCounter c2s;
+        h.eval.setCounter(&c2s);
+        auto [re, im] = b.boot.coeffToSlot(h.eval, ct);
+        OpCounter s2c;
+        h.eval.setCounter(&s2c);
+        Ciphertext back = b.boot.slotToCoeff(h.eval, re, im);
+        h.eval.setCounter(nullptr);
+
+        uint64_t c2s_rot = planRotations(cfg.coeffToSlot);
+        uint64_t s2c_rot = planRotations(cfg.slotToCoeff);
+        std::string tag = "n=" + std::to_string(c.n) + " C2S " +
+                          cfg.coeffToSlot.describe() + " S2C " +
+                          cfg.slotToCoeff.describe();
+        EXPECT_EQ(c2s.count(HeOpType::Rotate), c2s_rot) << tag;
+        EXPECT_EQ(c2s.count(HeOpType::Conjugate), 1u) << tag;
+        EXPECT_EQ(c2s.count(HeOpType::KeySwitch), c2s_rot + 1) << tag;
+        EXPECT_EQ(s2c.count(HeOpType::Rotate), s2c_rot) << tag;
+        EXPECT_EQ(s2c.count(HeOpType::KeySwitch), s2c_rot) << tag;
+        EXPECT_EQ(back.level(),
+                  ct.level() - c.c2sLevels - c.s2cLevels) << tag;
+        EXPECT_LT(maxError(v, h.decryptVec(back)), 1e-3) << tag;
+    }
 }
 
 TEST(Bootstrap, KeyswitchCountIsExactAtAnyThreadCount)
 {
-    // n = 2^10: 512 slots, 32 baby x 16 giant steps per transform.
-    // C2S hoists its 31 baby steps once for both matrices (31 + 2 x 15
-    // giant + 2 conjugations = 63), S2C pays 2 x (31 + 15) = 92, and
-    // EvalMod's 30 relinearizations + 2 conjugations make 187.
+    // n = 2^10, 512 slots, default plans (two levels each way, r = 7).
+    // C2S: 20 rotations + 1 conjugation; S2C: 20 rotations; EvalMod:
+    // 2 x (6 Taylor + 7 double-angle relinearizations + 1 conjugation)
+    // = 28.  The dense two-matrix C2S/S2C this replaced ran 187
+    // keyswitches (153 rotations) at r = 9.
     BootHarness b(btParams(1 << 10));
     auto& h = b.h;
     auto v = test::randomRealVec(h.ctx.slots(), 61, 0.01);
     auto ct = h.encryptVec(v, 1);
+    uint64_t closed = planRotations(b.boot.coeffToSlotPlan()) + 1 +
+                      planRotations(b.boot.slotToCoeffPlan()) +
+                      2 * (6 + 7 + 1);
+    EXPECT_EQ(closed, 69u);
 
-    Ciphertext first;
     for (size_t threads : {1u, 4u}) {
         test::ThreadCountGuard tc(threads);
         OpCounter counter;
         h.eval.setCounter(&counter);
         Ciphertext out = b.boot.bootstrap(h.eval, ct);
         h.eval.setCounter(nullptr);
-        EXPECT_EQ(counter.count(HeOpType::KeySwitch), 187u)
+        EXPECT_EQ(counter.count(HeOpType::KeySwitch), 69u)
             << threads << " threads";
-        EXPECT_EQ(counter.count(HeOpType::Rotate), 153u)
+        EXPECT_EQ(counter.count(HeOpType::Rotate), 40u)
             << threads << " threads";
-        if (threads == 1)
-            first = std::move(out);
-        else
-            EXPECT_TRUE(test::ciphertextsIdentical(first, out));
+        uint64_t digest = test::ciphertextDigest(out);
+        EXPECT_EQ(digest, 0xdc70f0c704cc9dd8ULL)
+            << threads << " threads, digest 0x" << std::hex << digest;
     }
 }
+
+/** Sparse product: out[j] = sum_k diags[k][j] v[j + base + k t]. */
+std::vector<cplx>
+applyDiagonals(const MatrixDiagonals& f, const std::vector<cplx>& v)
+{
+    size_t s = v.size();
+    std::vector<cplx> out(s, cplx(0, 0));
+    for (size_t k = 0; k < f.diags.size(); ++k)
+        for (size_t j = 0; j < s; ++j)
+            out[j] += f.diags[k][j] * v[(j + f.base + k * f.stride) % s];
+    return out;
+}
+
+class SpecialFftFactorsTest
+    : public ::testing::TestWithParam<std::pair<size_t, size_t>>
+{
+};
+
+TEST_P(SpecialFftFactorsTest, ProductMatchesEncoderFft)
+{
+    // Column by column, the factors' product is the encoder's FFT
+    // without its bit reversal.
+    auto [n, levels] = GetParam();
+    CkksParams p = btParams(n);
+    CkksContext ctx(p);
+    CkksEncoder enc(ctx);
+    size_t s = enc.slots();
+    int log_s = std::countr_zero(s);
+    DftPlan plan = hostDftPlan(levels, s);
+    ASSERT_EQ(plan.levels.size(), levels);
+    auto inv = specialFftFactors(enc, plan, true);
+    auto fwd = specialFftFactors(enc, plan, false);
+
+    double worst_inv = 0.0, worst_fwd = 0.0;
+    for (size_t c = 0; c < s; ++c) {
+        std::vector<cplx> e(s, cplx(0, 0));
+        e[c] = cplx(1, 0);
+
+        std::vector<cplx> got = e;
+        for (const auto& f : inv)
+            got = applyDiagonals(f, got);
+        std::vector<cplx> ref = e;
+        enc.fftSpecialInv(ref);
+        for (size_t i = 0; i < s; ++i)
+            worst_inv = std::max(
+                worst_inv,
+                std::abs(got[i] - ref[bitReverse(i, log_s)]));
+
+        // Forward factors read bit-reversed input: e_c there is
+        // e_{bitrev(c)} in natural order.
+        got = e;
+        for (auto f = fwd.rbegin(); f != fwd.rend(); ++f)
+            got = applyDiagonals(*f, got);
+        ref.assign(s, cplx(0, 0));
+        ref[bitReverse(c, log_s)] = cplx(1, 0);
+        enc.fftSpecial(ref);
+        worst_fwd = std::max(worst_fwd, maxError(got, ref));
+    }
+    EXPECT_LT(worst_inv, 1e-9) << plan.describe();
+    EXPECT_LT(worst_fwd, 1e-9) << plan.describe();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Plans, SpecialFftFactorsTest,
+    ::testing::Values(std::pair<size_t, size_t>{1 << 8, 1},
+                      std::pair<size_t, size_t>{1 << 8, 2},
+                      std::pair<size_t, size_t>{1 << 8, 3},
+                      std::pair<size_t, size_t>{1 << 10, 1},
+                      std::pair<size_t, size_t>{1 << 10, 2},
+                      std::pair<size_t, size_t>{1 << 10, 3}));
 
 } // namespace
 } // namespace hydra

@@ -129,5 +129,91 @@ TEST(LinearTransformSpecial, CompositionOfTwoTransforms)
     EXPECT_LT(maxError(expect, got), 1e-2);
 }
 
+TEST(LinearTransformSpecial, StridedDiagonalsMatchPlainMatVec)
+{
+    // Diagonals base + stride * k as a sparse FFT factor has them; the
+    // keys are exactly requiredRotations(), so a missing one throws.
+    CkksParams p = smallParams();
+    CkksContext probe(p);
+    CkksEncoder probe_enc(probe);
+    size_t s = probe.slots();
+    MatrixDiagonals f;
+    f.base = s - 12;
+    f.stride = 4;
+    Rng rng(40);
+    for (size_t k = 0; k < 7; ++k) {
+        std::vector<cplx> d(s);
+        for (auto& x : d)
+            x = cplx(rng.uniformReal(-0.3, 0.3), rng.uniformReal(-0.3, 0.3));
+        f.diags.push_back(std::move(d));
+    }
+    CMatrix m(s, std::vector<cplx>(s, cplx(0, 0)));
+    for (size_t k = 0; k < f.diags.size(); ++k)
+        for (size_t j = 0; j < s; ++j)
+            m[j][(j + f.base + k * f.stride) % s] = f.diags[k][j];
+
+    for (size_t bs : {0, 2, 3, 7}) {
+        LinearTransform probe_lt(probe_enc, f, p.scale(), bs);
+        std::vector<int> rots = probe_lt.requiredRotations();
+        FheHarness h(p, rots, /*conjugation=*/false);
+        LinearTransform lt(h.encoder, f, p.scale(), bs);
+        auto v = randomComplexVec(s, 41);
+        OpCounter counter;
+        h.eval.setCounter(&counter);
+        Ciphertext out = lt.apply(h.eval, h.encryptVec(v, 3));
+        h.eval.setCounter(nullptr);
+        EXPECT_EQ(counter.count(HeOpType::Rotate), rots.size())
+            << "bs " << bs;
+        EXPECT_EQ(lt.diagonalCount(), f.diags.size()) << "bs " << bs;
+        EXPECT_LT(maxError(matVec(m, v), h.decryptVec(out)), 1e-3)
+            << "bs " << bs;
+    }
+}
+
+TEST(LinearTransformSpecial, DenseDigestPinsParent)
+{
+    // Dense matrices take the generalized-diagonal path with base 0 and
+    // stride 1; keys, op counts and output words must stay exactly what
+    // the one-path-per-matrix transform produced.
+    CkksParams p = smallParams();
+    CkksContext probe(p);
+    CkksEncoder probe_enc(probe);
+    size_t s = probe.slots();
+    CMatrix m = randomMatrix(s, 38);
+    for (size_t j = 0; j < s; ++j) // one structurally zero diagonal
+        m[j][(j + 5) % s] = cplx(0, 0);
+    struct Pin
+    {
+        size_t bs;
+        size_t rotations;
+        uint64_t rotates;
+        uint64_t pmults;
+        uint64_t digest;
+    };
+    for (const Pin& pin : {Pin{0, 14, 14, 63, 0x3fa10f39919c9f2dULL},
+                           Pin{16, 18, 18, 63, 0x59acc2023dfe8b6fULL}}) {
+        LinearTransform probe_lt(probe_enc, m, p.scale(), pin.bs);
+        std::vector<int> rots = probe_lt.requiredRotations();
+        EXPECT_EQ(rots.size(), pin.rotations) << "bs " << pin.bs;
+        FheHarness h(p, rots);
+        LinearTransform lt(h.encoder, m, p.scale(), pin.bs);
+        Ciphertext ct = h.encryptVec(randomComplexVec(s, 39), 3);
+        OpCounter counter;
+        h.eval.setCounter(&counter);
+        Ciphertext out = lt.apply(h.eval, ct);
+        h.eval.setCounter(nullptr);
+        EXPECT_EQ(counter.count(HeOpType::Rotate), pin.rotates)
+            << "bs " << pin.bs;
+        EXPECT_EQ(counter.count(HeOpType::PMult), pin.pmults)
+            << "bs " << pin.bs;
+        EXPECT_EQ(test::ciphertextDigest(out), pin.digest)
+            << "bs " << pin.bs << " digest 0x" << std::hex
+            << test::ciphertextDigest(out);
+        EXPECT_LT(maxError(matVec(m, randomComplexVec(s, 39)),
+                           h.decryptVec(out)),
+                  1e-2);
+    }
+}
+
 } // namespace
 } // namespace hydra

@@ -7,6 +7,7 @@
 #define HYDRA_TESTS_FHE_TEST_UTIL_HH
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -102,6 +103,28 @@ ciphertextsIdentical(const Ciphertext& a, const Ciphertext& b)
 {
     return a.scale == b.scale && polysIdentical(a.c0, b.c0) &&
            polysIdentical(a.c1, b.c1);
+}
+
+/** FNV-1a over a ciphertext's scale bits and every limb word: a
+ *  bit-exact output pin that survives across runs and builds. */
+inline uint64_t
+ciphertextDigest(const Ciphertext& ct)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&](uint64_t w) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (w >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    mix(std::bit_cast<uint64_t>(ct.scale));
+    for (const RnsPoly* p : {&ct.c0, &ct.c1}) {
+        mix(p->limbCount());
+        for (size_t k = 0; k < p->limbCount(); ++k)
+            for (size_t i = 0; i < p->n(); ++i)
+                mix(p->limbData(k)[i]);
+    }
+    return h;
 }
 
 /** Max |a_i - b_i| over paired entries. */

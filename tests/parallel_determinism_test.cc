@@ -63,11 +63,11 @@ TEST(ParallelDeterminism, BootstrapStepBitExactAcrossThreadCounts)
     CkksParams p = CkksParams::bootstrapTest();
     p.n = 1 << 8;
 
-    // The bootstrap C2S stage (BSGS linear transform over hoisted
-    // rotations) exercises decomposeDigits, accumulateKey, the
-    // automorphism memo and the plaintext NTT cache all at once.  The
-    // whole bootstrap runs its giant steps (gs = 8) and hoisted baby
-    // steps as op-level tasks and EvalMod at limb level.
+    // The bootstrap C2S stage (factored BSGS linear transforms over
+    // hoisted rotations, one conjugation) exercises decomposeDigits,
+    // accumulateKey, the automorphism memo and the plaintext NTT cache
+    // all at once.  The whole bootstrap runs its giant steps and
+    // hoisted baby steps as op-level tasks and EvalMod at limb level.
     CkksContext probe_ctx(p);
     CkksEncoder probe_enc(probe_ctx);
     Bootstrapper probe_boot(probe_ctx, probe_enc);
@@ -101,8 +101,8 @@ TEST(ParallelDeterminism, SharedBabyStepsMatchPerMatrixApply)
     FheHarness probe(smallParams());
     size_t s = probe.ctx.slots();
     double scale = probe.ctx.params().scale();
-    // Two dense matrices with the same baby-step count, as the two C2S
-    // matrices of bootstrapping.
+    // Two dense matrices with the same baby-step count share one set
+    // of hoisted baby steps over the same ciphertext.
     CMatrix ma(s), mb(s);
     for (size_t i = 0; i < s; ++i) {
         ma[i] = test::randomComplexVec(s, 100 + i, 0.1);

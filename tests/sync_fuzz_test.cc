@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/rng.hh"
 #include "sync/executor.hh"
 
@@ -54,11 +56,16 @@ class FuzzNetwork : public NetworkModel
 /**
  * Generate a random but deadlock-free program: messages get a global
  * total order; each card's comm queue lists its sends/recvs in that
- * order, which matches the executor's head-of-queue handshake.
+ * order, which matches the executor's head-of-queue handshake.  With
+ * `data_dependent`, about half the interleaved computes wait (CT_d) on
+ * the latest message their card receives; that send precedes the wait
+ * in the global order, so the program stays deadlock-free.  Either way
+ * the same random draws are made, so the message pattern is the same.
  */
 Program
 randomProgram(size_t cards, uint64_t seed, size_t n_messages,
-              size_t n_computes, Tick& total_compute)
+              size_t n_computes, Tick& total_compute,
+              bool data_dependent = true)
 {
     Rng rng(seed);
     ProgramBuilder pb(cards);
@@ -74,30 +81,33 @@ randomProgram(size_t cards, uint64_t seed, size_t n_messages,
     }
 
     std::vector<uint64_t> msgs;
+    // Per card, the latest message it receives (none yet: empty).
+    std::vector<std::optional<uint64_t>> received(cards);
     for (size_t m = 0; m < n_messages; ++m) {
         size_t src = rng.uniformU64(cards);
         if (cards < 2)
             break;
         if (rng.uniformU64(4) == 0) {
-            // Broadcast.
+            // Broadcast: every other card receives it.
             msgs.push_back(pb.broadcastFrom(src, 1 + rng.uniformU64(999),
                                             last_compute[src]));
+            for (size_t c = 0; c < cards; ++c)
+                if (c != src)
+                    received[c] = msgs.back();
         } else {
             size_t dst = rng.uniformU64(cards);
             if (dst == src)
                 dst = (dst + 1) % cards;
             msgs.push_back(pb.sendTo(src, dst, 1 + rng.uniformU64(999),
                                      last_compute[src]));
+            received[dst] = msgs.back();
         }
         // Interleave more compute, sometimes data-dependent (CT_d).
         size_t c = rng.uniformU64(cards);
         std::vector<uint64_t> waits;
-        if (!msgs.empty() && rng.uniformU64(2) == 0) {
-            // Wait only on a message this card actually receives:
-            // broadcast msgs reach everyone; for point-to-point we
-            // conservatively skip (receipt not guaranteed for c).
-            // Use the last broadcast if any.
-        }
+        if (!msgs.empty() && rng.uniformU64(2) == 0 && data_dependent &&
+            received[c])
+            waits.push_back(*received[c]);
         Tick d = 5 + rng.uniformU64(100);
         total_compute += d;
         last_compute[c] = pb.addCompute(c, d, OpCost{}, label, waits);
@@ -126,6 +136,15 @@ TEST_P(FuzzTest, CompletesDeterministically)
     Tick total_a = 0, total_b = 0;
     Program pa = randomProgram(cards, seed, 40, 30, total_a);
     Program pb = randomProgram(cards, seed, 40, 30, total_b);
+
+    // The programs exercise CT_d blocking and stay valid.
+    size_t waits = 0;
+    for (const CardProgram& card : pa.cards)
+        for (const ComputeTask& t : card.compute)
+            waits += t.waitMsgs.size();
+    EXPECT_GT(waits, 0u);
+    EXPECT_TRUE(pa.validate().empty());
+
     RunStats a = ex.run(pa);
     RunStats b = ex.run(pb);
 
@@ -344,9 +363,12 @@ TEST(FuzzGolden, EngineDigestPinsParent)
                 ex.setRecordTimeline(true);
                 ex.setRetryPolicy(retry);
                 Tick total = 0;
-                d.add(ex.tryRun(randomProgram(cards, seed, 40, 30, total)));
+                // The pin was captured on programs without CT_d waits.
+                d.add(ex.tryRun(
+                    randomProgram(cards, seed, 40, 30, total, false)));
                 ex.setFaultPlan(randomFaultPlan(seed * 100 + cards, cards));
-                d.add(ex.tryRun(randomProgram(cards, seed, 40, 30, total)));
+                d.add(ex.tryRun(
+                    randomProgram(cards, seed, 40, 30, total, false)));
             }
         }
     }
