@@ -1,8 +1,9 @@
 /**
  * @file
  * Bootstrap explorer: (1) run a REAL CKKS bootstrap with the functional
- * library at laptop scale, print the Eq. 1 DftPlans its C2S/S2C run and
- * the keyswitches it spends, and verify the refreshed message (exit
+ * library at laptop scale, print the Eq. 1 DftPlans its C2S/S2C run,
+ * the keyswitch shape (alpha, dnum) with the key budget, and the
+ * keyswitches it spends, and verify the refreshed message (exit
  * status 1 when the error reaches 2e-3); (2) sweep the Eq. 1 Radix/bs
  * space for a chosen slot count and card count and print the cost
  * surface with its optimum (paper Table V methodology).
@@ -54,6 +55,12 @@ main()
                 boot.coeffToSlotPlan().describe().c_str(),
                 boot.slotToCoeffPlan().describe().c_str(),
                 boot.requiredRotations().size());
+    std::printf("keyswitch: alpha = %zu special primes, dnum = %zu "
+                "digits; %.2f MB per key, %zu keys (relin + Galois) "
+                "= %.2f MB\n",
+                params.specialPrimes, params.dnum(), relin.bytes() / 1e6,
+                galois.keys.size() + 1,
+                (relin.bytes() + galois.bytes()) / 1e6);
 
     OpCounter counter;
     eval.setCounter(&counter);

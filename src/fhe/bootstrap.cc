@@ -115,14 +115,19 @@ Bootstrapper::Bootstrapper(const CkksContext& ctx,
     for (auto& diag : c2s[0].diags)
         for (auto& x : diag)
             x *= 0.5;
+    // Each factor's diagonals carry only the limbs it runs at in
+    // bootstrap(): C2S factor i at L - i, S2C factor i (run last to
+    // first) at the output level plus i + 1.
+    size_t top = ctx.levels();
     for (size_t i = 0; i < c2s.size(); ++i)
         c2s_.emplace_back(encoder, c2s[i], scale,
-                          config_.coeffToSlot.levels[i].bs);
+                          config_.coeffToSlot.levels[i].bs, top - i);
     std::vector<MatrixDiagonals> s2c =
         specialFftFactors(encoder, config_.slotToCoeff, false);
+    size_t out = top > depth() ? top - depth() : 0;
     for (size_t i = 0; i < s2c.size(); ++i)
         s2c_.emplace_back(encoder, s2c[i], scale,
-                          config_.slotToCoeff.levels[i].bs);
+                          config_.slotToCoeff.levels[i].bs, out + i + 1);
 }
 
 std::vector<int>
@@ -143,8 +148,8 @@ Bootstrapper::depth() const
     // + double angle (r) + sine extraction constant (1) + S2C levels.
     size_t deg = config_.useChebyshev ? config_.chebyshevDegree
                                       : config_.taylorDegree;
-    return c2s_.size() + 1 + polyEvalDepth(deg) +
-           config_.doubleAngleIters + 1 + s2c_.size();
+    return config_.coeffToSlot.levels.size() + 1 + polyEvalDepth(deg) +
+           config_.doubleAngleIters + 1 + config_.slotToCoeff.levels.size();
 }
 
 Ciphertext
@@ -161,7 +166,7 @@ Bootstrapper::modRaise(const Ciphertext& ct) const
         std::vector<i64> centered(n);
         for (size_t i = 0; i < n; ++i)
             centered[i] = q0.toCentered(coeff.limb(0)[i]);
-        RnsPoly out = RnsPoly::fromSigned(ctx_.basis(), levels, false,
+        RnsPoly out = RnsPoly::fromSigned(ctx_.basis(), levels, 0,
                                           centered);
         out.toNtt();
         return out;

@@ -140,8 +140,10 @@ class Bootstrapper
 
     /**
      * Inverse DFT: packs two coefficient-half ciphertexts (bit-reversed
-     * slot order, as coeffToSlot leaves them) back.  Consumes one level
-     * per slotToCoeffPlan() level.
+     * slot order, as coeffToSlot leaves them) back.  Runs at the level
+     * bootstrap() reaches it with (an input above is dropped to it) and
+     * consumes one level per slotToCoeffPlan() level, so the result is
+     * at levels() - depth().
      */
     Ciphertext slotToCoeff(const Evaluator& eval, const Ciphertext& re,
                            const Ciphertext& im) const;

@@ -31,10 +31,10 @@ class CkksContext
     size_t slots() const { return params_.n / 2; }
     size_t levels() const { return params_.levels; }
 
-    /** Special prime value P. */
-    u64 specialPrime() const;
-
-    /** P mod q_k, used in keyswitching-key generation. */
+    /**
+     * P mod q_k for P the product of the special primes: the gadget
+     * factor of keyswitching-key generation.
+     */
     u64 pModQ(size_t k) const { return pModQ_[k]; }
 
     /** Galois element for a left rotation by `steps` slots. */

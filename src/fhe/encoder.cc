@@ -21,14 +21,14 @@ const RnsPoly&
 Plaintext::nttRestricted(size_t levels) const
 {
     HYDRA_ASSERT(levels >= 1 && levels <= poly.nLimbs() &&
-                     !poly.hasSpecial(),
+                     poly.specialCount() == 0,
                  "cannot restrict plaintext to this level");
     if (!cache_)
         cache_ = std::make_shared<NttCache>();
     std::lock_guard<std::mutex> lock(cache_->m);
     auto [it, inserted] = cache_->byLevel.try_emplace(levels);
     if (inserted) {
-        RnsPoly pp(poly.basis(), levels, false, poly.nttForm());
+        RnsPoly pp(poly.basis(), levels, 0, poly.nttForm());
         for (size_t k = 0; k < levels; ++k)
             pp.copyLimbFrom(k, poly, k);
         pp.toNtt();
@@ -153,7 +153,7 @@ CkksEncoder::encode(const std::vector<cplx>& values, double scale,
         coeffs[i] = static_cast<i64>(std::llround(re));
         coeffs[i + slots_] = static_cast<i64>(std::llround(im));
     }
-    return Plaintext{RnsPoly::fromSigned(ctx_.basis(), n_limbs, false,
+    return Plaintext{RnsPoly::fromSigned(ctx_.basis(), n_limbs, 0,
                                          coeffs),
                      scale};
 }
@@ -178,7 +178,7 @@ CkksEncoder::encodeConstant(cplx c, double scale, size_t n_limbs) const
         fatal("encodeConstant overflow");
     coeffs[0] = static_cast<i64>(std::llround(re));
     coeffs[slots_] = static_cast<i64>(std::llround(im));
-    return Plaintext{RnsPoly::fromSigned(ctx_.basis(), n_limbs, false,
+    return Plaintext{RnsPoly::fromSigned(ctx_.basis(), n_limbs, 0,
                                          coeffs),
                      scale};
 }

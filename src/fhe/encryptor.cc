@@ -13,7 +13,7 @@ Ciphertext
 Encryptor::encrypt(const Plaintext& pt)
 {
     size_t levels = pt.poly.nLimbs();
-    HYDRA_ASSERT(!pt.poly.hasSpecial(), "plaintext must be over Q");
+    HYDRA_ASSERT(pt.poly.specialCount() == 0, "plaintext must be over Q");
 
     // u ternary; e0, e1 small.
     std::vector<i64> uv(ctx_.n()), e0v(ctx_.n()), e1v(ctx_.n());
@@ -22,11 +22,11 @@ Encryptor::encrypt(const Plaintext& pt)
         e0v[i] = rng_.smallError(ctx_.params().errorStd);
         e1v[i] = rng_.smallError(ctx_.params().errorStd);
     }
-    RnsPoly u = RnsPoly::fromSigned(ctx_.basis(), levels, false, uv);
+    RnsPoly u = RnsPoly::fromSigned(ctx_.basis(), levels, 0, uv);
     u.toNtt();
-    RnsPoly e0 = RnsPoly::fromSigned(ctx_.basis(), levels, false, e0v);
+    RnsPoly e0 = RnsPoly::fromSigned(ctx_.basis(), levels, 0, e0v);
     e0.toNtt();
-    RnsPoly e1 = RnsPoly::fromSigned(ctx_.basis(), levels, false, e1v);
+    RnsPoly e1 = RnsPoly::fromSigned(ctx_.basis(), levels, 0, e1v);
     e1.toNtt();
 
     RnsPoly m = pt.poly;
@@ -34,8 +34,8 @@ Encryptor::encrypt(const Plaintext& pt)
 
     // Restrict the (full-level) public key to the plaintext's limbs.
     Ciphertext ct;
-    ct.c0 = RnsPoly(ctx_.basis(), levels, false, true);
-    ct.c1 = RnsPoly(ctx_.basis(), levels, false, true);
+    ct.c0 = RnsPoly(ctx_.basis(), levels, 0, true);
+    ct.c1 = RnsPoly(ctx_.basis(), levels, 0, true);
     ct.scale = pt.scale;
     for (size_t k = 0; k < levels; ++k) {
         const Modulus& mod = ct.c0.mod(k);
@@ -68,7 +68,7 @@ Decryptor::decrypt(const Ciphertext& ct)
     HYDRA_ASSERT(ct.c0.nttForm() && ct.c1.nttForm(),
                  "ciphertexts are kept in NTT form");
     size_t levels = ct.level();
-    RnsPoly m(ctx_.basis(), levels, false, true);
+    RnsPoly m(ctx_.basis(), levels, 0, true);
     for (size_t k = 0; k < levels; ++k) {
         const Modulus& mod = m.mod(k);
         const auto c0k = ct.c0.limb(k);

@@ -23,9 +23,9 @@ checkScalesMatch(double a, double b)
 RnsPoly
 restrictTo(const RnsPoly& p, size_t levels)
 {
-    HYDRA_ASSERT(levels <= p.nLimbs() && !p.hasSpecial(),
+    HYDRA_ASSERT(levels <= p.nLimbs() && p.specialCount() == 0,
                  "cannot restrict");
-    RnsPoly out(p.basis(), levels, false, p.nttForm());
+    RnsPoly out(p.basis(), levels, 0, p.nttForm());
     for (size_t k = 0; k < levels; ++k)
         out.copyLimbFrom(k, p, k);
     return out;
@@ -134,7 +134,7 @@ Evaluator::mulByI(const Ciphertext& a) const
     const RnsPoly& mono = ctx_.iMonomialNtt();
     Ciphertext out = a;
     for (RnsPoly* p : {&out.c0, &out.c1}) {
-        HYDRA_ASSERT(p->nttForm() && !p->hasSpecial(),
+        HYDRA_ASSERT(p->nttForm() && p->specialCount() == 0,
                      "mulByI expects an NTT-form ciphertext");
         parallelFor(0, p->limbCount(), [&](size_t k) {
             simd::kernels().mulSpan(p->limbData(k), mono.limbData(k),
@@ -159,7 +159,6 @@ Evaluator::mulRelin(const Ciphertext& a, const Ciphertext& b) const
     RnsPoly d2 = a.c1;
     d2.mulPointwise(b.c1);
 
-    d2.fromNtt();
     auto [t0, t1] = keySwitch(d2, *relin_);
 
     Ciphertext out;
@@ -246,61 +245,34 @@ Evaluator::matchLevels(Ciphertext& a, Ciphertext& b) const
         b = dropToLevel(b, a.level());
 }
 
-std::vector<RnsPoly>
-Evaluator::decomposeDigits(const RnsPoly& d) const
-{
-    HYDRA_ASSERT(!d.nttForm() && !d.hasSpecial(),
-                 "digit decomposition wants coefficient domain over Q");
-    size_t levels = d.nLimbs();
-    size_t n = d.n();
-    const RnsBasis& basis = *ctx_.basis();
-
-    // Digits are independent: each lifts one centered residue limb to
-    // the full basis and NTTs it, so the digit loop parallelizes whole
-    // (the nested limb loops inside fromSigned/toNtt fall back to
-    // serial under the pool's re-entrancy guard).
-    std::vector<RnsPoly> digits(levels);
-    parallelFor(0, levels, [&](size_t i) {
-        const Modulus& qi = basis.mod(i);
-        const u64* src = d.limbData(i);
-        // Pool scratch for the centered representatives (signed alias
-        // of the same 64-bit words).
-        PoolBuffer scratch = BufferPool::global().acquire(n);
-        i64* centered = reinterpret_cast<i64*>(scratch.data());
-        simd::kernels().toCenteredSpan(centered, src, n, qi.value());
-        RnsPoly dig = RnsPoly::fromSigned(ctx_.basis(), levels, true,
-                                          centered);
-        dig.toNtt();
-        digits[i] = std::move(dig);
-    });
-    return digits;
-}
-
 std::pair<RnsPoly, RnsPoly>
 Evaluator::accumulateKey(const std::vector<RnsPoly>& digits,
                          const EvalKey& key, size_t levels,
                          u64 galois) const
 {
-    size_t key_special_pos = ctx_.levels(); // position in key polys
-    RnsPoly acc0(ctx_.basis(), levels, true, true);
-    RnsPoly acc1(ctx_.basis(), levels, true, true);
+    size_t alpha = ctx_.params().specialPrimes;
+    RnsPoly acc0(ctx_.basis(), levels, alpha, true);
+    RnsPoly acc1(ctx_.basis(), levels, alpha, true);
 
-    // Hoisting: the Galois map commutes with digit decomposition, so a
-    // permutation of the precomputed NTT-form digits stands in for
-    // decomposing the rotated polynomial.  The permutation is the same
-    // for every limb and digit, so it is fetched once from the memo and
-    // applied as a gather inside the accumulation loop.
+    // Hoisting: the Galois map commutes with ModUp, so a permutation of
+    // the precomputed NTT-form digits stands in for decomposing the
+    // rotated polynomial.  The permutation is the same for every limb
+    // and digit, so it is fetched once from the memo and applied as a
+    // gather inside the accumulation loop.
     const std::vector<size_t>* map = nullptr;
     if (galois != 1)
         map = &RnsPoly::nttAutomorphismMapCached(acc0.n(), galois);
 
-    // The levels+1 output limbs are independent: each accumulates every
-    // digit against its own key limb.  This is the dominant cost of
-    // mulRelin/rotate and the same limb-level parallelism the paper's
-    // compute units exploit, so the output-limb loop goes to the pool.
+    // The levels + alpha output limbs are independent: each accumulates
+    // every digit against its own key limb.  This is the dominant cost
+    // of mulRelin/rotate and the same limb-level parallelism the
+    // paper's compute units exploit, so the output-limb loop goes to
+    // the pool.  Key limbs past the chain sit after all L chain limbs.
     size_t nn = acc0.n();
-    parallelFor(0, levels + 1, [&](size_t kpos) {
-        size_t key_pos = kpos < levels ? kpos : key_special_pos;
+    size_t key_special_pos = ctx_.levels();
+    parallelFor(0, levels + alpha, [&](size_t kpos) {
+        size_t key_pos =
+            kpos < levels ? kpos : key_special_pos + (kpos - levels);
         const Modulus& mj = acc0.mod(kpos);
         u64* a0 = acc0.limbData(kpos);
         u64* a1 = acc1.limbData(kpos);
@@ -325,9 +297,9 @@ Evaluator::accumulateKey(const std::vector<RnsPoly>& digits,
         }
     });
 
-    // ModDown: divide by the special prime.
-    acc0.divideRoundByLast();
-    acc1.divideRoundByLast();
+    // ModDown: divide by P, the product of the special primes.
+    acc0.divideRoundByLast(alpha);
+    acc1.divideRoundByLast(alpha);
     count(HeOpType::KeySwitch, levels);
     return {std::move(acc0), std::move(acc1)};
 }
@@ -335,7 +307,7 @@ Evaluator::accumulateKey(const std::vector<RnsPoly>& digits,
 std::pair<RnsPoly, RnsPoly>
 Evaluator::keySwitch(const RnsPoly& d, const EvalKey& key) const
 {
-    return accumulateKey(decomposeDigits(d), key, d.nLimbs());
+    return accumulateKey(d.modUp(), key, d.nLimbs());
 }
 
 Ciphertext
@@ -344,11 +316,9 @@ Evaluator::applyGalois(const Ciphertext& a, u64 galois, HeOpType op) const
     HYDRA_ASSERT(galois_ != nullptr, "Galois keys not set");
     const EvalKey& key = galois_->at(galois);
 
-    RnsPoly c1 = a.c1;
-    c1.fromNtt();
-    RnsPoly p1 = c1.automorphism(galois);
-
-    auto [t0, t1] = keySwitch(p1, key);
+    // The automorphism of c1 is an NTT-domain index shuffle; ModUp
+    // takes it from there.
+    auto [t0, t1] = keySwitch(a.c1.automorphismNtt(galois), key);
 
     // c0 never leaves the NTT domain: the automorphism is the pure
     // index shuffle gathered straight into the keyswitch accumulator,
@@ -398,9 +368,7 @@ Evaluator::rotateHoisted(const Ciphertext& a,
                          const std::vector<int>& steps) const
 {
     HYDRA_ASSERT(galois_ != nullptr, "Galois keys not set");
-    RnsPoly c1 = a.c1;
-    c1.fromNtt();
-    std::vector<RnsPoly> digits = decomposeDigits(c1);
+    std::vector<RnsPoly> digits = a.c1.modUp();
 
     // Each step is an independent keyswitch over the shared digits, so
     // the steps form the op-level loop: one rotation per pool task when

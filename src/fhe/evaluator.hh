@@ -116,9 +116,9 @@ class Evaluator
 
     /**
      * Hoisted rotations: compute all requested rotations of one
-     * ciphertext while decomposing and NTT-transforming its keyswitch
-     * digits only once; each rotation then costs a pure permutation
-     * plus the key multiply-accumulate.  This is the classic hoisting
+     * ciphertext while running the ModUp of its keyswitch digits only
+     * once; each rotation then costs a pure permutation plus the key
+     * multiply-accumulate and its ModDown.  This is the classic hoisting
      * optimization that accelerates BSGS baby steps.
      */
     std::vector<Ciphertext> rotateHoisted(const Ciphertext& a,
@@ -130,9 +130,10 @@ class Evaluator
     /// @}
 
     /**
-     * Bare keyswitch of polynomial d (coefficient domain, level limbs,
-     * no special limb), returning (t0, t1) in NTT form such that
-     * t0 + t1 s ~= d * s_src.
+     * Bare hybrid keyswitch of polynomial d (NTT form, `level` chain
+     * limbs, no special limbs): ModUp into ceil(level / alpha) digits
+     * over level + alpha limbs, the key multiply-accumulate, and ModDown
+     * by P.  Returns (t0, t1) in NTT form with t0 + t1 s ~= d * s_src.
      */
     std::pair<RnsPoly, RnsPoly> keySwitch(const RnsPoly& d,
                                           const EvalKey& key) const;
@@ -152,13 +153,9 @@ class Evaluator
                            HeOpType op) const;
 
     /**
-     * Digit decomposition for keyswitching: per ciphertext prime, the
-     * centered residue lifted to every active limb plus the special
-     * prime, in NTT form.
+     * Multiply-accumulate ModUp digits (galois != 1: permuted by that
+     * automorphism) against a key into (t0, t1), then ModDown.
      */
-    std::vector<RnsPoly> decomposeDigits(const RnsPoly& d) const;
-
-    /** Multiply-accumulate digits against a key into (t0, t1) + ModDown. */
     std::pair<RnsPoly, RnsPoly>
     accumulateKey(const std::vector<RnsPoly>& digits, const EvalKey& key,
                   size_t levels, u64 galois = 1) const;

@@ -1,6 +1,8 @@
 #include "fhe/keygen.hh"
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
+#include "math/simd/simd.hh"
 
 namespace hydra {
 
@@ -12,24 +14,13 @@ KeyGenerator::KeyGenerator(const CkksContext& ctx)
 RnsPoly
 KeyGenerator::sampleUniformFull()
 {
-    size_t levels = ctx_.levels();
-    RnsPoly p(ctx_.basis(), levels, true, true);
+    RnsPoly p(ctx_.basis(), ctx_.levels(), ctx_.params().specialPrimes,
+              true);
     for (size_t k = 0; k < p.limbCount(); ++k) {
         u64 q = p.mod(k).value();
         for (auto& x : p.limb(k))
             x = rng_.uniformU64(q);
     }
-    return p;
-}
-
-RnsPoly
-KeyGenerator::sampleErrorFull()
-{
-    std::vector<i64> e(ctx_.n());
-    for (auto& x : e)
-        x = rng_.smallError(ctx_.params().errorStd);
-    RnsPoly p = RnsPoly::fromSigned(ctx_.basis(), ctx_.levels(), true, e);
-    p.toNtt();
     return p;
 }
 
@@ -53,7 +44,8 @@ KeyGenerator::secretKey()
             ++placed;
         }
     }
-    RnsPoly p = RnsPoly::fromSigned(ctx_.basis(), ctx_.levels(), true, s);
+    RnsPoly p = RnsPoly::fromSigned(ctx_.basis(), ctx_.levels(),
+                                    ctx_.params().specialPrimes, s);
     p.toNtt();
     return SecretKey{std::move(p)};
 }
@@ -62,7 +54,7 @@ PublicKey
 KeyGenerator::publicKey(const SecretKey& sk)
 {
     // (b, a) with b = -a s + e over Q only (no special limb needed).
-    RnsPoly a(ctx_.basis(), ctx_.levels(), false, true);
+    RnsPoly a(ctx_.basis(), ctx_.levels(), 0, true);
     for (size_t k = 0; k < a.limbCount(); ++k) {
         u64 q = a.mod(k).value();
         for (auto& x : a.limb(k))
@@ -71,11 +63,11 @@ KeyGenerator::publicKey(const SecretKey& sk)
     std::vector<i64> ev(ctx_.n());
     for (auto& x : ev)
         x = rng_.smallError(ctx_.params().errorStd);
-    RnsPoly e = RnsPoly::fromSigned(ctx_.basis(), ctx_.levels(), false, ev);
+    RnsPoly e = RnsPoly::fromSigned(ctx_.basis(), ctx_.levels(), 0, ev);
     e.toNtt();
 
     // Restrict s to the Q limbs.
-    RnsPoly b(ctx_.basis(), ctx_.levels(), false, true);
+    RnsPoly b(ctx_.basis(), ctx_.levels(), 0, true);
     for (size_t k = 0; k < b.limbCount(); ++k) {
         const Modulus& m = b.mod(k);
         const auto sl = sk.s.limb(k);
@@ -91,38 +83,51 @@ KeyGenerator::publicKey(const SecretKey& sk)
 EvalKey
 KeyGenerator::makeSwitchKey(const RnsPoly& src, const SecretKey& sk)
 {
-    HYDRA_ASSERT(src.nttForm() && src.hasSpecial() &&
-                     src.nLimbs() == ctx_.levels(),
+    size_t levels = ctx_.levels();
+    size_t alpha = ctx_.params().specialPrimes;
+    HYDRA_ASSERT(src.nttForm() && src.nLimbs() == levels &&
+                     src.specialCount() == alpha,
                  "switch-key source must be NTT form over the full basis");
-    size_t digits = ctx_.levels();
+    size_t digits = ctx_.params().dnum();
+    size_t n = ctx_.n();
+
+    // The random draws stay serial and in digit order (a_j, then e_j),
+    // so the key does not depend on the thread count.
     EvalKey key;
-    key.b.reserve(digits);
     key.a.reserve(digits);
-    for (size_t i = 0; i < digits; ++i) {
-        RnsPoly a_i = sampleUniformFull();
-        RnsPoly e_i = sampleErrorFull();
-        // b_i = -a_i s + e_i; then limb i += (P mod q_i) * src.
-        RnsPoly b_i(ctx_.basis(), digits, true, true);
-        for (size_t k = 0; k < b_i.limbCount(); ++k) {
-            const Modulus& m = b_i.mod(k);
-            const auto al = a_i.limb(k);
-            const auto sl = sk.s.limb(k);
-            const auto el = e_i.limb(k);
-            const auto bl = b_i.limb(k);
-            for (size_t t = 0; t < bl.size(); ++t)
-                bl[t] = m.addMod(m.negMod(m.mulMod(al[t], sl[t])), el[t]);
-        }
-        {
-            const Modulus& m = b_i.mod(i);
-            u64 p_mod = ctx_.pModQ(i);
-            const auto bl = b_i.limb(i);
-            const auto srcl = src.limb(i);
-            for (size_t t = 0; t < bl.size(); ++t)
+    std::vector<i64> errors(digits * n);
+    for (size_t j = 0; j < digits; ++j) {
+        key.a.push_back(sampleUniformFull());
+        for (size_t i = 0; i < n; ++i)
+            errors[j * n + i] = rng_.smallError(ctx_.params().errorStd);
+    }
+
+    // The rest is independent per (digit, limb): b_j = -a_j s + e_j,
+    // plus (P mod q_k) * src on digit j's own limbs.
+    key.b.reserve(digits);
+    for (size_t j = 0; j < digits; ++j)
+        key.b.emplace_back(ctx_.basis(), levels, alpha, true);
+    size_t width = levels + alpha;
+    parallelFor(0, digits * width, [&](size_t job) {
+        size_t j = job / width;
+        size_t k = job % width;
+        RnsPoly& b = key.b[j];
+        const Modulus& m = b.mod(k);
+        u64* bl = b.limbData(k);
+        simd::kernels().reduceCenteredSpan(bl, errors.data() + j * n, n,
+                                           m);
+        ctx_.basis()->ntt(b.basisIndex(k)).forward(bl);
+        const u64* al = key.a[j].limbData(k);
+        const u64* sl = sk.s.limbData(k);
+        for (size_t t = 0; t < n; ++t)
+            bl[t] = m.addMod(m.negMod(m.mulMod(al[t], sl[t])), bl[t]);
+        if (k < levels && k / alpha == j) {
+            u64 p_mod = ctx_.pModQ(k);
+            const u64* srcl = src.limbData(k);
+            for (size_t t = 0; t < n; ++t)
                 bl[t] = m.addMod(bl[t], m.mulMod(p_mod, srcl[t]));
         }
-        key.b.push_back(std::move(b_i));
-        key.a.push_back(std::move(a_i));
-    }
+    });
     return key;
 }
 

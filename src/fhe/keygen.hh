@@ -45,16 +45,14 @@ class KeyGenerator
 
     /**
      * Keyswitching key from an arbitrary source secret polynomial
-     * (NTT form, full basis) to sk.  Building block for the above.
+     * (NTT form, full chain plus special primes) to sk: dnum digit
+     * keys over L + alpha limbs.  Building block for the above.
      */
     EvalKey makeSwitchKey(const RnsPoly& src, const SecretKey& sk);
 
   private:
-    /** Uniform polynomial over the full basis + special prime, NTT. */
+    /** Uniform polynomial over the full chain + special primes, NTT. */
     RnsPoly sampleUniformFull();
-
-    /** Small error polynomial over the full basis + special prime. */
-    RnsPoly sampleErrorFull();
 
     const CkksContext& ctx_;
     Rng rng_;

@@ -2,10 +2,16 @@
  * @file
  * Key material for the CKKS scheme.
  *
- * Keyswitching keys use per-limb digit decomposition with one special
- * prime P (hybrid keyswitching with dnum = L): digit i of the switched
- * polynomial is its residue mod q_i lifted to the full basis, and
- * KSK_i = (-a_i s + e_i + [P]_{q_i} * src_i * s_src-gadget, a_i) over QP.
+ * Keyswitching is hybrid (Han-Ki): the ciphertext primes split into
+ * dnum = ceil(L / alpha) digits of alpha consecutive primes each, and
+ * P is the product of alpha special primes.  Digit j of the switched
+ * polynomial is its residue mod Q_j (the digit's primes), lifted to the
+ * full basis QP by ModUp, and
+ *     KSK_j = (-a_j s + e_j + P * [Q/Q_j]*[(Q/Q_j)^-1]_{Q_j} * s_src, a_j)
+ * over QP.  Mod q_k the gadget factor is 1 on digit j's primes and 0
+ * elsewhere, so b_j gains [P]_{q_k} * s_src on exactly those limbs.
+ * alpha = 1 is one digit per limb (dnum = L) with a single special
+ * prime.
  */
 
 #ifndef HYDRA_FHE_KEYS_HH
@@ -18,7 +24,7 @@
 
 namespace hydra {
 
-/** Secret key: ternary s, stored NTT-form over the full basis + P. */
+/** Secret key: ternary s, NTT form over the full chain + specials. */
 struct SecretKey
 {
     RnsPoly s;
@@ -32,8 +38,8 @@ struct PublicKey
 };
 
 /**
- * Keyswitching key: one (b_i, a_i) pair per digit (= per ciphertext
- * prime), each over the full basis + special prime, NTT form.
+ * Keyswitching key: one (b_j, a_j) pair per digit (dnum of them), each
+ * over the full chain plus the alpha special primes, NTT form.
  */
 struct EvalKey
 {
@@ -41,6 +47,17 @@ struct EvalKey
     std::vector<RnsPoly> a;
 
     bool valid() const { return !b.empty(); }
+
+    /** Bytes of key material: 2 dnum polynomials of L + alpha limbs. */
+    size_t
+    bytes() const
+    {
+        size_t words = 0;
+        for (const std::vector<RnsPoly>* half : {&b, &a})
+            for (const RnsPoly& p : *half)
+                words += p.limbCount() * p.n();
+        return words * sizeof(u64);
+    }
 };
 
 /** Rotation/conjugation keys indexed by Galois element. */
@@ -60,6 +77,16 @@ struct GaloisKeys
         auto it = keys.find(galois);
         HYDRA_ASSERT(it != keys.end(), "missing Galois key");
         return it->second;
+    }
+
+    /** Bytes of key material over all Galois elements. */
+    size_t
+    bytes() const
+    {
+        size_t total = 0;
+        for (const auto& [g, key] : keys)
+            total += key.bytes();
+        return total;
     }
 };
 

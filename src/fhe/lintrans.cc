@@ -39,9 +39,13 @@ denseDiagonals(const CMatrix& matrix)
 
 LinearTransform::LinearTransform(const CkksEncoder& encoder,
                                  const MatrixDiagonals& diagonals,
-                                 double scale, size_t bs)
-    : slots_(encoder.slots()), stride_(diagonals.stride), scale_(scale)
+                                 double scale, size_t bs, size_t levels)
+    : slots_(encoder.slots()),
+      stride_(diagonals.stride),
+      levels_(levels ? levels : encoder.maxLevels()),
+      scale_(scale)
 {
+    HYDRA_ASSERT(levels_ <= encoder.maxLevels(), "level above the chain");
     size_t count = diagonals.diags.size();
     HYDRA_ASSERT(count > 0 && stride_ > 0 && count * stride_ <= slots_,
                  "diagonal set must fit in the slot count");
@@ -72,9 +76,10 @@ LinearTransform::LinearTransform(const CkksEncoder& encoder,
             std::vector<cplx> rotated(slots_);
             for (size_t j = 0; j < slots_; ++j)
                 rotated[j] = diag[(j + slots_ - shift) % slots_];
-            // Encode at full level so any ciphertext level works.
-            giant_[g].push_back(
-                {b, encoder.encode(rotated, scale_, encoder.maxLevels())});
+            // Encoded with only the limbs the transform runs at: the
+            // residues are those of a full-chain encoding, minus limbs
+            // no ciphertext here ever has.
+            giant_[g].push_back({b, encoder.encode(rotated, scale_, levels_)});
             needBaby_[b] = true;
             ++diagonals_;
         }
@@ -104,7 +109,9 @@ std::vector<Ciphertext>
 LinearTransform::babySteps(const Evaluator& eval,
                            const Ciphertext& ct) const
 {
-    // Hoisted baby steps: one digit decomposition shared by all.
+    if (ct.level() > levels_)
+        return babySteps(eval, eval.dropToLevel(ct, levels_));
+    // Hoisted baby steps: one ModUp shared by all.
     std::vector<int> steps;
     for (size_t b = 1; b < bs_; ++b)
         if (needBaby_[b])

@@ -46,10 +46,12 @@ class LinearTransform
      * `scale`.
      * @param bs baby-step count, at most the diagonal count; 0 selects
      *           ceil(sqrt(diagonal count)) rounded to a power of two.
+     * @param levels limb count the transform runs at: the diagonals are
+     *           encoded with that many limbs (0 = the full chain).
      */
     LinearTransform(const CkksEncoder& encoder,
                     const MatrixDiagonals& diagonals, double scale,
-                    size_t bs = 0);
+                    size_t bs = 0, size_t levels = 0);
 
     /** A dense matrix: all its diagonals, base 0 and stride 1. */
     LinearTransform(const CkksEncoder& encoder, const CMatrix& matrix,
@@ -60,7 +62,8 @@ class LinearTransform
 
     /**
      * Hoisted baby steps rot_{b*t}(ct), indexed by b in
-     * [0, babySteps()).
+     * [0, babySteps()).  A ciphertext above levels() is first dropped
+     * to it.
      * Entries no stored diagonal reads stay empty.  Transforms with the
      * same baby-step count and stride can share one set over the same
      * ciphertext.
@@ -99,6 +102,7 @@ class LinearTransform
     size_t stride_;
     size_t bs_;
     size_t gs_;
+    size_t levels_;
     double scale_;
     size_t diagonals_ = 0;
     /** Per giant step g, its stored diagonals in increasing b. */

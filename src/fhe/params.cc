@@ -17,15 +17,26 @@ CkksParams::validate() const
         fatal("scaleBits %d out of range [20, 59]", scaleBits);
     if (firstPrimeBits < scaleBits || firstPrimeBits > 60)
         fatal("firstPrimeBits %d out of range", firstPrimeBits);
-    if (specialPrimeBits < firstPrimeBits || specialPrimeBits > 61)
-        fatal("specialPrimeBits must be >= firstPrimeBits");
+    if (specialPrimeBits < 20 || specialPrimeBits > 61)
+        fatal("specialPrimeBits %d out of range", specialPrimeBits);
+    if (specialPrimes < 1 || specialPrimes > levels)
+        fatal("specialPrimes %zu out of range [1, %zu]", specialPrimes,
+              levels);
+    // P must cover the widest digit, q_0 and alpha - 1 scale primes, so
+    // ModDown divides the digit noise away.
+    int alpha = static_cast<int>(specialPrimes);
+    if (alpha * specialPrimeBits < firstPrimeBits + (alpha - 1) * scaleBits)
+        fatal("%zu special primes of %d bits do not cover one digit",
+              specialPrimes, specialPrimeBits);
 }
 
 std::string
 CkksParams::describe() const
 {
-    return strf("CKKS(N=2^%d, L=%zu, scale=2^%d, logQ=%d, logPQ=%d)",
-                std::countr_zero(n), levels, scaleBits, logQ(), logPQ());
+    return strf("CKKS(N=2^%d, L=%zu, scale=2^%d, logQ=%d, logPQ=%d, "
+                "dnum=%zu, alpha=%zu)",
+                std::countr_zero(n), levels, scaleBits, logQ(), logPQ(),
+                dnum(), specialPrimes);
 }
 
 CkksParams
@@ -50,6 +61,8 @@ CkksParams::bootstrapTest()
     p.scaleBits = 42;
     p.firstPrimeBits = 42;
     p.specialPrimeBits = 55;
+    // alpha = 5 gives dnum = 4, the hybrid keyswitch OpCostModel prices.
+    p.specialPrimes = 5;
     p.secretHammingWeight = 64;
     return p;
 }
@@ -64,7 +77,8 @@ CkksParams::paperFullScale()
     p.levels = 25;
     p.scaleBits = 50;
     p.firstPrimeBits = 60;
-    p.specialPrimeBits = 54; // logPQ - logQ adjusted below by caller
+    p.specialPrimeBits = 54;
+    p.specialPrimes = 8; // log(PQ) - logQ = 8 * 54 = 432
     return p;
 }
 

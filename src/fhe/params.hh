@@ -28,8 +28,14 @@ struct CkksParams
     int scaleBits = 40;
     /** Bit size of the base prime q_0 (decode headroom). */
     int firstPrimeBits = 50;
-    /** Bit size of the keyswitching special prime. */
+    /** Bit size of each keyswitching special prime. */
     int specialPrimeBits = 51;
+    /**
+     * Special prime count alpha of hybrid keyswitching.  A keyswitch
+     * splits the ciphertext modulus into dnum() digits of alpha
+     * consecutive primes each, so alpha = 1 is one digit per limb.
+     */
+    size_t specialPrimes = 1;
     /** Error stddev for fresh encryptions. */
     double errorStd = 3.2;
     /**
@@ -54,8 +60,19 @@ struct CkksParams
         return firstPrimeBits + static_cast<int>(levels - 1) * scaleBits;
     }
 
-    /** Including the special prime. */
-    int logPQ() const { return logQ() + specialPrimeBits; }
+    /** Including the special primes. */
+    int
+    logPQ() const
+    {
+        return logQ() + static_cast<int>(specialPrimes) * specialPrimeBits;
+    }
+
+    /** Keyswitch digit count at the top level: ceil(levels / alpha). */
+    size_t
+    dnum() const
+    {
+        return (levels + specialPrimes - 1) / specialPrimes;
+    }
 
     std::string describe() const;
 

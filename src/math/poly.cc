@@ -15,22 +15,23 @@
 namespace hydra {
 
 RnsPoly::RnsPoly(std::shared_ptr<const RnsBasis> basis, size_t n_limbs,
-                 bool has_special, bool ntt_form, Uninit)
+                 size_t n_special, bool ntt_form, Uninit)
     : basis_(std::move(basis)),
       nLimbs_(n_limbs),
-      hasSpecial_(has_special),
+      nSpecial_(n_special),
       nttForm_(ntt_form),
       n_(basis_->n()),
-      limbCount_(n_limbs + (has_special ? 1 : 0))
+      limbCount_(n_limbs + n_special)
 {
-    HYDRA_ASSERT(nLimbs_ >= 1 && nLimbs_ <= basis_->qCount(),
+    HYDRA_ASSERT(nLimbs_ >= 1 && nLimbs_ <= basis_->qCount() &&
+                     nSpecial_ <= basis_->specialCount(),
                  "limb count out of range");
     buf_ = BufferPool::global().acquire(limbCount_ * n_);
 }
 
 RnsPoly::RnsPoly(std::shared_ptr<const RnsBasis> basis, size_t n_limbs,
-                 bool has_special, bool ntt_form)
-    : RnsPoly(std::move(basis), n_limbs, has_special, ntt_form, Uninit{})
+                 size_t n_special, bool ntt_form)
+    : RnsPoly(std::move(basis), n_limbs, n_special, ntt_form, Uninit{})
 {
     setZero();
 }
@@ -38,7 +39,7 @@ RnsPoly::RnsPoly(std::shared_ptr<const RnsBasis> basis, size_t n_limbs,
 RnsPoly::RnsPoly(const RnsPoly& other)
     : basis_(other.basis_),
       nLimbs_(other.nLimbs_),
-      hasSpecial_(other.hasSpecial_),
+      nSpecial_(other.nSpecial_),
       nttForm_(other.nttForm_),
       n_(other.n_),
       limbCount_(other.limbCount_)
@@ -67,7 +68,7 @@ RnsPoly::operator=(const RnsPoly& other)
     }
     basis_ = other.basis_;
     nLimbs_ = other.nLimbs_;
-    hasSpecial_ = other.hasSpecial_;
+    nSpecial_ = other.nSpecial_;
     nttForm_ = other.nttForm_;
     n_ = other.n_;
     limbCount_ = other.limbCount_;
@@ -76,9 +77,9 @@ RnsPoly::operator=(const RnsPoly& other)
 
 RnsPoly
 RnsPoly::fromSigned(std::shared_ptr<const RnsBasis> basis, size_t n_limbs,
-                    bool has_special, const i64* coeffs)
+                    size_t n_special, const i64* coeffs)
 {
-    RnsPoly p(std::move(basis), n_limbs, has_special, false, Uninit{});
+    RnsPoly p(std::move(basis), n_limbs, n_special, false, Uninit{});
     for (size_t k = 0; k < p.limbCount(); ++k)
         simd::kernels().reduceCenteredSpan(p.limbData(k), coeffs, p.n_,
                                            p.mod(k));
@@ -87,10 +88,10 @@ RnsPoly::fromSigned(std::shared_ptr<const RnsBasis> basis, size_t n_limbs,
 
 RnsPoly
 RnsPoly::fromSigned(std::shared_ptr<const RnsBasis> basis, size_t n_limbs,
-                    bool has_special, const std::vector<i64>& coeffs)
+                    size_t n_special, const std::vector<i64>& coeffs)
 {
     HYDRA_ASSERT(coeffs.size() == basis->n(), "coefficient count mismatch");
-    return fromSigned(std::move(basis), n_limbs, has_special,
+    return fromSigned(std::move(basis), n_limbs, n_special,
                       coeffs.data());
 }
 
@@ -112,7 +113,7 @@ bool
 RnsPoly::sameShape(const RnsPoly& other) const
 {
     return basis_ == other.basis_ && nLimbs_ == other.nLimbs_ &&
-           hasSpecial_ == other.hasSpecial_ && nttForm_ == other.nttForm_;
+           nSpecial_ == other.nSpecial_ && nttForm_ == other.nttForm_;
 }
 
 void
@@ -218,7 +219,7 @@ RnsPoly::automorphism(u64 galois) const
     u64 two_n = 2 * nn;
     HYDRA_ASSERT((galois & 1) == 1 && galois < two_n, "bad Galois element");
 
-    RnsPoly out(basis_, nLimbs_, hasSpecial_, false, Uninit{});
+    RnsPoly out(basis_, nLimbs_, nSpecial_, false, Uninit{});
     parallelFor(0, limbCount_, [&](size_t k) {
         const Modulus& m = mod(k);
         const u64* src = limbData(k);
@@ -292,7 +293,7 @@ RnsPoly::automorphismNtt(u64 galois) const
 {
     HYDRA_ASSERT(nttForm_, "automorphismNtt requires NTT domain");
     const std::vector<size_t>& map = nttAutomorphismMapCached(n_, galois);
-    RnsPoly out(basis_, nLimbs_, hasSpecial_, true, Uninit{});
+    RnsPoly out(basis_, nLimbs_, nSpecial_, true, Uninit{});
     parallelFor(0, limbCount_, [&](size_t k) {
         const u64* src = limbData(k);
         u64* dst = out.limbData(k);
@@ -318,43 +319,100 @@ RnsPoly::addAutomorphismNtt(const RnsPoly& src, u64 galois)
 }
 
 void
-RnsPoly::divideRoundByLast()
+RnsPoly::divideRoundByLast(size_t count)
 {
-    HYDRA_ASSERT(limbCount_ >= 2, "cannot drop the only limb");
-    size_t last = limbCount_ - 1;
-    size_t last_basis = basisIndex(last);
-    const Modulus& ql = basis_->mod(last_basis);
-    const NttTable& ntt_l = basis_->ntt(last_basis);
+    HYDRA_ASSERT(count >= 1 && count < limbCount_ &&
+                     (count == 1 || count == nSpecial_),
+                 "divide by one limb or by all special limbs");
+    size_t first = limbCount_ - count;
+    size_t first_basis = basisIndex(first);
+    const BaseConverter& conv =
+        basis_->converter(first_basis, first_basis + count);
     size_t nn = n_;
 
-    // Bring the last limb into coefficient domain to take its centered
-    // representative.  Scratch comes from the pool; the i64 view is the
-    // signed alias of the same words.
-    PoolBuffer scratch = BufferPool::global().acquire(2 * nn);
-    u64* corr = scratch.data();
-    i64* centered = reinterpret_cast<i64*>(scratch.data() + nn);
-    std::memcpy(corr, limbData(last), nn * sizeof(u64));
-    if (nttForm_)
-        ntt_l.inverse(corr);
-    simd::kernels().toCenteredSpan(centered, corr, nn, ql.value());
+    // The dropped limbs in coefficient domain, prepared as sources of
+    // the centered base conversion.
+    PoolBuffer scratch = BufferPool::global().acquire(count * nn);
+    std::vector<const u64*> y(count);
+    for (size_t i = 0; i < count; ++i)
+        y[i] = scratch.data() + i * nn;
+    parallelFor(0, count, [&](size_t i) {
+        u64* yi = scratch.data() + i * nn;
+        std::memcpy(yi, limbData(first + i), nn * sizeof(u64));
+        if (nttForm_)
+            basis_->ntt(first_basis + i).inverse(yi);
+        conv.prepareSource(yi, yi, i, nn);
+    });
 
-    parallelFor(0, last, [&](size_t k) {
+    parallelFor(0, first, [&](size_t k) {
         size_t kb = basisIndex(k);
         const Modulus& m = basis_->mod(kb);
-        ShoupMul inv(basis_->invQlModQj(last_basis, kb), m);
-        u64* limb = limbData(k);
-        // Reduce the centered correction into this limb's modulus, NTT
-        // it when needed, then fold in (limb - c) * qL^-1 fused.
+        const ShoupMul& inv = conv.prodInv(kb);
+        // Convert the remainder x mod M into this limb's modulus, NTT
+        // it when needed, then fold in (limb - c) * M^-1 fused.
         PoolBuffer cb = BufferPool::global().acquire(nn);
         u64* c = cb.data();
-        simd::kernels().reduceCenteredSpan(c, centered, nn, m);
+        conv.convert(c, y.data(), kb, nn);
         if (nttForm_)
             basis_->ntt(kb).forward(c);
-        simd::kernels().subMulScalarSpan(limb, c, nn, inv.value(),
+        simd::kernels().subMulScalarSpan(limbData(k), c, nn, inv.value(),
                                          inv.shoup(), m.value());
     });
 
-    dropLast();
+    for (size_t i = 0; i < count; ++i)
+        dropLast();
+}
+
+std::vector<RnsPoly>
+RnsPoly::modUp() const
+{
+    HYDRA_ASSERT(nttForm_ && nSpecial_ == 0,
+                 "ModUp wants an NTT-form polynomial over Q");
+    size_t levels = nLimbs_;
+    size_t alpha = basis_->specialCount();
+    size_t digits = (levels + alpha - 1) / alpha;
+    size_t width = levels + alpha; // limbs of one extended digit
+    size_t nn = n_;
+
+    std::vector<const BaseConverter*> conv(digits);
+    for (size_t j = 0; j < digits; ++j)
+        conv[j] = &basis_->converter(
+            j * alpha, std::min((j + 1) * alpha, levels));
+
+    // Every chain limb in coefficient domain, prepared as a source of
+    // its digit's conversion.
+    PoolBuffer scratch = BufferPool::global().acquire(levels * nn);
+    std::vector<const u64*> y(levels);
+    for (size_t k = 0; k < levels; ++k)
+        y[k] = scratch.data() + k * nn;
+    parallelFor(0, levels, [&](size_t k) {
+        u64* yk = scratch.data() + k * nn;
+        std::memcpy(yk, limbData(k), nn * sizeof(u64));
+        basis_->ntt(k).inverse(yk);
+        conv[k / alpha]->prepareSource(yk, yk, k % alpha, nn);
+    });
+
+    // One job per (digit, output limb): a copy for the digit's own
+    // limbs, a conversion plus forward NTT for every other limb.
+    std::vector<RnsPoly> out;
+    out.reserve(digits);
+    for (size_t j = 0; j < digits; ++j)
+        out.push_back(RnsPoly(basis_, levels, alpha, true, Uninit{}));
+    parallelFor(0, digits * width, [&](size_t job) {
+        size_t j = job / width;
+        size_t kpos = job % width;
+        RnsPoly& dig = out[j];
+        const BaseConverter& cv = *conv[j];
+        if (kpos >= cv.begin() && kpos < cv.end()) {
+            dig.copyLimbFrom(kpos, *this, kpos);
+            return;
+        }
+        size_t kb = dig.basisIndex(kpos);
+        u64* dst = dig.limbData(kpos);
+        cv.convert(dst, y.data() + cv.begin(), kb, nn);
+        basis_->ntt(kb).forward(dst);
+    });
+    return out;
 }
 
 void
@@ -364,8 +422,8 @@ RnsPoly::dropLast()
     // The flat buffer keeps its original capacity (it returns to its
     // size bucket when released); only the live-limb count shrinks.
     --limbCount_;
-    if (hasSpecial_)
-        hasSpecial_ = false;
+    if (nSpecial_ > 0)
+        --nSpecial_;
     else
         --nLimbs_;
 }

@@ -3,7 +3,9 @@
  * Polynomial in R_Q = Z_Q[X]/(X^n + 1) stored in RNS (double-CRT) form.
  *
  * A polynomial owns one residue vector ("limb") per active ciphertext
- * prime, plus optionally one limb for the special keyswitching prime.
+ * prime, followed by zero or more limbs for the special keyswitching
+ * primes p_0, p_1, ... (keys and keyswitch accumulators carry all
+ * alpha of them; ciphertexts and plaintexts none).
  * All limbs live in a single contiguous, cache-aligned buffer with
  * stride n (limb k occupies words [k*n, (k+1)*n)), acquired from the
  * global BufferPool so steady-state evaluator temporaries recycle
@@ -92,11 +94,12 @@ class RnsPoly
      * Zero polynomial.
      * @param basis shared RNS basis
      * @param n_limbs number of active ciphertext primes (q_0..q_{l-1})
-     * @param has_special whether the special prime limb is attached
+     * @param n_special number of special prime limbs attached
+     *                  (p_0..p_{n_special-1})
      * @param ntt_form initial domain
      */
     RnsPoly(std::shared_ptr<const RnsBasis> basis, size_t n_limbs,
-            bool has_special = false, bool ntt_form = false);
+            size_t n_special = 0, bool ntt_form = false);
 
     RnsPoly(const RnsPoly& other);
     RnsPoly& operator=(const RnsPoly& other);
@@ -109,19 +112,20 @@ class RnsPoly
      * e.g.\ ternary secrets, error samples or encoded plaintexts.
      */
     static RnsPoly fromSigned(std::shared_ptr<const RnsBasis> basis,
-                              size_t n_limbs, bool has_special,
+                              size_t n_limbs, size_t n_special,
                               const std::vector<i64>& coeffs);
 
     /** Same, from a raw pointer to n coefficients (pooled scratch). */
     static RnsPoly fromSigned(std::shared_ptr<const RnsBasis> basis,
-                              size_t n_limbs, bool has_special,
+                              size_t n_limbs, size_t n_special,
                               const i64* coeffs);
 
     bool valid() const { return basis_ != nullptr; }
     size_t n() const { return n_; }
     size_t limbCount() const { return limbCount_; }
     size_t nLimbs() const { return nLimbs_; }
-    bool hasSpecial() const { return hasSpecial_; }
+    /** Number of special prime limbs attached after the chain limbs. */
+    size_t specialCount() const { return nSpecial_; }
     bool nttForm() const { return nttForm_; }
     const std::shared_ptr<const RnsBasis>& basis() const { return basis_; }
 
@@ -129,7 +133,7 @@ class RnsPoly
     size_t
     basisIndex(size_t k) const
     {
-        return k < nLimbs_ ? k : basis_->specialIndex();
+        return k < nLimbs_ ? k : basis_->specialIndex(k - nLimbs_);
     }
 
     const Modulus&
@@ -217,12 +221,26 @@ class RnsPoly
                                                                u64 galois);
 
     /**
-     * Exact divide-and-round by the modulus of the last limb, dropping
-     * that limb: implements both Rescale (last limb = q_l) and ModDown
-     * (last limb = special prime).  Works in either domain and preserves
-     * the domain of the remaining limbs.
+     * Divide-and-round by the product M of the last `count` limbs'
+     * moduli, dropping those limbs: Rescale is count = 1 (exact
+     * rounding), ModDown is count = specialCount() (M = P).  The
+     * remainder x mod M comes from the centered fast base conversion,
+     * so for count > 1 the quotient may be off by at most count / 2.
+     * Works in either domain and preserves the domain of the remaining
+     * limbs.
      */
-    void divideRoundByLast();
+    void divideRoundByLast(size_t count = 1);
+
+    /**
+     * ModUp for hybrid keyswitching.  This polynomial (NTT form, l
+     * chain limbs, no special limbs) is split into ceil(l / alpha)
+     * digits of alpha consecutive primes (alpha = the basis's special
+     * count; the last digit may be shorter).  Digit j is the centered
+     * fast base conversion of its primes' residues, lifted to all l
+     * chain limbs plus the alpha special limbs, in NTT form.  A digit's
+     * own limbs are its residues, copied rather than transformed again.
+     */
+    std::vector<RnsPoly> modUp() const;
 
     /** Drop the last limb without rescaling (modulus switching down). */
     void dropLast();
@@ -237,14 +255,14 @@ class RnsPoly
     };
 
     RnsPoly(std::shared_ptr<const RnsBasis> basis, size_t n_limbs,
-            bool has_special, bool ntt_form, Uninit);
+            size_t n_special, bool ntt_form, Uninit);
 
     std::shared_ptr<const RnsBasis> basis_;
     size_t nLimbs_ = 0;
-    bool hasSpecial_ = false;
+    size_t nSpecial_ = 0;
     bool nttForm_ = false;
     size_t n_ = 0;         ///< ring dimension = limb stride
-    size_t limbCount_ = 0; ///< live limbs (nLimbs_ + special if attached)
+    size_t limbCount_ = 0; ///< live limbs (nLimbs_ + nSpecial_)
     PoolBuffer buf_;       ///< flat limb storage, limbCount_ * n_ words
 };
 

@@ -108,22 +108,27 @@ subMulScalarSpanScalar(u64* a, const u64* c, size_t n, u64 w,
 }
 
 void
-toCenteredSpanScalar(i64* dst, const u64* src, size_t n, u64 q)
-{
-    u64 half = q / 2;
-    for (size_t i = 0; i < n; ++i) {
-        u64 x = src[i];
-        dst[i] = x > half ? static_cast<i64>(x) - static_cast<i64>(q)
-                          : static_cast<i64>(x);
-    }
-}
-
-void
 reduceCenteredSpanScalar(u64* dst, const i64* src, size_t n,
                          const Modulus& m)
 {
     for (size_t i = 0; i < n; ++i)
         dst[i] = m.reduceI64(src[i]);
+}
+
+void
+baseConvSpanScalar(u64* dst, const u64* const* y, size_t n,
+                   const BaseConvRow& row)
+{
+    const u64 t = row.t;
+    const u64 two_t = 2 * t;
+    for (size_t x = 0; x < n; ++x) {
+        u64 acc = row.offset;
+        for (size_t i = 0; i < row.k; ++i) {
+            acc += mulModLazy(y[i][x], row.hat[i], row.hatShoup[i], t);
+            acc = acc >= two_t ? acc - two_t : acc;
+        }
+        dst[x] = acc >= t ? acc - t : acc;
+    }
 }
 
 void
@@ -294,8 +299,8 @@ const Kernels scalar_kernels = {
     macPairSpanScalar,
     mulScalarSpanScalar,
     subMulScalarSpanScalar,
-    toCenteredSpanScalar,
     reduceCenteredSpanScalar,
+    baseConvSpanScalar,
     nttForwardScalar,
     nttForwardRadix4Scalar,
     nttInverseScalar,

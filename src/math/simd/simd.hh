@@ -4,9 +4,9 @@
  *
  * Every inner loop the CKKS evaluator spends its time in -- Harvey
  * lazy-reduction NTT butterflies, Barrett modular span arithmetic, the
- * keyswitch multiply-accumulate, and the centered-lift spans of digit
- * decomposition -- is routed through one process-wide table of kernel
- * function pointers.  Three tables exist:
+ * keyswitch multiply-accumulate, and the centered fast base conversion
+ * of ModUp/ModDown -- is routed through one process-wide table of
+ * kernel function pointers.  Three tables exist:
  *
  *   scalar  -- always compiled; the bit-exactness oracle.  Identical
  *              arithmetic to the pre-SIMD code paths.
@@ -43,6 +43,19 @@ class NttTable;
 namespace simd {
 
 /**
+ * Constants of one fast-base-conversion row: k source spans into one
+ * target prime t.  See baseConvSpan.
+ */
+struct BaseConvRow
+{
+    size_t k;            ///< source span count
+    u64 t;               ///< target modulus
+    u64 offset;          ///< canonical constant term mod t
+    const u64* hat;      ///< per-source multipliers, canonical mod t
+    const u64* hatShoup; ///< Shoup quotients of hat
+};
+
+/**
  * One dispatch level's kernel set.  Span kernels take canonical [0, q)
  * inputs and produce canonical outputs; n is the element count and may
  * be any size (vector bodies handle the tail scalar).
@@ -75,11 +88,19 @@ struct Kernels
     /** a[i] = ((a[i] - c[i]) * w) mod q (rescale/ModDown combine). */
     void (*subMulScalarSpan)(u64* a, const u64* c, size_t n, u64 w,
                              u64 w_shoup, u64 q);
-    /** dst[i] = centered representative of src[i] in [-q/2, q/2]. */
-    void (*toCenteredSpan)(i64* dst, const u64* src, size_t n, u64 q);
-    /** dst[i] = src[i] mod q lifted to [0, q) (digit decomposition). */
+    /** dst[i] = src[i] mod q lifted to [0, q) (signed coefficients). */
     void (*reduceCenteredSpan)(u64* dst, const i64* src, size_t n,
                                const Modulus& m);
+    /**
+     * Base-conversion row: dst[x] = (offset + sum_i y[i][x] * hat[i])
+     * mod t.  The y[i] may hold any u64 (the lazy Shoup product lands
+     * in [0, 2t) for every input); the sum stays in [0, 2t) until the
+     * end.
+     * BaseConverter feeds it shifted residues so the row evaluates the
+     * centered fast base conversion.
+     */
+    void (*baseConvSpan)(u64* dst, const u64* const* y, size_t n,
+                         const BaseConvRow& row);
 
     /** In-place forward NTT (lazy Harvey butterflies). */
     void (*nttForward)(const NttTable& t, u64* a);

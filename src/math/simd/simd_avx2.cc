@@ -298,27 +298,6 @@ subMulScalarSpanAvx2(u64* a, const u64* c, size_t n, u64 w,
 }
 
 void
-toCenteredSpanAvx2(i64* dst, const u64* src, size_t n, u64 q)
-{
-    const u64 half = q / 2;
-    const __m256i qv = _mm256_set1_epi64x(static_cast<i64>(q));
-    const __m256i hv = _mm256_set1_epi64x(static_cast<i64>(half));
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        // q < 2^62: values fit in i64, signed compare suffices.
-        __m256i x = loadu(src + i);
-        __m256i gt = _mm256_cmpgt_epi64(x, hv);
-        storeu(dst + i,
-               _mm256_sub_epi64(x, _mm256_and_si256(gt, qv)));
-    }
-    for (; i < n; ++i) {
-        u64 x = src[i];
-        dst[i] = x > half ? static_cast<i64>(x) - static_cast<i64>(q)
-                          : static_cast<i64>(x);
-    }
-}
-
-void
 reduceCenteredSpanAvx2(u64* dst, const i64* src, size_t n,
                        const Modulus& m)
 {
@@ -343,6 +322,44 @@ reduceCenteredSpanAvx2(u64* dst, const i64* src, size_t n,
     }
     for (; i < n; ++i)
         dst[i] = m.reduceI64(src[i]);
+}
+
+void
+baseConvSpanAvx2(u64* dst, const u64* const* y, size_t n,
+                 const BaseConvRow& row)
+{
+    const u64 t = row.t;
+    const u64 two_t = 2 * t;
+    const __m256i tv = _mm256_set1_epi64x(static_cast<i64>(t));
+    const __m256i tvh = _mm256_srli_epi64(tv, 32);
+    const __m256i t2v = _mm256_set1_epi64x(static_cast<i64>(two_t));
+    const __m256i offv = _mm256_set1_epi64x(static_cast<i64>(row.offset));
+    size_t x = 0;
+    for (; x + 4 <= n; x += 4) {
+        __m256i acc = offv;
+        for (size_t i = 0; i < row.k; ++i) {
+            __m256i wv =
+                _mm256_set1_epi64x(static_cast<i64>(row.hat[i]));
+            __m256i wsv =
+                _mm256_set1_epi64x(static_cast<i64>(row.hatShoup[i]));
+            __m256i r = mulModLazyVec(loadu(y[i] + x), wv,
+                                      _mm256_srli_epi64(wv, 32), wsv,
+                                      _mm256_srli_epi64(wsv, 32), tv, tvh);
+            acc = csub(_mm256_add_epi64(acc, r), t2v);
+        }
+        storeu(dst + x, csub(acc, tv));
+    }
+    for (; x < n; ++x) {
+        u64 acc = row.offset;
+        for (size_t i = 0; i < row.k; ++i) {
+            u64 v = y[i][x];
+            u64 hi = static_cast<u64>(
+                (static_cast<u128>(v) * row.hatShoup[i]) >> 64);
+            acc += v * row.hat[i] - hi * t;
+            acc = acc >= two_t ? acc - two_t : acc;
+        }
+        dst[x] = acc >= t ? acc - t : acc;
+    }
 }
 
 /** Scalar butterfly pass for the short strides (t < 4). */
@@ -503,8 +520,8 @@ const Kernels avx2_kernels = {
     macPairSpanAvx2,
     mulScalarSpanAvx2,
     subMulScalarSpanAvx2,
-    toCenteredSpanAvx2,
     reduceCenteredSpanAvx2,
+    baseConvSpanAvx2,
     nttForwardAvx2,
     nttForwardAvx2,
     nttInverseAvx2,

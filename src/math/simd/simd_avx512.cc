@@ -283,26 +283,6 @@ subMulScalarSpanAvx512(u64* a, const u64* c, size_t n, u64 w,
 }
 
 void
-toCenteredSpanAvx512(i64* dst, const u64* src, size_t n, u64 q)
-{
-    const u64 half = q / 2;
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q));
-    const __m512i hv = _mm512_set1_epi64(static_cast<i64>(half));
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        // q < 2^62, so unsigned and signed compares agree here.
-        __m512i x = loadu(src + i);
-        __mmask8 gt = _mm512_cmpgt_epu64_mask(x, hv);
-        storeu(dst + i, _mm512_mask_sub_epi64(x, gt, x, qv));
-    }
-    for (; i < n; ++i) {
-        u64 x = src[i];
-        dst[i] = x > half ? static_cast<i64>(x) - static_cast<i64>(q)
-                          : static_cast<i64>(x);
-    }
-}
-
-void
 reduceCenteredSpanAvx512(u64* dst, const i64* src, size_t n,
                          const Modulus& m)
 {
@@ -329,6 +309,43 @@ reduceCenteredSpanAvx512(u64* dst, const i64* src, size_t n,
     }
     for (; i < n; ++i)
         dst[i] = m.reduceI64(src[i]);
+}
+
+void
+baseConvSpanAvx512(u64* dst, const u64* const* y, size_t n,
+                   const BaseConvRow& row)
+{
+    const u64 t = row.t;
+    const u64 two_t = 2 * t;
+    const __m512i tv = _mm512_set1_epi64(static_cast<i64>(t));
+    const __m512i t2v = _mm512_set1_epi64(static_cast<i64>(two_t));
+    const __m512i offv = _mm512_set1_epi64(static_cast<i64>(row.offset));
+    size_t x = 0;
+    for (; x + 8 <= n; x += 8) {
+        // The accumulator stays in a register across the k sources;
+        // the per-source constants are broadcast loads.
+        __m512i acc = offv;
+        for (size_t i = 0; i < row.k; ++i) {
+            __m512i wv = _mm512_set1_epi64(static_cast<i64>(row.hat[i]));
+            __m512i wsv =
+                _mm512_set1_epi64(static_cast<i64>(row.hatShoup[i]));
+            __m512i r = mulModLazyVec(loadu(y[i] + x), wv, wsv,
+                                      _mm512_srli_epi64(wsv, 32), tv);
+            acc = csub(_mm512_add_epi64(acc, r), t2v);
+        }
+        storeu(dst + x, csub(acc, tv));
+    }
+    for (; x < n; ++x) {
+        u64 acc = row.offset;
+        for (size_t i = 0; i < row.k; ++i) {
+            u64 v = y[i][x];
+            u64 hi = static_cast<u64>(
+                (static_cast<u128>(v) * row.hatShoup[i]) >> 64);
+            acc += v * row.hat[i] - hi * t;
+            acc = acc >= two_t ? acc - two_t : acc;
+        }
+        dst[x] = acc >= t ? acc - t : acc;
+    }
 }
 
 /**
@@ -544,8 +561,8 @@ const Kernels avx512_kernels = {
     macPairSpanAvx512,
     mulScalarSpanAvx512,
     subMulScalarSpanAvx512,
-    toCenteredSpanAvx512,
     reduceCenteredSpanAvx512,
+    baseConvSpanAvx512,
     nttForwardAvx512,
     // The lane-parallel radix-2 kernel already subsumes the memory win
     // radix-4 exists for; outputs are bit-identical either way.

@@ -229,5 +229,45 @@ TEST_F(FheBasicTest, HybridOfEverything)
     }
 }
 
+class HybridKeyswitchTest : public ::testing::TestWithParam<size_t>
+{
+};
+
+TEST_P(HybridKeyswitchTest, ErrorBoundsAtEveryLevel)
+{
+    // alpha special primes split level l into ceil(l / alpha) digits;
+    // alpha = 3 and 5 leave a partial last digit at most levels (l = 7
+    // with alpha = 5 is digits {q0..q4}, {q5, q6}).  mulRelin, rotate
+    // and hoisted rotations must decrypt correctly at every level.
+    CkksParams p = CkksParams::unitTest();
+    p.levels = 8;
+    p.specialPrimes = GetParam();
+    FheHarness h(p, {1, 3});
+    size_t s = h.ctx.slots();
+    auto a = randomComplexVec(s, 31);
+    auto b = randomComplexVec(s, 32);
+    for (size_t l = p.levels; l >= 2; --l) {
+        auto ca = h.encryptVec(a, l);
+        auto cb = h.encryptVec(b, l);
+        auto prod = h.decryptVec(h.eval.rescale(h.eval.mulRelin(ca, cb)));
+        auto rot = h.decryptVec(h.eval.rotate(ca, 1));
+        auto hoisted = h.eval.rotateHoisted(ca, {1, 3});
+        auto h1 = h.decryptVec(hoisted[0]);
+        auto h3 = h.decryptVec(hoisted[1]);
+        double err_mul = 0, err_rot = 0;
+        for (size_t j = 0; j < s; ++j) {
+            err_mul = std::max(err_mul, std::abs(prod[j] - a[j] * b[j]));
+            err_rot = std::max({err_rot, std::abs(rot[j] - a[(j + 1) % s]),
+                                std::abs(h1[j] - a[(j + 1) % s]),
+                                std::abs(h3[j] - a[(j + 3) % s])});
+        }
+        EXPECT_LT(err_mul, 1e-3) << "alpha " << p.specialPrimes << " l " << l;
+        EXPECT_LT(err_rot, 1e-3) << "alpha " << p.specialPrimes << " l " << l;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(SpecialPrimes, HybridKeyswitchTest,
+                         ::testing::Values(1, 2, 3, 5));
+
 } // namespace
 } // namespace hydra

@@ -310,8 +310,10 @@ TEST(Bootstrap, DftRotationsMatchPlanClosedForm)
         EXPECT_EQ(c2s.count(HeOpType::KeySwitch), c2s_rot + 1) << tag;
         EXPECT_EQ(s2c.count(HeOpType::Rotate), s2c_rot) << tag;
         EXPECT_EQ(s2c.count(HeOpType::KeySwitch), s2c_rot) << tag;
-        EXPECT_EQ(back.level(),
-                  ct.level() - c.c2sLevels - c.s2cLevels) << tag;
+        // S2C runs at the level bootstrap() reaches it with, so it
+        // lands on the bootstrap's output level whatever its input.
+        EXPECT_EQ(re.level(), ct.level() - c.c2sLevels) << tag;
+        EXPECT_EQ(back.level(), h.ctx.levels() - b.boot.depth()) << tag;
         EXPECT_LT(maxError(v, h.decryptVec(back)), 1e-3) << tag;
     }
 }
@@ -322,29 +324,43 @@ TEST(Bootstrap, KeyswitchCountIsExactAtAnyThreadCount)
     // C2S: 20 rotations + 1 conjugation; S2C: 20 rotations; EvalMod:
     // 2 x (6 Taylor + 7 double-angle relinearizations + 1 conjugation)
     // = 28.  The dense two-matrix C2S/S2C this replaced ran 187
-    // keyswitches (153 rotations) at r = 9.
-    BootHarness b(btParams(1 << 10));
-    auto& h = b.h;
-    auto v = test::randomRealVec(h.ctx.slots(), 61, 0.01);
-    auto ct = h.encryptVec(v, 1);
-    uint64_t closed = planRotations(b.boot.coeffToSlotPlan()) + 1 +
-                      planRotations(b.boot.slotToCoeffPlan()) +
-                      2 * (6 + 7 + 1);
-    EXPECT_EQ(closed, 69u);
+    // keyswitches (153 rotations) at r = 9.  The keyswitch method does
+    // not change the counts: alpha = 1 (one digit per limb, one special
+    // prime) pins the output of the per-limb keyswitch it generalizes,
+    // alpha = 5 (dnum = 4) is bootstrapTest()'s default.
+    struct Pin
+    {
+        size_t alpha;
+        uint64_t digest;
+    };
+    for (const Pin& pin : {Pin{1, 0xdc70f0c704cc9dd8ULL},
+                           Pin{5, 0x4592e5095e0c2372ULL}}) {
+        CkksParams p = btParams(1 << 10);
+        p.specialPrimes = pin.alpha;
+        BootHarness b(p);
+        auto& h = b.h;
+        auto v = test::randomRealVec(h.ctx.slots(), 61, 0.01);
+        auto ct = h.encryptVec(v, 1);
+        uint64_t closed = planRotations(b.boot.coeffToSlotPlan()) + 1 +
+                          planRotations(b.boot.slotToCoeffPlan()) +
+                          2 * (6 + 7 + 1);
+        EXPECT_EQ(closed, 69u);
 
-    for (size_t threads : {1u, 4u}) {
-        test::ThreadCountGuard tc(threads);
-        OpCounter counter;
-        h.eval.setCounter(&counter);
-        Ciphertext out = b.boot.bootstrap(h.eval, ct);
-        h.eval.setCounter(nullptr);
-        EXPECT_EQ(counter.count(HeOpType::KeySwitch), 69u)
-            << threads << " threads";
-        EXPECT_EQ(counter.count(HeOpType::Rotate), 40u)
-            << threads << " threads";
-        uint64_t digest = test::ciphertextDigest(out);
-        EXPECT_EQ(digest, 0xdc70f0c704cc9dd8ULL)
-            << threads << " threads, digest 0x" << std::hex << digest;
+        for (size_t threads : {1u, 4u}) {
+            test::ThreadCountGuard tc(threads);
+            OpCounter counter;
+            h.eval.setCounter(&counter);
+            Ciphertext out = b.boot.bootstrap(h.eval, ct);
+            h.eval.setCounter(nullptr);
+            EXPECT_EQ(counter.count(HeOpType::KeySwitch), 69u)
+                << "alpha " << pin.alpha << ", " << threads << " threads";
+            EXPECT_EQ(counter.count(HeOpType::Rotate), 40u)
+                << "alpha " << pin.alpha << ", " << threads << " threads";
+            uint64_t digest = test::ciphertextDigest(out);
+            EXPECT_EQ(digest, pin.digest)
+                << "alpha " << pin.alpha << ", " << threads
+                << " threads, digest 0x" << std::hex << digest;
+        }
     }
 }
 

@@ -21,7 +21,7 @@ makeBasis(size_t n, size_t q_count, int bits = 45, int sp_bits = 50)
 {
     auto q = nttPrimes(n, bits, q_count);
     auto p = nttPrimes(n, sp_bits, 1, q);
-    return std::make_shared<RnsBasis>(n, q, p[0]);
+    return std::make_shared<RnsBasis>(n, q, p);
 }
 
 TEST(BigUInt, HornerAndSub)
@@ -278,6 +278,188 @@ TEST_P(RnsPolyTest, DivideRoundByLastExactOnMultiples)
 
 INSTANTIATE_TEST_SUITE_P(LimbCounts, RnsPolyTest,
                          ::testing::Values(1, 2, 3, 6));
+
+/** A 7-prime chain (45 bits) with `alpha` special primes (50 bits). */
+std::shared_ptr<RnsBasis>
+makeHybridBasis(size_t n, size_t alpha)
+{
+    auto q = nttPrimes(n, 45, 7);
+    auto p = nttPrimes(n, 50, alpha, q);
+    return std::make_shared<RnsBasis>(n, q, p);
+}
+
+/** Exact CRT (Garner) of residues[i] mod basis primes [begin, end). */
+BigUInt
+exactCrt(const RnsBasis& b, const std::vector<u64>& residues, size_t begin,
+         size_t end)
+{
+    std::vector<u64> d;
+    for (size_t i = begin; i < end; ++i) {
+        const Modulus& m = b.mod(i);
+        // acc = d_0 + d_1 m_0 + ... mod m_i, prod = m_0 ... m_{i-1}.
+        u64 acc = 0;
+        u64 prod = 1;
+        for (size_t j = begin; j < i; ++j) {
+            acc = m.addMod(acc, m.mulMod(m.reduceU64(d[j - begin]), prod));
+            prod = m.mulMod(prod, m.reduceU64(b.mod(j).value()));
+        }
+        d.push_back(m.mulMod(m.subMod(residues[i - begin], acc),
+                             m.invMod(prod)));
+    }
+    BigUInt x(d.back());
+    for (size_t i = end - begin - 1; i-- > 0;)
+        x.mulAdd(b.mod(begin + i).value(), d[i]);
+    return x;
+}
+
+/** (a + u * b) mod m for a signed multiple u. */
+u64
+plusMultiple(const Modulus& m, u64 a, long u, u64 b)
+{
+    u64 ub = m.mulMod(m.reduceU64(static_cast<u64>(u < 0 ? -u : u)), b);
+    return u < 0 ? m.subMod(a, ub) : m.addMod(a, ub);
+}
+
+/** Random residues on every limb: a uniform value mod the product. */
+RnsPoly
+randomResidues(std::shared_ptr<const RnsBasis> basis, size_t levels,
+               size_t n_special, std::mt19937_64& rng)
+{
+    RnsPoly p(basis, levels, n_special, false);
+    for (size_t k = 0; k < p.limbCount(); ++k)
+        for (u64& x : p.limb(k))
+            x = rng() % p.mod(k).value();
+    return p;
+}
+
+class HybridRnsTest : public ::testing::TestWithParam<size_t>
+{
+};
+
+TEST_P(HybridRnsTest, ModUpMatchesExactCrtUpToSmallMultiple)
+{
+    // Every digit of ModUp is X + u P_B on all limbs at once, with X
+    // the exact CRT value of the digit's residues, one integer u per
+    // coefficient and |u| <= |B| / 2 + 1; a one-prime digit is the
+    // centered residue itself.
+    size_t alpha = GetParam();
+    size_t n = 16;
+    auto basis = makeHybridBasis(n, alpha);
+    std::mt19937_64 rng(alpha);
+    for (size_t levels : {size_t{7}, size_t{4}, size_t{1}}) {
+        RnsPoly x = randomResidues(basis, levels, 0, rng);
+        RnsPoly x_ntt = x;
+        x_ntt.toNtt();
+        std::vector<RnsPoly> digits = x_ntt.modUp();
+        ASSERT_EQ(digits.size(), (levels + alpha - 1) / alpha);
+        for (size_t j = 0; j < digits.size(); ++j) {
+            size_t b = j * alpha;
+            size_t e = std::min(b + alpha, levels);
+            RnsPoly dig = digits[j];
+            ASSERT_EQ(dig.nLimbs(), levels);
+            ASSERT_EQ(dig.specialCount(), alpha);
+            dig.fromNtt();
+            for (size_t i = 0; i < n; ++i) {
+                std::vector<u64> res;
+                for (size_t k = b; k < e; ++k)
+                    res.push_back(x.limb(k)[i]);
+                BigUInt big = exactCrt(*basis, res, b, e);
+                BigUInt prod(1);
+                for (size_t k = b; k < e; ++k)
+                    prod.mulU64(basis->mod(k).value());
+                BigUInt twice = big;
+                twice.mulU64(2);
+                long centered_u = twice.compare(prod) > 0 ? -1 : 0;
+                long bound = static_cast<long>(e - b) / 2 + 1;
+                long found = 0;
+                bool ok = false;
+                for (long u = -bound; u <= bound && !ok; ++u) {
+                    ok = true;
+                    for (size_t kpos = 0; kpos < dig.limbCount(); ++kpos) {
+                        const Modulus& m = dig.mod(kpos);
+                        u64 want = plusMultiple(m, big.modU64(m.value()), u,
+                                                prod.modU64(m.value()));
+                        if (dig.limb(kpos)[i] != want) {
+                            ok = false;
+                            break;
+                        }
+                    }
+                    found = u;
+                }
+                ASSERT_TRUE(ok) << "alpha " << alpha << " levels " << levels
+                                << " digit " << j << " coeff " << i;
+                if (e - b == 1)
+                    EXPECT_EQ(found, centered_u);
+            }
+        }
+    }
+}
+
+TEST_P(HybridRnsTest, ModDownMatchesExactCrtUpToSmallMultiple)
+{
+    // ModDown by P = prod of the alpha special primes leaves
+    // (x - X_P - u P) / P on every chain limb, X_P the exact CRT value
+    // of the special residues and one small integer u per coefficient;
+    // with one special prime X_P + u P is its centered value (exact
+    // divide-and-round).  Coefficient and NTT domains agree bit for bit.
+    size_t alpha = GetParam();
+    size_t n = 16;
+    auto basis = makeHybridBasis(n, alpha);
+    std::mt19937_64 rng(100 + alpha);
+    for (size_t levels : {size_t{7}, size_t{3}, size_t{1}}) {
+        RnsPoly x = randomResidues(basis, levels, alpha, rng);
+        RnsPoly down = x;
+        down.divideRoundByLast(alpha);
+        RnsPoly down_ntt = x;
+        down_ntt.toNtt();
+        down_ntt.divideRoundByLast(alpha);
+        down_ntt.fromNtt();
+        ASSERT_EQ(down.nLimbs(), levels);
+        ASSERT_EQ(down.specialCount(), 0u);
+        for (size_t k = 0; k < levels; ++k)
+            ASSERT_EQ(down.limb(k), down_ntt.limb(k));
+
+        size_t sb = basis->specialIndex();
+        size_t se = sb + alpha;
+        BigUInt prod(1);
+        for (size_t k = sb; k < se; ++k)
+            prod.mulU64(basis->mod(k).value());
+        for (size_t i = 0; i < n; ++i) {
+            std::vector<u64> res;
+            for (size_t k = levels; k < levels + alpha; ++k)
+                res.push_back(x.limb(k)[i]);
+            BigUInt xp = exactCrt(*basis, res, sb, se);
+            BigUInt twice = xp;
+            twice.mulU64(2);
+            long centered_u = twice.compare(prod) > 0 ? -1 : 0;
+            long bound = static_cast<long>(alpha) / 2 + 1;
+            long found = 0;
+            bool ok = false;
+            for (long u = -bound; u <= bound && !ok; ++u) {
+                ok = true;
+                for (size_t k = 0; k < levels; ++k) {
+                    const Modulus& m = basis->mod(k);
+                    u64 rem = plusMultiple(m, xp.modU64(m.value()), u,
+                                           prod.modU64(m.value()));
+                    u64 want = m.mulMod(m.subMod(x.limb(k)[i], rem),
+                                        m.invMod(prod.modU64(m.value())));
+                    if (down.limb(k)[i] != want) {
+                        ok = false;
+                        break;
+                    }
+                }
+                found = u;
+            }
+            ASSERT_TRUE(ok) << "alpha " << alpha << " levels " << levels
+                            << " coeff " << i;
+            if (alpha == 1)
+                EXPECT_EQ(found, centered_u);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(SpecialPrimes, HybridRnsTest,
+                         ::testing::Values(1, 2, 3, 4, 5));
 
 } // namespace
 } // namespace hydra

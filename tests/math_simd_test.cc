@@ -162,12 +162,6 @@ TEST(SimdSpanTest, FuzzAllKernelsMatchScalarOracle)
                     ASSERT_EQ(g1, w1) << "macPairSpan acc1 q=" << qv;
                 }
                 {
-                    std::vector<i64> got(n), want(n);
-                    k.toCenteredSpan(got.data(), a.data(), n, qv);
-                    oracle.toCenteredSpan(want.data(), a.data(), n, qv);
-                    ASSERT_EQ(got, want) << "toCenteredSpan q=" << qv;
-                }
-                {
                     std::vector<i64> src = randomSigned(n, ++seed);
                     std::vector<u64> got(n), want(n);
                     k.reduceCenteredSpan(got.data(), src.data(), n, m);
@@ -175,6 +169,57 @@ TEST(SimdSpanTest, FuzzAllKernelsMatchScalarOracle)
                                               n, m);
                     ASSERT_EQ(got, want)
                         << "reduceCenteredSpan q=" << qv;
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdSpanTest, BaseConvMatchesScalarAndExactOracle)
+{
+    // Rows of 1..5 sources into targets across the modulus range, with
+    // source words drawn from the whole u64 range (the kernel's contract)
+    // and from canonical residues of a 61-bit prime (what ModUp and
+    // ModDown feed it).  Every level must equal the scalar table, and
+    // the scalar table the exact 128-bit sum.
+    SimdLevelGuard guard;
+    u64 seed = 0xba5e;
+    const simd::Kernels& oracle = simd::scalarKernels();
+    for (SimdLevel level : runnableLevels()) {
+        ASSERT_EQ(simd::setLevel(level), level);
+        const simd::Kernels& k = simd::kernels();
+        for (u64 tv : testModuli()) {
+            Modulus t(tv);
+            for (size_t srcs = 1; srcs <= 5; ++srcs) {
+                for (size_t n : kSpanSizes) {
+                    std::vector<u64> hat = randomCanonical(srcs, tv, ++seed);
+                    std::vector<u64> hat_shoup(srcs);
+                    for (size_t i = 0; i < srcs; ++i)
+                        hat_shoup[i] = ShoupMul(hat[i], t).shoup();
+                    simd::BaseConvRow row{srcs, tv,
+                                          randomCanonical(1, tv, ++seed)[0],
+                                          hat.data(), hat_shoup.data()};
+                    std::vector<std::vector<u64>> y(srcs);
+                    std::vector<const u64*> yp(srcs);
+                    u64 p61 = testModuli().back();
+                    for (size_t i = 0; i < srcs; ++i) {
+                        y[i] = (i % 2) ? randomCanonical(n, p61, ++seed)
+                                       : randomCanonical(n, ~u64{0}, ++seed);
+                        yp[i] = y[i].data();
+                    }
+                    std::vector<u64> got(n), want(n);
+                    k.baseConvSpan(got.data(), yp.data(), n, row);
+                    oracle.baseConvSpan(want.data(), yp.data(), n, row);
+                    ASSERT_EQ(got, want)
+                        << "baseConvSpan level=" << simdLevelName(level)
+                        << " t=" << tv << " k=" << srcs << " n=" << n;
+                    for (size_t x = 0; x < n; ++x) {
+                        u128 sum = row.offset;
+                        for (size_t i = 0; i < srcs; ++i)
+                            sum += static_cast<u128>(y[i][x]) * hat[i] % tv;
+                        ASSERT_EQ(want[x], static_cast<u64>(sum % tv))
+                            << "t=" << tv << " k=" << srcs << " x=" << x;
+                    }
                 }
             }
         }
@@ -240,10 +285,12 @@ expectPolyEq(const RnsPoly& a, const RnsPoly& b, const char* what)
             << what << " limb " << kk;
 }
 
-TEST(SimdEvaluatorTest, OpsBitIdenticalAcrossLevels)
+/** Every evaluator op over `params` is bit-identical at each level. */
+void
+checkOpsAcrossLevels(const CkksParams& params)
 {
     SimdLevelGuard guard;
-    test::FheHarness h(CkksParams::unitTest(), {1});
+    test::FheHarness h(params, {1, 2, 5});
     std::vector<cplx> va = test::randomComplexVec(h.ctx.slots(), 7);
     std::vector<cplx> vb = test::randomComplexVec(h.ctx.slots(), 8);
     Ciphertext ca = h.encryptVec(va);
@@ -255,7 +302,7 @@ TEST(SimdEvaluatorTest, OpsBitIdenticalAcrossLevels)
     // must match the scalar pass bit for bit.
     struct Outputs
     {
-        Ciphertext add, mul_plain, mac, cmult, rot;
+        Ciphertext add, mul_plain, mac, cmult, rot, hoisted;
     };
     std::vector<std::pair<SimdLevel, Outputs>> runs;
     for (SimdLevel level : runnableLevels()) {
@@ -268,6 +315,7 @@ TEST(SimdEvaluatorTest, OpsBitIdenticalAcrossLevels)
         h.eval.addMulPlain(o.mac, cb, pt);
         o.cmult = h.eval.rescale(h.eval.mulRelin(ca, cb));
         o.rot = h.eval.rotate(ca, 1);
+        o.hoisted = h.eval.rotateHoisted(ca, {2, 5})[1];
         runs.emplace_back(level, std::move(o));
     }
 
@@ -284,7 +332,24 @@ TEST(SimdEvaluatorTest, OpsBitIdenticalAcrossLevels)
         expectPolyEq(o.cmult.c1, base.cmult.c1, "cmult c1");
         expectPolyEq(o.rot.c0, base.rot.c0, "rotate c0");
         expectPolyEq(o.rot.c1, base.rot.c1, "rotate c1");
+        expectPolyEq(o.hoisted.c0, base.hoisted.c0, "hoisted c0");
+        expectPolyEq(o.hoisted.c1, base.hoisted.c1, "hoisted c1");
     }
+}
+
+TEST(SimdEvaluatorTest, OpsBitIdenticalAcrossLevels)
+{
+    checkOpsAcrossLevels(CkksParams::unitTest());
+}
+
+TEST(SimdEvaluatorTest, HybridKeyswitchBitIdenticalAcrossLevels)
+{
+    // Three special primes over 8 limbs: dnum = 3 with a partial last
+    // digit, so ModUp and ModDown run multi-prime conversions.
+    CkksParams p = CkksParams::unitTest();
+    p.levels = 8;
+    p.specialPrimes = 3;
+    checkOpsAcrossLevels(p);
 }
 
 } // namespace

@@ -64,10 +64,12 @@ TEST(ParallelDeterminism, BootstrapStepBitExactAcrossThreadCounts)
     p.n = 1 << 8;
 
     // The bootstrap C2S stage (factored BSGS linear transforms over
-    // hoisted rotations, one conjugation) exercises decomposeDigits,
-    // accumulateKey, the automorphism memo and the plaintext NTT cache
-    // all at once.  The whole bootstrap runs its giant steps and
-    // hoisted baby steps as op-level tasks and EvalMod at limb level.
+    // hoisted rotations, one conjugation) exercises ModUp, accumulateKey
+    // and its ModDown (alpha = 5: multi-prime base conversions), the
+    // automorphism memo and the plaintext NTT cache all at once.  The
+    // whole bootstrap runs its giant steps and hoisted baby steps as
+    // op-level tasks and EvalMod at limb level.  Three threads split
+    // the 5 special limbs and 4 digits unevenly.
     CkksContext probe_ctx(p);
     CkksEncoder probe_enc(probe_ctx);
     Bootstrapper probe_boot(probe_ctx, probe_enc);
@@ -85,7 +87,7 @@ TEST(ParallelDeterminism, BootstrapStepBitExactAcrossThreadCounts)
         serial = boot.coeffToSlot(h.eval, raised);
         serial_boot = boot.bootstrap(h.eval, ct);
     }
-    for (size_t threads : {2u, 4u, 8u}) {
+    for (size_t threads : {2u, 3u, 4u, 8u}) {
         ThreadCountGuard tc(threads);
         auto parallel = boot.coeffToSlot(h.eval, raised);
         EXPECT_TRUE(ciphertextsIdentical(serial.first, parallel.first));
@@ -93,6 +95,48 @@ TEST(ParallelDeterminism, BootstrapStepBitExactAcrossThreadCounts)
         EXPECT_TRUE(
             ciphertextsIdentical(serial_boot, boot.bootstrap(h.eval, ct)))
             << "bootstrap diverges at " << threads << " threads";
+    }
+}
+
+TEST(ParallelDeterminism, KeyGenDeterminism)
+{
+    // Key generation draws its randomness serially and computes the
+    // rest on the pool, so every key is bit-identical at any thread
+    // count, for one digit per limb (alpha = 1) and for dnum = 4.
+    for (size_t alpha : {1u, 5u}) {
+        CkksParams p = CkksParams::bootstrapTest();
+        p.n = 1 << 8;
+        p.specialPrimes = alpha;
+        CkksContext ctx(p);
+        auto keys = [&](size_t threads) {
+            ThreadCountGuard tc(threads);
+            KeyGenerator kg(ctx);
+            SecretKey sk = kg.secretKey();
+            std::vector<EvalKey> out;
+            out.push_back(kg.relinKey(sk));
+            GaloisKeys gk = kg.galoisKeys(sk, {1, 5});
+            for (auto& [g, key] : gk.keys)
+                out.push_back(std::move(key));
+            return out;
+        };
+        std::vector<EvalKey> serial = keys(1);
+        ASSERT_EQ(serial.size(), 4u); // relin, two rotations, conjugation
+        ASSERT_EQ(serial[0].b.size(), p.dnum());
+        for (size_t threads : {2u, 4u, 8u}) {
+            std::vector<EvalKey> par = keys(threads);
+            ASSERT_EQ(par.size(), serial.size());
+            for (size_t i = 0; i < serial.size(); ++i) {
+                ASSERT_EQ(par[i].b.size(), serial[i].b.size());
+                for (size_t j = 0; j < serial[i].b.size(); ++j) {
+                    EXPECT_TRUE(polysIdentical(par[i].b[j], serial[i].b[j]))
+                        << "alpha " << alpha << " key " << i << " digit "
+                        << j << " b at " << threads << " threads";
+                    EXPECT_TRUE(polysIdentical(par[i].a[j], serial[i].a[j]))
+                        << "alpha " << alpha << " key " << i << " digit "
+                        << j << " a at " << threads << " threads";
+                }
+            }
+        }
     }
 }
 
