@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -15,8 +16,15 @@ namespace hydra {
 
 namespace {
 
-/** Set while a thread is executing inside a parallelFor region. */
-thread_local bool tls_in_parallel_region = false;
+/** The calling thread's pool id: 0 for an outside caller, w for worker w. */
+thread_local size_t tls_id = 0;
+
+/**
+ * Size of the calling thread's team: it may hand work to thread ids
+ * [tls_id, tls_id + tls_team).  0 (an outside caller) means the whole
+ * pool.
+ */
+thread_local size_t tls_team = 0;
 
 /**
  * How long an idle worker (or a caller waiting on its workers) polls
@@ -86,131 +94,187 @@ spinUntil(Ready ready)
 } // namespace
 
 /**
- * Dispatch protocol.  The caller publishes the job fields, then bumps
- * `generation`; workers that spin on `generation` see the job without
- * any lock.  Sleeping is a Dekker handshake: a worker increments
- * `sleepers` before re-checking `generation` under `m`, and the caller
- * re-reads `sleepers` after the bump, so one of the two always sees the
- * other and no wake-up is lost.  Completion mirrors it with `pending`
- * and `callerSleeping`.  All handshake accesses are sequentially
- * consistent; the job fields ride on the generation's release/acquire.
+ * Dispatch protocol.  Every thread id owns a seat.  As a worker, a
+ * thread takes assignments from its seat's mailbox: the leader that
+ * owns it writes the assignment fields, then bumps `generation`; a
+ * worker spinning on `generation` sees the job without any lock.
+ * Sleeping is a Dekker handshake: a worker sets `sleeping` before
+ * re-checking `generation` under `m`, and the leader re-reads
+ * `sleeping` after the bump, so one of the two always sees the other
+ * and no wake-up is lost.  As a leader, a thread counts each fork's
+ * unfinished parts in a counter on its own stack; completion mirrors
+ * the handshake with the leader seat's `leaderSleeping`.  A thread
+ * waits either for an assignment or for its workers, never both, so
+ * one mutex and one condition variable per seat serve both roles.  All
+ * handshake accesses are sequentially consistent; the assignment
+ * fields ride on the generation's release/acquire.
+ *
+ * Teams are disjoint ranges of seats, and a leader hands work only to
+ * seats in its own team, so at most one leader writes a mailbox at a
+ * time, and only after that seat finished its previous assignment.
  */
 struct ThreadPool::Impl
 {
+    struct Seat
+    {
+        /** Bumped per assignment so the worker detects new work. */
+        alignas(64) std::atomic<std::uint64_t> generation{0};
+        // The assignment: fn(i) for i in [lo, hi) on a team of `team`
+        // threads, then a decrement of `pending`, the unfinished-part
+        // count of seat `leader`'s fork.
+        const std::function<void(size_t)>* fn = nullptr;
+        size_t lo = 0;
+        size_t hi = 0;
+        size_t team = 1;
+        size_t leader = 0;
+        std::atomic<size_t>* pending = nullptr;
+        /** The worker is blocked (or about to block) on cv. */
+        std::atomic<bool> sleeping{false};
+
+        /** This thread is blocked (or about to block) on cv waiting for
+         *  one of its forks to drain.  On its own cache line: finishing
+         *  workers must not disturb the mailbox a worker spins on. */
+        alignas(64) std::atomic<bool> leaderSleeping{false};
+
+        std::mutex m;
+        std::condition_variable cv;
+    };
+
+    std::unique_ptr<Seat[]> seats;
     std::vector<std::thread> workers;
-
-    std::mutex m;
-    std::condition_variable cvStart;
-    std::condition_variable cvDone;
-
-    // Current job, valid while pending > 0.
-    const std::function<void(size_t)>* fn = nullptr;
-    size_t jobBegin = 0;
-    size_t jobEnd = 0;
-    size_t jobChunks = 0;
-    /** Incremented per job so workers detect new work. */
-    alignas(64) std::atomic<std::uint64_t> generation{0};
-    /** Worker chunks not yet finished for the current job.  On its own
-     *  cache line: finishing workers must not disturb spinning ones. */
-    alignas(64) std::atomic<size_t> pending{0};
     std::atomic<bool> shutdown{false};
-    /** Workers blocked (or about to block) on cvStart. */
-    alignas(64) std::atomic<size_t> sleepers{0};
-    /** The caller is blocked (or about to block) on cvDone. */
-    std::atomic<bool> callerSleeping{false};
 
     void
-    workerLoop(size_t id, std::uint64_t seen)
+    workerLoop(size_t id)
     {
-        // Worker `id` owns chunk id+1 (the caller runs chunk 0) and the
-        // buffer-pool slot of the same number.
-        size_t w = id + 1;
-        BufferPool::bindThreadSlot(w);
+        // Worker `id` owns the buffer-pool slot of the same number.
+        tls_id = id;
+        BufferPool::bindThreadSlot(id);
+        Seat& me = seats[id];
+        std::uint64_t seen = 0;
         auto ready = [&] {
-            return shutdown.load() || generation.load() != seen;
+            return shutdown.load() || me.generation.load() != seen;
         };
         for (;;) {
             if (!spinUntil(ready)) {
-                std::unique_lock<std::mutex> lk(m);
-                sleepers.fetch_add(1);
-                cvStart.wait(lk, ready);
-                sleepers.fetch_sub(1);
+                std::unique_lock<std::mutex> lk(me.m);
+                me.sleeping.store(true);
+                me.cv.wait(lk, ready);
+                me.sleeping.store(false);
             }
             if (shutdown.load())
                 return;
-            seen = generation.load(std::memory_order_acquire);
-            if (w < jobChunks) {
-                auto [lo, hi] = chunkRange(jobBegin, jobEnd, w, jobChunks);
-                tls_in_parallel_region = true;
-                for (size_t i = lo; i < hi; ++i)
-                    (*fn)(i);
-                tls_in_parallel_region = false;
-            }
-            if (pending.fetch_sub(1) == 1 && callerSleeping.load()) {
-                std::lock_guard<std::mutex> lk(m);
-                cvDone.notify_one();
+            seen = me.generation.load(std::memory_order_acquire);
+            // Read the assignment before reporting: the leader may
+            // rewrite the mailbox as soon as `pending` drains.
+            const std::function<void(size_t)>& fn = *me.fn;
+            size_t hi = me.hi;
+            Seat& lead = seats[me.leader];
+            std::atomic<size_t>& pending = *me.pending;
+            tls_team = me.team;
+            for (size_t i = me.lo; i < hi; ++i)
+                fn(i);
+            // The fork's counter lives on the leader's stack: past the
+            // decrement only the leader's seat may be touched.
+            if (pending.fetch_sub(1) == 1 && lead.leaderSleeping.load()) {
+                std::lock_guard<std::mutex> lk(lead.m);
+                lead.cv.notify_one();
             }
         }
     }
 
     void
-    start(size_t n_workers)
+    start(size_t n_threads)
     {
-        // Fresh workers must treat the current generation as already
-        // handled: after a stop()/start() cycle the counter keeps its
-        // old value, and a zero-initialized `seen` would make them wake
-        // instantly on a phantom job with a stale fn pointer.
-        std::uint64_t gen = generation.load();
-        workers.reserve(n_workers);
-        for (size_t i = 0; i < n_workers; ++i)
-            workers.emplace_back([this, i, gen] { workerLoop(i, gen); });
+        seats = std::make_unique<Seat[]>(n_threads);
+        workers.reserve(n_threads - 1);
+        for (size_t id = 1; id < n_threads; ++id)
+            workers.emplace_back([this, id] { workerLoop(id); });
     }
 
     void
     stop()
     {
-        {
-            std::lock_guard<std::mutex> lk(m);
-            shutdown.store(true);
+        shutdown.store(true);
+        for (size_t id = 1; id <= workers.size(); ++id) {
+            // Taking the mutex orders this wake-up after a worker that
+            // set `sleeping` has reached its wait.
+            { std::lock_guard<std::mutex> lk(seats[id].m); }
+            seats[id].cv.notify_one();
         }
-        cvStart.notify_all();
         for (auto& t : workers)
             t.join();
         workers.clear();
+        seats.reset();
         shutdown.store(false);
     }
 
-    /** Publish a job of `nchunks` chunks to `n_workers` workers. */
+    /** Post fn(i) for i in [lo, hi) on a team of `team` to seat `id`. */
     void
-    dispatch(const std::function<void(size_t)>& f, size_t b, size_t e,
-             size_t nchunks, size_t n_workers)
+    hand(size_t id, const std::function<void(size_t)>& fn, size_t lo,
+         size_t hi, size_t team, size_t leader,
+         std::atomic<size_t>& pending)
     {
-        fn = &f;
-        jobBegin = b;
-        jobEnd = e;
-        jobChunks = nchunks;
-        pending.store(n_workers);
-        generation.fetch_add(1); // seq_cst: also releases the job fields
-        if (sleepers.load() > 0) {
-            // Taking the mutex orders this wake-up after any worker that
-            // counted itself a sleeper has reached its wait.
-            { std::lock_guard<std::mutex> lk(m); }
-            cvStart.notify_all();
+        Seat& w = seats[id];
+        w.fn = &fn;
+        w.lo = lo;
+        w.hi = hi;
+        w.team = team;
+        w.leader = leader;
+        w.pending = &pending;
+        w.generation.fetch_add(1); // seq_cst: also releases the fields
+        if (w.sleeping.load()) {
+            { std::lock_guard<std::mutex> lk(w.m); }
+            w.cv.notify_one();
         }
     }
 
-    /** Block until every worker has finished the current job. */
+    /** Block until `pending`, a fork of the caller's, drains. */
     void
-    join()
+    join(Seat& me, const std::atomic<size_t>& pending)
     {
         auto done = [&] { return pending.load() == 0; };
         if (!spinUntil(done)) {
-            std::unique_lock<std::mutex> lk(m);
-            callerSleeping.store(true);
-            cvDone.wait(lk, done);
-            callerSleeping.store(false);
+            std::unique_lock<std::mutex> lk(me.m);
+            me.leaderSleeping.store(true);
+            me.cv.wait(lk, done);
+            me.leaderSleeping.store(false);
         }
-        fn = nullptr;
+    }
+
+    /**
+     * Split [begin, end) into `parts` static chunks over the caller's
+     * team of `team` threads and run them.  Without `teams`, chunk w
+     * runs on team thread w, alone.  With `teams`, the team splits into
+     * `parts` contiguous sub-teams and chunk w runs on sub-team w.  The
+     * caller runs chunk 0 on its own (sub-)team.
+     */
+    void
+    fork(size_t parts, size_t team, bool teams, size_t begin, size_t end,
+         const std::function<void(size_t)>& fn)
+    {
+        size_t me = tls_id;
+        auto threadsOf = [&](size_t w) {
+            return teams ? chunkRange(0, team, w, parts)
+                         : std::pair<size_t, size_t>{w, w + 1};
+        };
+        // One counter per fork: a task of a team fork leads forks of
+        // its own while the outer one is still outstanding.
+        alignas(64) std::atomic<size_t> pending{parts - 1};
+        for (size_t w = 1; w < parts; ++w) {
+            auto [lo, hi] = chunkRange(begin, end, w, parts);
+            auto [t0, t1] = threadsOf(w);
+            hand(me + t0, fn, lo, hi, t1 - t0, me, pending);
+        }
+
+        auto [lo, hi] = chunkRange(begin, end, 0, parts);
+        auto [t0, t1] = threadsOf(0);
+        size_t saved = tls_team;
+        tls_team = t1 - t0;
+        for (size_t i = lo; i < hi; ++i)
+            fn(i);
+        tls_team = saved;
+        join(seats[me], pending);
     }
 };
 
@@ -219,7 +283,7 @@ ThreadPool::ThreadPool()
 {
     nThreads_ = defaultThreadCount();
     if (nThreads_ > 1)
-        impl_->start(nThreads_ - 1);
+        impl_->start(nThreads_);
 }
 
 ThreadPool::~ThreadPool()
@@ -250,7 +314,7 @@ ThreadPool::setThreadCount(size_t n)
     impl_->stop();
     nThreads_ = n;
     if (nThreads_ > 1)
-        impl_->start(nThreads_ - 1);
+        impl_->start(nThreads_);
 }
 
 void
@@ -259,26 +323,28 @@ ThreadPool::parallelFor(size_t begin, size_t end,
 {
     if (begin >= end)
         return;
-    size_t count = end - begin;
-    size_t nchunks = std::min(nThreads_, count);
-    if (nchunks <= 1 || tls_in_parallel_region) {
-        // Serial fallback: single thread configured, tiny range, or a
-        // nested call from inside a worker chunk.
+    size_t team = tls_team ? tls_team : nThreads_;
+    size_t nchunks = std::min(team, end - begin);
+    if (nchunks <= 1) {
+        // Serial: a team of one (one thread configured, or a call
+        // nested inside a chunk) or a single index.
         for (size_t i = begin; i < end; ++i)
             fn(i);
         return;
     }
+    impl_->fork(nchunks, team, false, begin, end, fn);
+}
 
-    impl_->dispatch(fn, begin, end, nchunks, nThreads_ - 1);
-
-    // The caller executes chunk 0 while workers run the rest.
-    auto [lo, hi] = chunkRange(begin, end, 0, nchunks);
-    tls_in_parallel_region = true;
-    for (size_t i = lo; i < hi; ++i)
-        fn(i);
-    tls_in_parallel_region = false;
-
-    impl_->join();
+void
+ThreadPool::parallelForOuter(size_t count,
+                             const std::function<void(size_t)>& fn)
+{
+    size_t team = tls_team ? tls_team : nThreads_;
+    if (count <= 1 || count >= team) {
+        parallelFor(0, count, fn);
+        return;
+    }
+    impl_->fork(count, team, true, 0, count, fn);
 }
 
 } // namespace hydra

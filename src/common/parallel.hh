@@ -2,18 +2,27 @@
  * @file
  * Lightweight persistent thread pool for the functional CKKS engine.
  *
- * Parallelism has two levels.  The outer, op level runs independent
- * ciphertext operations -- BSGS giant steps, hoisted rotations -- as
- * pool tasks (parallelForOuter); the inner, limb level parallelizes
- * each RnsPoly op over its limbs (and keyswitch digits / output limbs).
- * A parallelFor issued from inside a task runs serially, so exactly
- * one level is live at a time.
+ * Parallelism has two levels that nest through thread teams.  The
+ * outer, op level runs independent ciphertext operations -- BSGS giant
+ * steps, hoisted rotations, EvalMod's two lanes, the products of one
+ * power-basis level -- as pool tasks (parallelForOuter); the inner,
+ * limb level parallelizes each RnsPoly op over its limbs (and
+ * keyswitch digits / output limbs) with parallelFor.
  *
- * parallelFor() dispatches a half-open index range onto the pool with
- * deterministic static partitioning: worker w always receives the same
- * contiguous chunk of indices for a given (range, thread count), and
- * every index writes only its own outputs, so results are bit-exact
- * regardless of the configured thread count.
+ * Every call runs on the calling thread's team: a contiguous range of
+ * thread ids it may hand work to.  An outside caller's team is the
+ * whole pool.  parallelFor splits its index range over the team and
+ * each chunk runs on a team of one, so a parallelFor nested inside it
+ * runs serially.  parallelForOuter with fewer tasks than team threads
+ * splits the team into that many sub-teams of fixed, contiguous ids
+ * (sizes differ by at most one; task i runs on sub-team i), so each
+ * task's nested parallelFor and parallelForOuter calls use only its
+ * sub-team.  With at least as many tasks as threads it is parallelFor.
+ *
+ * Partitioning is static: for a given (range, team size) chunk w always
+ * runs the same contiguous indices on the same thread, and every index
+ * writes only its own outputs, so results are bit-exact regardless of
+ * the configured thread count.
  *
  * Thread count comes from the HYDRA_THREADS environment variable
  * (default: std::thread::hardware_concurrency()).  A count of 1 is a
@@ -56,13 +65,22 @@ class ThreadPool
     void setThreadCount(size_t n);
 
     /**
-     * Run fn(i) for every i in [begin, end).  The caller's thread
-     * executes chunk 0; workers execute the remaining chunks.  Blocks
-     * until every index has been processed.  Nested calls (fn itself
-     * calling parallelFor) degrade to serial execution.
+     * Run fn(i) for every i in [begin, end), statically chunked over
+     * the calling thread's team.  The caller executes chunk 0; team
+     * workers execute the rest.  Blocks until every index has been
+     * processed.  Calls nested inside a chunk run serially.
      */
     void parallelFor(size_t begin, size_t end,
                      const std::function<void(size_t)>& fn);
+
+    /**
+     * Run fn(i) for every i in [0, count) as independent tasks.  With
+     * 1 < count < team size, task i runs on sub-team i, and calls nested
+     * inside it parallelize over that sub-team; otherwise this is
+     * parallelFor(0, count, fn).
+     */
+    void parallelForOuter(size_t count,
+                          const std::function<void(size_t)>& fn);
 
   private:
     ThreadPool();
@@ -80,21 +98,11 @@ parallelFor(size_t begin, size_t end,
     ThreadPool::instance().parallelFor(begin, end, fn);
 }
 
-/**
- * Op-level loop over `count` independent ciphertext operations: runs
- * them as pool tasks when there are at least threadCount() of them, so
- * every thread gets a whole operation.  Fewer operations run one after
- * another, each keeping its own limb-level parallelism.
- */
+/** Convenience wrapper over ThreadPool::instance().parallelForOuter. */
 inline void
 parallelForOuter(size_t count, const std::function<void(size_t)>& fn)
 {
-    if (count >= ThreadPool::instance().threadCount()) {
-        parallelFor(0, count, fn);
-        return;
-    }
-    for (size_t i = 0; i < count; ++i)
-        fn(i);
+    ThreadPool::instance().parallelForOuter(count, fn);
 }
 
 } // namespace hydra

@@ -12,6 +12,8 @@
  *
  * The buckets are split into per-thread slots.  Each ThreadPool worker
  * binds its own slot (bindThreadSlot); every other thread shares slot 0.
+ * Thread teams do not change this: a task acquires from the slots of
+ * its own team's threads.
  * A buffer remembers the slot that acquired it and always returns there,
  * even when another thread releases it, and an acquire only pops from
  * the calling thread's slot.  Each thread's hits and misses therefore
@@ -115,7 +117,8 @@ class BufferPool
 
     /**
      * Make the calling thread acquire from (and own buffers in) `slot`.
-     * ThreadPool workers bind slot id+1; unbound threads use slot 0.
+     * ThreadPool worker thread id binds slot id (1..T-1); unbound
+     * threads, the pool's outside caller among them, use slot 0.
      */
     static void bindThreadSlot(size_t slot);
 

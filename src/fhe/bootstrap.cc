@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "fhe/chebyshev.hh"
 
 namespace hydra {
@@ -61,9 +62,10 @@ specialFftFactors(const CkksEncoder& encoder, const DftPlan& plan,
         size_t low = top - k; // blocks of 2^(low+1) .. 2^top entries
         size_t stride = size_t{1} << low;
 
-        // Column c of the factor is its stages applied to e_c.
+        // Column c of the factor is its stages applied to e_c; the
+        // columns are independent.
         CMatrix cols(s);
-        for (size_t c = 0; c < s; ++c) {
+        parallelFor(0, s, [&](size_t c) {
             std::vector<cplx> v(s, cplx(0, 0));
             v[c] = cplx(1, 0);
             if (inverse) {
@@ -76,7 +78,7 @@ specialFftFactors(const CkksEncoder& encoder, const DftPlan& plan,
                     encoder.fftSpecialStage(v, size_t{1} << lg);
             }
             cols[c] = std::move(v);
-        }
+        });
 
         MatrixDiagonals f;
         f.stride = stride;
@@ -267,10 +269,15 @@ Bootstrapper::bootstrap(const Evaluator& eval, const Ciphertext& ct) const
 {
     double message_scale = ct.scale;
     Ciphertext raised = modRaise(ct);
-    auto [re, im] = coeffToSlot(eval, raised);
-    Ciphertext mre = evalMod(eval, re, message_scale);
-    Ciphertext mim = evalMod(eval, im, message_scale);
-    return slotToCoeff(eval, mre, mim);
+    std::pair<Ciphertext, Ciphertext> halves = coeffToSlot(eval, raised);
+    // The two EvalMod chains are independent: two lanes, each on half
+    // the pool's threads (all of them at one thread per lane).
+    const Ciphertext* in[2] = {&halves.first, &halves.second};
+    Ciphertext mod[2];
+    parallelForOuter(2, [&](size_t lane) {
+        mod[lane] = evalMod(eval, *in[lane], message_scale);
+    });
+    return slotToCoeff(eval, mod[0], mod[1]);
 }
 
 } // namespace hydra

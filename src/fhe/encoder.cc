@@ -1,12 +1,16 @@
 #include "fhe/encoder.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <numbers>
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "math/ntt.hh"
+#include "math/simd/simd.hh"
 
 namespace hydra {
 
@@ -17,14 +21,42 @@ struct Plaintext::NttCache
     std::map<size_t, RnsPoly> byLevel;
 };
 
+Plaintext::Plaintext()
+    : cache_(std::make_unique<NttCache>())
+{
+}
+
+Plaintext::Plaintext(RnsPoly p, double s)
+    : poly(std::move(p)), scale(s), cache_(std::make_unique<NttCache>())
+{
+}
+
+Plaintext::Plaintext(const Plaintext& o)
+    : poly(o.poly), scale(o.scale), cache_(std::make_unique<NttCache>())
+{
+}
+
+Plaintext&
+Plaintext::operator=(const Plaintext& o)
+{
+    poly = o.poly;
+    scale = o.scale;
+    cache_ = std::make_unique<NttCache>();
+    return *this;
+}
+
+Plaintext::Plaintext(Plaintext&&) noexcept = default;
+Plaintext& Plaintext::operator=(Plaintext&&) noexcept = default;
+Plaintext::~Plaintext() = default;
+
 const RnsPoly&
 Plaintext::nttRestricted(size_t levels) const
 {
     HYDRA_ASSERT(levels >= 1 && levels <= poly.nLimbs() &&
                      poly.specialCount() == 0,
                  "cannot restrict plaintext to this level");
-    if (!cache_)
-        cache_ = std::make_shared<NttCache>();
+    if (poly.nttForm() && levels == poly.nLimbs())
+        return poly;
     std::lock_guard<std::mutex> lock(cache_->m);
     auto [it, inserted] = cache_->byLevel.try_emplace(levels);
     if (inserted) {
@@ -168,19 +200,57 @@ CkksEncoder::encode(const std::vector<double>& values, double scale,
     return encode(z, scale, n_limbs);
 }
 
+namespace {
+
+/** round(x), refusing values past the signed 64-bit range. */
+i64
+roundConstant(double x)
+{
+    if (std::abs(x) >= 9.0e18)
+        fatal("encodeConstant overflow");
+    return static_cast<i64>(std::llround(x));
+}
+
+} // namespace
+
 Plaintext
 CkksEncoder::encodeConstant(cplx c, double scale, size_t n_limbs) const
 {
     std::vector<i64> coeffs(ctx_.n(), 0);
-    double re = c.real() * scale;
-    double im = c.imag() * scale;
-    if (std::abs(re) >= 9.0e18 || std::abs(im) >= 9.0e18)
-        fatal("encodeConstant overflow");
-    coeffs[0] = static_cast<i64>(std::llround(re));
-    coeffs[slots_] = static_cast<i64>(std::llround(im));
+    coeffs[0] = roundConstant(c.real() * scale);
+    coeffs[slots_] = roundConstant(c.imag() * scale);
     return Plaintext{RnsPoly::fromSigned(ctx_.basis(), n_limbs, 0,
                                          coeffs),
                      scale};
+}
+
+Plaintext
+CkksEncoder::encodeConstantNtt(cplx c, double scale, size_t n_limbs) const
+{
+    i64 re = roundConstant(c.real() * scale);
+    i64 im = roundConstant(c.imag() * scale);
+    const RnsPoly& iota = ctx_.iMonomialNtt();
+    HYDRA_ASSERT(n_limbs >= 1 && n_limbs <= iota.nLimbs(),
+                 "constant level out of range");
+    RnsPoly p(ctx_.basis(), n_limbs, 0, true);
+    size_t n = p.n();
+    parallelFor(0, n_limbs, [&](size_t k) {
+        const Modulus& m = p.mod(k);
+        u64* dst = p.limbData(k);
+        u64 r = m.reduceI64(re);
+        if (im == 0) {
+            std::fill(dst, dst + n, r);
+            return;
+        }
+        std::memcpy(dst, iota.limbData(k), n * sizeof(u64));
+        ShoupMul w(m.reduceI64(im), m);
+        simd::kernels().mulScalarSpan(dst, n, w.value(), w.shoup(),
+                                      m.value());
+        if (r != 0)
+            for (size_t j = 0; j < n; ++j)
+                dst[j] = m.addMod(dst[j], r);
+    });
+    return Plaintext{std::move(p), scale};
 }
 
 std::vector<cplx>

@@ -25,43 +25,34 @@ struct Plaintext
     RnsPoly poly;
     double scale = 0.0;
 
-    Plaintext() = default;
-
-    Plaintext(RnsPoly p, double s)
-        : poly(std::move(p)), scale(s)
-    {
-    }
+    Plaintext();
+    Plaintext(RnsPoly p, double s);
 
     /** Copies start with a cold cache so edits to `poly` stay safe. */
-    Plaintext(const Plaintext& o)
-        : poly(o.poly), scale(o.scale)
-    {
-    }
+    Plaintext(const Plaintext& o);
+    Plaintext& operator=(const Plaintext& o);
 
-    Plaintext&
-    operator=(const Plaintext& o)
-    {
-        poly = o.poly;
-        scale = o.scale;
-        cache_.reset();
-        return *this;
-    }
-
-    Plaintext(Plaintext&&) = default;
-    Plaintext& operator=(Plaintext&&) = default;
+    /** A moved-from plaintext may only be assigned to or destroyed. */
+    Plaintext(Plaintext&&) noexcept;
+    Plaintext& operator=(Plaintext&&) noexcept;
+    ~Plaintext();
 
     /**
-     * NTT-form copy of `poly` restricted to its first `levels` limbs,
-     * built on first use and memoized per level.  Repeated
-     * plaintext-ciphertext operations against the same plaintext (the
-     * BSGS inner loop) pay the restrict + forward NTT exactly once.
-     * Do not mutate `poly` after calling this.
+     * NTT-form copy of `poly` restricted to its first `levels` limbs.
+     * An NTT-form `poly` of exactly `levels` limbs is returned itself;
+     * any other restriction is built on first use and memoized per
+     * level, so repeated plaintext-ciphertext operations against the
+     * same plaintext (the BSGS inner loop) pay the restrict + forward
+     * NTT exactly once.  Safe to call from concurrent tasks.  Do not
+     * mutate `poly` after calling this.
      */
     const RnsPoly& nttRestricted(size_t levels) const;
 
   private:
     struct NttCache;
-    mutable std::shared_ptr<NttCache> cache_;
+    /** Created with the plaintext, so concurrent first calls of
+     *  nttRestricted only contend on its mutex. */
+    std::unique_ptr<NttCache> cache_;
 };
 
 /** Encode/decode between C^{n/2} and R = Z[X]/(X^n+1). */
@@ -91,6 +82,14 @@ class CkksEncoder
      * the plaintext is Re(c)*scale + Im(c)*scale * X^{n/2}.
      */
     Plaintext encodeConstant(cplx c, double scale, size_t n_limbs) const;
+
+    /**
+     * encodeConstant in NTT form, without encoding a polynomial: the
+     * NTT of X^{n/2} is ctx.iMonomialNtt(), so limb k holds
+     * (Re mod q_k) + (Im mod q_k) * iota_k -- a per-limb scalar when
+     * Im is zero.  Bit-identical to encodeConstant followed by toNtt.
+     */
+    Plaintext encodeConstantNtt(cplx c, double scale, size_t n_limbs) const;
 
     /** Decode a plaintext back to its complex slot vector. */
     std::vector<cplx> decode(const Plaintext& pt) const;

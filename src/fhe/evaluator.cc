@@ -180,14 +180,14 @@ Evaluator::square(const Ciphertext& a) const
 Ciphertext
 Evaluator::mulConstant(const Ciphertext& a, cplx c, double scale) const
 {
-    Plaintext pt = encoder_.encodeConstant(c, scale, a.level());
+    Plaintext pt = encoder_.encodeConstantNtt(c, scale, a.level());
     return mulPlain(a, pt);
 }
 
 Ciphertext
 Evaluator::addConstant(const Ciphertext& a, cplx c) const
 {
-    Plaintext pt = encoder_.encodeConstant(c, a.scale, a.level());
+    Plaintext pt = encoder_.encodeConstantNtt(c, a.scale, a.level());
     return addPlain(a, pt);
 }
 
@@ -234,15 +234,6 @@ Evaluator::dropToLevel(const Ciphertext& a, size_t levels) const
     out.c1 = restrictTo(a.c1, levels);
     out.scale = a.scale;
     return out;
-}
-
-void
-Evaluator::matchLevels(Ciphertext& a, Ciphertext& b) const
-{
-    if (a.level() > b.level())
-        a = dropToLevel(a, b.level());
-    else if (b.level() > a.level())
-        b = dropToLevel(b, a.level());
 }
 
 std::pair<RnsPoly, RnsPoly>

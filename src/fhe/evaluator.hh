@@ -97,9 +97,6 @@ class Evaluator
 
     /** Discard limbs down to `levels` active primes (scale unchanged). */
     Ciphertext dropToLevel(const Ciphertext& a, size_t levels) const;
-
-    /** Rescale `a` down so it can be combined with level/scale of b. */
-    void matchLevels(Ciphertext& a, Ciphertext& b) const;
     /// @}
 
     /// @name Automorphisms

@@ -60,30 +60,46 @@ LinearTransform::LinearTransform(const CkksEncoder& encoder,
     bs_ = std::min(bs, count);
     gs_ = (count + bs_ - 1) / bs_;
 
-    // Pre-rotate each non-zero diagonal by -shift_g and encode it.
+    // Place every non-zero diagonal; the encoding runs below.
     giant_.resize(gs_);
     shift_.resize(gs_);
     needBaby_.assign(bs_, false);
+    struct Place
+    {
+        size_t g;    ///< giant step
+        size_t term; ///< index in giant_[g]
+    };
+    std::vector<Place> places;
     for (size_t g = 0; g < gs_; ++g) {
-        size_t shift = (diagonals.base + g * bs_ * stride_) % slots_;
-        shift_[g] = shift;
+        shift_[g] = (diagonals.base + g * bs_ * stride_) % slots_;
         for (size_t b = 0; b < bs_ && g * bs_ + b < count; ++b) {
-            const std::vector<cplx>& diag = diagonals.diags[g * bs_ + b];
-            if (maxNorm(diag) < 1e-14)
+            if (maxNorm(diagonals.diags[g * bs_ + b]) < 1e-14)
                 continue; // structurally zero diagonal
-            // Pre-rotate right by shift_g so the giant-step rotation of
-            // the partial sum aligns the plaintext with the ciphertext.
-            std::vector<cplx> rotated(slots_);
-            for (size_t j = 0; j < slots_; ++j)
-                rotated[j] = diag[(j + slots_ - shift) % slots_];
-            // Encoded with only the limbs the transform runs at: the
-            // residues are those of a full-chain encoding, minus limbs
-            // no ciphertext here ever has.
-            giant_[g].push_back({b, encoder.encode(rotated, scale_, levels_)});
+            places.push_back({g, giant_[g].size()});
+            giant_[g].push_back({b, Plaintext{}});
             needBaby_[b] = true;
-            ++diagonals_;
         }
     }
+    diagonals_ = places.size();
+
+    // The diagonals are independent: encode them as op-level tasks.
+    // Each is stored once, in NTT form with only the limbs the
+    // transform runs at -- the residues of a full-chain encoding minus
+    // limbs no ciphertext here ever has -- so the multiplies read it
+    // directly.
+    parallelForOuter(places.size(), [&](size_t i) {
+        Term& term = giant_[places[i].g][places[i].term];
+        size_t shift = shift_[places[i].g];
+        const std::vector<cplx>& diag =
+            diagonals.diags[places[i].g * bs_ + term.b];
+        // Pre-rotate right by shift_g so the giant-step rotation of
+        // the partial sum aligns the plaintext with the ciphertext.
+        std::vector<cplx> rotated(slots_);
+        for (size_t j = 0; j < slots_; ++j)
+            rotated[j] = diag[(j + slots_ - shift) % slots_];
+        term.pt = encoder.encode(rotated, scale_, levels_);
+        term.pt.poly.toNtt();
+    });
 }
 
 LinearTransform::LinearTransform(const CkksEncoder& encoder,

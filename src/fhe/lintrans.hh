@@ -47,7 +47,8 @@ class LinearTransform
      * @param bs baby-step count, at most the diagonal count; 0 selects
      *           ceil(sqrt(diagonal count)) rounded to a power of two.
      * @param levels limb count the transform runs at: the diagonals are
-     *           encoded with that many limbs (0 = the full chain).
+     *           stored in NTT form with that many limbs (0 = the full
+     *           chain).
      */
     LinearTransform(const CkksEncoder& encoder,
                     const MatrixDiagonals& diagonals, double scale,
@@ -94,7 +95,8 @@ class LinearTransform
     struct Term
     {
         size_t b;
-        /** Encoded diagonal, pre-rotated by -shift_g. */
+        /** Encoded diagonal, pre-rotated by -shift_g, in NTT form at
+         *  levels_ limbs. */
         Plaintext pt;
     };
 

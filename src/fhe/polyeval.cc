@@ -1,11 +1,29 @@
 #include "fhe/polyeval.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
 
 namespace hydra {
+
+namespace {
+
+/** The ladder's split x^k = x^hi * x^lo, hi the largest power of two
+ *  below k. */
+std::pair<size_t, size_t>
+ladderFactors(size_t k)
+{
+    size_t hi = size_t{1} << (std::bit_width(k) - 1);
+    if (hi == k)
+        hi = k / 2;
+    return {hi, k - hi};
+}
+
+} // namespace
 
 size_t
 polyEvalDepth(size_t degree)
@@ -26,21 +44,36 @@ evalPolynomial(const Evaluator& eval, const Ciphertext& x,
 
     // 1. Power ladder: pow[k] for 1 <= k <= deg, built by binary
     //    splitting (x^k = x^{2^t} * x^{k - 2^t}), one rescale per mult.
+    //    The products of one ladder rung (x^3 and x^4; x^5 .. x^7) read
+    //    only lower rungs, so each rung runs as op-level tasks.
     std::vector<Ciphertext> pow(deg + 1);
-    std::vector<bool> have(deg + 1, false);
+    std::vector<size_t> rung(deg + 1, 0);
+    std::vector<std::vector<size_t>> rungs;
     pow[1] = x;
-    have[1] = true;
     for (size_t k = 2; k <= deg; ++k) {
-        size_t hi = size_t{1} << (std::bit_width(k) - 1);
-        if (hi == k)
-            hi = k / 2;
-        size_t lo = k - hi;
-        HYDRA_ASSERT(have[hi] && have[lo], "power ladder ordering bug");
-        Ciphertext a = pow[hi];
-        Ciphertext b = pow[lo];
-        eval.matchLevels(a, b);
-        pow[k] = eval.rescale(eval.mulRelin(a, b));
-        have[k] = true;
+        auto [hi, lo] = ladderFactors(k);
+        rung[k] = std::max(rung[hi], rung[lo]) + 1;
+        if (rung[k] > rungs.size())
+            rungs.emplace_back();
+        rungs[rung[k] - 1].push_back(k);
+    }
+    for (const std::vector<size_t>& ks : rungs) {
+        parallelForOuter(ks.size(), [&](size_t i) {
+            auto [hi, lo] = ladderFactors(ks[i]);
+            const Ciphertext& a = pow[hi];
+            const Ciphertext& b = pow[lo];
+            // Multiply at the lower level without copying an operand
+            // that is already there.
+            Ciphertext& out = pow[ks[i]];
+            if (a.level() == b.level()) {
+                out = eval.mulRelin(a, b);
+            } else if (a.level() > b.level()) {
+                out = eval.mulRelin(eval.dropToLevel(a, b.level()), b);
+            } else {
+                out = eval.mulRelin(a, eval.dropToLevel(b, a.level()));
+            }
+            eval.rescaleInPlace(out);
+        });
     }
 
     // 2. Drop every power to the common (deepest) level.

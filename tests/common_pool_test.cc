@@ -152,6 +152,40 @@ TEST(BufferPool, CountersBalanceUnderConcurrentChurn)
     EXPECT_GT(d.hits, d.misses);
 }
 
+TEST(BufferPool, TeamTasksNeverMissWhenWarm)
+{
+    // Tasks on thread teams acquire from their own threads' slots: a
+    // team fork whose tasks churn buffers inside nested parallelFor
+    // and parallelForOuter calls misses zero times once warm, with
+    // even (2 + 2) and uneven (2 + 1, 3 + 3 + 2) teams.
+    size_t saved = ThreadPool::instance().threadCount();
+    for (size_t threads : {3u, 4u, 8u}) {
+        ThreadPool::instance().setThreadCount(threads);
+        auto round = [&] {
+            parallelForOuter(threads == 8 ? 3 : 2, [&](size_t i) {
+                PoolBuffer mine = BufferPool::global().acquire(512 + i);
+                parallelForOuter(2, [&](size_t l) {
+                    parallelFor(0, 6, [&](size_t j) {
+                        PoolBuffer b =
+                            BufferPool::global().acquire(64 + 8 * l + j);
+                        b.data()[0] = j;
+                    });
+                });
+                mine.data()[0] = i;
+            });
+        };
+        round();
+        Stats before = BufferPool::global().stats();
+        for (int r = 0; r < 3; ++r)
+            round();
+        Stats d = delta(before);
+        EXPECT_EQ(d.misses, 0u) << threads << " threads";
+        EXPECT_GT(d.hits, 0u);
+        EXPECT_EQ(d.outstanding, 0u);
+    }
+    ThreadPool::instance().setThreadCount(saved);
+}
+
 TEST(BufferPool, ResetStatsClearsCumulativeCountersOnly)
 {
     auto& pool = BufferPool::global();

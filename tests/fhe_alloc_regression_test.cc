@@ -127,5 +127,39 @@ TEST(AllocRegression, OpLevelParallelTransformNeverMissesPool)
     }
 }
 
+TEST(AllocRegression, WarmBootstrapNeverMissesPool)
+{
+    // EvalMod's two lanes and the power-ladder tasks run on thread
+    // teams; every pool thread keeps its own buffer slot, so a warm
+    // bootstrap allocates nothing at 4 threads (2 + 2 lanes) and at 3
+    // (2 + 1) as at 1.
+    CkksParams p = CkksParams::bootstrapTest();
+    p.n = 1 << 8;
+    CkksContext probe_ctx(p);
+    CkksEncoder probe_enc(probe_ctx);
+    Bootstrapper probe(probe_ctx, probe_enc);
+    FheHarness h(p, probe.requiredRotations());
+    Bootstrapper boot(h.ctx, h.encoder);
+    Ciphertext ct =
+        h.encryptVec(test::randomComplexVec(h.ctx.slots(), 41, 0.01), 1);
+
+    for (size_t threads : {1u, 3u, 4u}) {
+        test::ThreadCountGuard tc(threads);
+        Ciphertext out;
+        for (int i = 0; i < 2; ++i)
+            out = boot.bootstrap(h.eval, ct);
+
+        BufferPool::global().resetStats();
+        for (int i = 0; i < 2; ++i)
+            out = boot.bootstrap(h.eval, ct);
+
+        BufferPool::Stats st = BufferPool::global().stats();
+        EXPECT_EQ(st.misses, 0u)
+            << "warm bootstrap at " << threads << " threads allocated "
+            << st.misses << " fresh buffers (hits: " << st.hits << ")";
+        EXPECT_GT(st.hits, 0u);
+    }
+}
+
 } // namespace
 } // namespace hydra

@@ -346,7 +346,11 @@ TEST(Bootstrap, KeyswitchCountIsExactAtAnyThreadCount)
                           2 * (6 + 7 + 1);
         EXPECT_EQ(closed, 69u);
 
-        for (size_t threads : {1u, 4u}) {
+        // EvalMod's two lanes, the power-ladder rungs and short
+        // giant-step batches run on thread teams whenever there are
+        // fewer of them than threads: 3 threads split them unevenly,
+        // 8 give every team several threads.
+        for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
             test::ThreadCountGuard tc(threads);
             OpCounter counter;
             h.eval.setCounter(&counter);

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <thread>
+
 #include "common/parallel.hh"
 #include "fhe_test_util.hh"
 #include "math/primes.hh"
@@ -66,10 +69,11 @@ TEST(ParallelDeterminism, BootstrapStepBitExactAcrossThreadCounts)
     // The bootstrap C2S stage (factored BSGS linear transforms over
     // hoisted rotations, one conjugation) exercises ModUp, accumulateKey
     // and its ModDown (alpha = 5: multi-prime base conversions), the
-    // automorphism memo and the plaintext NTT cache all at once.  The
+    // automorphism memo and the NTT-form diagonals all at once.  The
     // whole bootstrap runs its giant steps and hoisted baby steps as
-    // op-level tasks and EvalMod at limb level.  Three threads split
-    // the 5 special limbs and 4 digits unevenly.
+    // op-level tasks, and EvalMod as two lanes whose power-ladder rungs
+    // are tasks again, on thread teams.  Three threads split the 5
+    // special limbs and 4 digits unevenly and the lanes 2 + 1.
     CkksContext probe_ctx(p);
     CkksEncoder probe_enc(probe_ctx);
     Bootstrapper probe_boot(probe_ctx, probe_enc);
@@ -265,6 +269,118 @@ TEST(ParallelDeterminism, ParallelForCoversRangeOnce)
     });
     for (size_t i = 0; i < nested.size(); ++i)
         ASSERT_EQ(nested[i], 1) << "nested index " << i;
+}
+
+/** Expected size of sub-team i when `threads` split into k teams. */
+size_t
+teamSize(size_t threads, size_t k, size_t i)
+{
+    return threads / k + (i < threads % k ? 1 : 0);
+}
+
+TEST(ParallelDeterminism, TeamsCoverEveryIndexOnce)
+{
+    // parallelForOuter(k) around a nested parallelFor and a nested
+    // parallelForOuter: every (task, inner) index runs exactly once,
+    // whether k splits the pool into teams (1 < k < T) or not.
+    constexpr size_t kInner = 37;
+    for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+        ThreadCountGuard tc(threads);
+        for (size_t k = 1; k <= threads + 1; ++k) {
+            std::vector<int> flat(k * kInner, 0);
+            parallelForOuter(k, [&](size_t i) {
+                parallelFor(0, kInner,
+                            [&](size_t j) { flat[i * kInner + j] += 1; });
+            });
+            for (size_t x = 0; x < flat.size(); ++x)
+                ASSERT_EQ(flat[x], 1) << threads << " threads, k " << k
+                                      << ", index " << x;
+
+            for (size_t m : {1u, 2u, 3u}) {
+                std::vector<int> deep(k * m * kInner, 0);
+                parallelForOuter(k, [&](size_t i) {
+                    parallelForOuter(m, [&](size_t l) {
+                        parallelFor(0, kInner, [&](size_t j) {
+                            deep[(i * m + l) * kInner + j] += 1;
+                        });
+                    });
+                });
+                for (size_t x = 0; x < deep.size(); ++x)
+                    ASSERT_EQ(deep[x], 1)
+                        << threads << " threads, k " << k << ", m " << m
+                        << ", index " << x;
+            }
+        }
+    }
+}
+
+TEST(ParallelDeterminism, TeamsUseDisjointThreads)
+{
+    // Record which thread ran every inner index.  With 1 < k < T each
+    // task's nested parallelFor spreads over exactly its own team of
+    // floor(T/k) or ceil(T/k) threads, and the teams share no thread;
+    // k == 1 keeps the whole pool, k >= T gives each task one thread.
+    constexpr size_t kInner = 64;
+    for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+        ThreadCountGuard tc(threads);
+        for (size_t k = 1; k <= threads + 1; ++k) {
+            std::vector<std::thread::id> who(k * kInner);
+            parallelForOuter(k, [&](size_t i) {
+                parallelFor(0, kInner, [&](size_t j) {
+                    who[i * kInner + j] = std::this_thread::get_id();
+                });
+            });
+            std::set<std::thread::id> all;
+            size_t total = 0;
+            for (size_t i = 0; i < k; ++i) {
+                std::set<std::thread::id> team(who.begin() + i * kInner,
+                                               who.begin() +
+                                                   (i + 1) * kInner);
+                size_t want = k == 1         ? threads
+                              : k >= threads ? 1
+                                             : teamSize(threads, k, i);
+                EXPECT_EQ(team.size(), want)
+                    << threads << " threads, k " << k << ", task " << i;
+                all.insert(team.begin(), team.end());
+                total += team.size();
+            }
+            if (k < threads) {
+                EXPECT_EQ(all.size(), total)
+                    << "teams overlap at " << threads << " threads, k "
+                    << k;
+            }
+            EXPECT_LE(all.size(), threads);
+        }
+    }
+    // The uneven split the CI TSan leg runs at HYDRA_THREADS=3.
+    EXPECT_EQ(teamSize(3, 2, 0), 2u);
+    EXPECT_EQ(teamSize(3, 2, 1), 1u);
+}
+
+TEST(ParallelDeterminism, FreshPlaintextSharedByConcurrentTasks)
+{
+    // Tasks that first touch one fresh coefficient-form plaintext at
+    // the same time all build (or wait for) its one NTT memo entry.
+    FheHarness h(smallParams());
+    auto v = test::randomComplexVec(h.ctx.slots(), 29);
+    Ciphertext ct = h.encryptVec(v, 3);
+    Plaintext ref_pt = h.encoder.encode(v, h.ctx.params().scale(),
+                                        h.ctx.levels());
+    Ciphertext ref = h.eval.mulPlain(ct, ref_pt);
+    for (size_t threads : {2u, 3u, 4u}) {
+        ThreadCountGuard tc(threads);
+        for (size_t tasks : {2u, 3u, 4u}) {
+            Plaintext pt = h.encoder.encode(v, h.ctx.params().scale(),
+                                            h.ctx.levels());
+            std::vector<Ciphertext> out(tasks);
+            parallelForOuter(tasks, [&](size_t i) {
+                out[i] = h.eval.mulPlain(ct, pt);
+            });
+            for (size_t i = 0; i < tasks; ++i)
+                EXPECT_TRUE(ciphertextsIdentical(ref, out[i]))
+                    << threads << " threads, task " << i << " of " << tasks;
+        }
+    }
 }
 
 TEST(ParallelDeterminism, PlaintextNttCacheMatchesUncachedPath)
