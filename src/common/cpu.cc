@@ -17,6 +17,8 @@ simdLevelName(SimdLevel level)
         return "avx2";
       case SimdLevel::Avx512:
         return "avx512";
+      case SimdLevel::Avx512Ifma:
+        return "avx512ifma";
     }
     return "scalar";
 }
@@ -36,6 +38,10 @@ simdLevelFromName(const char* name, SimdLevel& out)
         out = SimdLevel::Avx512;
         return true;
     }
+    if (std::strcmp(name, "avx512ifma") == 0) {
+        out = SimdLevel::Avx512Ifma;
+        return true;
+    }
     return false;
 }
 
@@ -49,6 +55,9 @@ detectedSimdLevel()
         __builtin_cpu_supports("avx512dq") &&
         __builtin_cpu_supports("avx512bw") &&
         __builtin_cpu_supports("avx512vl")) {
+        // The 52-bit tier adds vpmadd52luq/vpmadd52huq.
+        if (__builtin_cpu_supports("avx512ifma"))
+            return SimdLevel::Avx512Ifma;
         return SimdLevel::Avx512;
     }
     if (__builtin_cpu_supports("avx2"))
@@ -65,7 +74,8 @@ simdLevelFromEnv(SimdLevel fallback)
         return fallback;
     SimdLevel level;
     if (!simdLevelFromName(env, level)) {
-        warn("HYDRA_SIMD_LEVEL='%s' not one of scalar|avx2|avx512; "
+        warn("HYDRA_SIMD_LEVEL='%s' not one of "
+             "scalar|avx2|avx512|avx512ifma; "
              "using %s", env, simdLevelName(fallback));
         return fallback;
     }

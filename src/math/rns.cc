@@ -34,9 +34,14 @@ BaseConverter::BaseConverter(const std::vector<Modulus>& mods,
     hat_.assign(total, std::vector<u64>(k));
     hatShoup_.assign(total, std::vector<u64>(k));
     offset_.assign(total, 0);
+    fits52_.assign(total, false);
     prodInv_.assign(total, ShoupMul());
+    bool sources52 = std::all_of(
+        mods_.begin() + begin_, mods_.begin() + end_,
+        [](const Modulus& p) { return simd::fits52(p.value()); });
     for (size_t t = 0; t < total; ++t) {
         const Modulus& mt = mods_[t];
+        fits52_[t] = sources52 && simd::fits52(mt.value());
         u64 shift = 0; // sum_i h_i (P_B/p_i) mod t
         for (size_t i = 0; i < k; ++i) {
             ShoupMul w(hatMod(i, mt), mt);
@@ -83,7 +88,8 @@ BaseConverter::convert(u64* dst, const u64* const* w, size_t target,
     HYDRA_ASSERT(target < begin_ || target >= end_,
                  "conversion target inside the source group");
     simd::BaseConvRow row{size(), mods_[target].value(), offset_[target],
-                          hat_[target].data(), hatShoup_[target].data()};
+                          hat_[target].data(), hatShoup_[target].data(),
+                          fits52_[target]};
     simd::kernels().baseConvSpan(dst, w, n, row);
 }
 

@@ -81,6 +81,8 @@ class BaseConverter
     std::vector<std::vector<u64>> hatShoup_;
     /** Per basis prime t: -sum_i h_i (P_B/p_i) mod t. */
     std::vector<u64> offset_;
+    /** Per basis prime t: t and every group prime pass simd::fits52. */
+    std::vector<bool> fits52_;
     /** Per basis prime t: P_B^-1 mod t (unset inside B). */
     std::vector<ShoupMul> prodInv_;
 };

@@ -27,8 +27,14 @@ const Kernels& avx2Kernels();
 #ifdef HYDRA_SIMD_AVX512
 const Kernels& avx512Kernels();
 #endif
+#ifdef HYDRA_SIMD_AVX512IFMA
+const Kernels& avx512IfmaKernels();
+#endif
 
 namespace {
+
+/** The strongest SimdLevel enumerator: the top of every clamp. */
+constexpr SimdLevel kStrongestLevel = SimdLevel::Avx512Ifma;
 
 /** Harvey lazy product: a * w mod q reduced only into [0, 2q). */
 inline u64
@@ -325,6 +331,12 @@ tableFor(SimdLevel level)
 #else
         return nullptr;
 #endif
+      case SimdLevel::Avx512Ifma:
+#ifdef HYDRA_SIMD_AVX512IFMA
+        return &avx512IfmaKernels();
+#else
+        return nullptr;
+#endif
     }
     return nullptr;
 }
@@ -354,7 +366,7 @@ ensureInit()
         // Pick the strongest runnable level, then apply the optional
         // HYDRA_SIMD_LEVEL cap.  Asking for a level the process cannot
         // run clamps down (never up) with a warning.
-        const Kernels* best = strongestTable(SimdLevel::Avx512);
+        const Kernels* best = strongestTable(kStrongestLevel);
         SimdLevel want = simdLevelFromEnv(best->level);
         const Kernels* chosen = strongestTable(want);
         if (chosen->level != want) {
@@ -394,7 +406,7 @@ activeLevel()
 SimdLevel
 bestAvailableLevel()
 {
-    return strongestTable(SimdLevel::Avx512)->level;
+    return strongestTable(kStrongestLevel)->level;
 }
 
 SimdLevel

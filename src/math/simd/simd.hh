@@ -6,26 +6,35 @@
  * lazy-reduction NTT butterflies, Barrett modular span arithmetic, the
  * keyswitch multiply-accumulate, and the centered fast base conversion
  * of ModUp/ModDown -- is routed through one process-wide table of
- * kernel function pointers.  Three tables exist:
+ * kernel function pointers.  Four tables exist:
  *
- *   scalar  -- always compiled; the bit-exactness oracle.  Identical
- *              arithmetic to the pre-SIMD code paths.
- *   avx2    -- 4 x u64 lanes (compiled when HYDRA_SIMD is ON and the
- *              compiler supports -mavx2).
- *   avx512  -- 8 x u64 lanes, needs F+DQ+BW+VL (vpmullq, vpminuq,
- *              64-bit lane permutes for the short-stride NTT stages).
+ *   scalar     -- always compiled; the bit-exactness oracle.  Identical
+ *                 arithmetic to the pre-SIMD code paths.
+ *   avx2       -- 4 x u64 lanes (compiled when HYDRA_SIMD is ON and the
+ *                 compiler supports -mavx2).
+ *   avx512     -- 8 x u64 lanes, needs F+DQ+BW+VL (vpmullq, vpminuq,
+ *                 64-bit lane permutes for the short-stride NTT stages).
+ *   avx512ifma -- the avx512 table with its multiplying kernels (NTTs,
+ *                 Barrett and Shoup spans, base conversion) rebuilt on
+ *                 the 52-bit vpmadd52luq/vpmadd52huq products.  A call
+ *                 takes the 52-bit path only when every modulus it
+ *                 touches is below 2^50 (fits52); otherwise it runs
+ *                 the avx512 kernel.
  *
  * The active table is chosen once per process: the strongest level that
  * is both compiled in and reported by cpuid, optionally capped by the
- * HYDRA_SIMD_LEVEL environment variable ("scalar" | "avx2" | "avx512")
- * for A/B runs and CI equivalence checks.  Tests may force a level at
- * runtime with setLevel().
+ * HYDRA_SIMD_LEVEL environment variable ("scalar" | "avx2" | "avx512" |
+ * "avx512ifma") for A/B runs and CI equivalence checks.  Tests may
+ * force a level at runtime with setLevel().
  *
- * Every kernel computes the exact same per-element integer expressions
- * as its scalar counterpart (same lazy [0,2q)/[0,4q) bounds in the NTT,
- * same Barrett quotient estimate, same correction count), so outputs
- * are bit-identical at every level -- vectorization changes execution
- * order across elements, never the value any element takes.
+ * The scalar, avx2 and avx512 kernels compute the exact same
+ * per-element integer expressions (same lazy [0,2q)/[0,4q) bounds in
+ * the NTT, same Barrett quotient estimate, same correction count).  The
+ * 52-bit kernels keep those bounds but may take a lazy intermediate
+ * one q higher (a 52-bit Shoup quotient can sit one below the 64-bit
+ * one); every kernel output is canonical, so outputs are bit-identical
+ * at every level -- vectorization changes execution order across
+ * elements, never the value any output element takes.
  */
 
 #ifndef HYDRA_MATH_SIMD_SIMD_HH
@@ -43,6 +52,19 @@ class NttTable;
 namespace simd {
 
 /**
+ * Whether modulus q takes the 52-bit IFMA kernels: q < 2^50, so the lazy
+ * NTT values (< 4q) and every Barrett/Shoup operand fit the 52-bit
+ * vpmadd52 multiplier.  The 52-bit Shoup quotient of w is the 64-bit
+ * one shifted right 12 (floor(floor(w 2^64 / q) / 2^12) = floor(w 2^52
+ * / q)), so no modulus carries extra tables.
+ */
+inline bool
+fits52(u64 q)
+{
+    return q < (u64{1} << 50);
+}
+
+/**
  * Constants of one fast-base-conversion row: k source spans into one
  * target prime t.  See baseConvSpan.
  */
@@ -53,6 +75,12 @@ struct BaseConvRow
     u64 offset;          ///< canonical constant term mod t
     const u64* hat;      ///< per-source multipliers, canonical mod t
     const u64* hatShoup; ///< Shoup quotients of hat
+    /**
+     * fits52(t) and every source span holds canonical residues of a
+     * prime that fits52 (so every y[i][x] < 2^50): the row may take
+     * the 52-bit kernel.
+     */
+    bool fits52 = false;
 };
 
 /**
@@ -94,8 +122,8 @@ struct Kernels
     /**
      * Base-conversion row: dst[x] = (offset + sum_i y[i][x] * hat[i])
      * mod t.  The y[i] may hold any u64 (the lazy Shoup product lands
-     * in [0, 2t) for every input); the sum stays in [0, 2t) until the
-     * end.
+     * in [0, 2t) for every input) unless row.fits52 promises less; the
+     * sum stays in [0, 2t) until the end.
      * BaseConverter feeds it shifted residues so the row evaluates the
      * centered fast base conversion.
      */

@@ -327,7 +327,11 @@ TEST(Bootstrap, KeyswitchCountIsExactAtAnyThreadCount)
     // keyswitches (153 rotations) at r = 9.  The keyswitch method does
     // not change the counts: alpha = 1 (one digit per limb, one special
     // prime) pins the output of the per-limb keyswitch it generalizes,
-    // alpha = 5 (dnum = 4) is bootstrapTest()'s default.
+    // alpha = 5 (dnum = 4) is bootstrapTest()'s default.  Every SIMD
+    // level the host runs must reproduce both digests: the IFMA table
+    // takes the 42-bit chain primes and forwards the 55-bit special
+    // primes to the AVX-512 kernels.
+    test::SimdLevelGuard simd_guard;
     struct Pin
     {
         size_t alpha;
@@ -350,20 +354,23 @@ TEST(Bootstrap, KeyswitchCountIsExactAtAnyThreadCount)
         // giant-step batches run on thread teams whenever there are
         // fewer of them than threads: 3 threads split them unevenly,
         // 8 give every team several threads.
-        for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
-            test::ThreadCountGuard tc(threads);
-            OpCounter counter;
-            h.eval.setCounter(&counter);
-            Ciphertext out = b.boot.bootstrap(h.eval, ct);
-            h.eval.setCounter(nullptr);
-            EXPECT_EQ(counter.count(HeOpType::KeySwitch), 69u)
-                << "alpha " << pin.alpha << ", " << threads << " threads";
-            EXPECT_EQ(counter.count(HeOpType::Rotate), 40u)
-                << "alpha " << pin.alpha << ", " << threads << " threads";
-            uint64_t digest = test::ciphertextDigest(out);
-            EXPECT_EQ(digest, pin.digest)
-                << "alpha " << pin.alpha << ", " << threads
-                << " threads, digest 0x" << std::hex << digest;
+        for (SimdLevel level : test::runnableSimdLevels()) {
+            ASSERT_EQ(simd::setLevel(level), level);
+            for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+                test::ThreadCountGuard tc(threads);
+                OpCounter counter;
+                h.eval.setCounter(&counter);
+                Ciphertext out = b.boot.bootstrap(h.eval, ct);
+                h.eval.setCounter(nullptr);
+                std::string where = "alpha " + std::to_string(pin.alpha) +
+                                    ", " + std::to_string(threads) +
+                                    " threads, " + simdLevelName(level);
+                EXPECT_EQ(counter.count(HeOpType::KeySwitch), 69u) << where;
+                EXPECT_EQ(counter.count(HeOpType::Rotate), 40u) << where;
+                uint64_t digest = test::ciphertextDigest(out);
+                EXPECT_EQ(digest, pin.digest)
+                    << where << ", digest 0x" << std::hex << digest;
+            }
         }
     }
 }

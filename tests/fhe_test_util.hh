@@ -9,9 +9,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <vector>
 
+#include "common/cpu.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "fhe/bootstrap.hh"
@@ -20,6 +22,7 @@
 #include "fhe/encryptor.hh"
 #include "fhe/evaluator.hh"
 #include "fhe/keygen.hh"
+#include "math/simd/simd.hh"
 
 namespace hydra::test {
 
@@ -84,6 +87,35 @@ struct ThreadCountGuard
 
     size_t saved;
 };
+
+/** Restore the best SIMD dispatch level even if an assertion throws. */
+struct SimdLevelGuard
+{
+    ~SimdLevelGuard() { simd::setLevel(simd::bestAvailableLevel()); }
+};
+
+/**
+ * Every SIMD dispatch level this process can run, weakest first (scalar
+ * always).  Each level above the best one is skipped with a note on
+ * stdout, so a run on a host without AVX-512 IFMA shows that its table
+ * went untested.
+ */
+inline std::vector<SimdLevel>
+runnableSimdLevels()
+{
+    std::vector<SimdLevel> out;
+    SimdLevel best = simd::bestAvailableLevel();
+    for (SimdLevel level : {SimdLevel::Scalar, SimdLevel::Avx2,
+                            SimdLevel::Avx512, SimdLevel::Avx512Ifma}) {
+        if (level <= best)
+            out.push_back(level);
+        else
+            std::printf("[   SKIP   ] SIMD level %s: this process runs "
+                        "at most %s\n",
+                        simdLevelName(level), simdLevelName(best));
+    }
+    return out;
+}
 
 /** Same shape, domain and limb words. */
 inline bool

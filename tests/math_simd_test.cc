@@ -5,9 +5,10 @@
  * The scalar table is the oracle: for every dispatch level the host can
  * run, every span kernel and NTT transform must produce bit-identical
  * output on the same input -- including lazy-reduction corner cases
- * (moduli near the 2^62 ceiling), small-n fallback paths, and non-lane
- * -multiple tails.  A final battery checks full evaluator ops end to
- * end at each level against the scalar result.
+ * (moduli near the 2^62 ceiling, all-(q-1) inputs), both sides of the
+ * IFMA table's 2^50 gate, small-n fallback paths, and non-lane-multiple
+ * tails.  A final battery checks full evaluator ops end to end at each
+ * level against the scalar result.
  */
 
 #include <gtest/gtest.h>
@@ -20,35 +21,47 @@
 #include "fhe_test_util.hh"
 #include "math/ntt.hh"
 #include "math/primes.hh"
+#include "math/rns.hh"
 #include "math/simd/simd.hh"
 
 namespace hydra {
 namespace {
 
-/** Every level this host can actually dispatch to (scalar always). */
-std::vector<SimdLevel>
-runnableLevels()
-{
-    std::vector<SimdLevel> out{SimdLevel::Scalar};
-    if (simd::bestAvailableLevel() >= SimdLevel::Avx2)
-        out.push_back(SimdLevel::Avx2);
-    if (simd::bestAvailableLevel() >= SimdLevel::Avx512)
-        out.push_back(SimdLevel::Avx512);
-    return out;
-}
+using test::runnableSimdLevels;
+using test::SimdLevelGuard;
 
-/** Moduli spanning the supported range, including near-2^62 primes. */
+/**
+ * Bit sizes of the test moduli: below the IFMA table's 2^50 gate (42 is
+ * bootstrapTest()'s chain prime size; the 50-bit one is the largest NTT
+ * prime below 2^50), just above it (51, and 55 for bootstrapTest()'s
+ * special primes), which must take the AVX-512 fallback, and up to the
+ * 2^62 ceiling.
+ */
+const int kModulusBits[] = {30, 42, 45, 50, 51, 55, 59, 61};
+
+/** One NTT-friendly prime per kModulusBits entry; the 61-bit one last. */
 std::vector<u64>
 testModuli()
 {
     std::vector<u64> qs;
-    for (int bits : {30, 45, 50, 59, 61})
+    for (int bits : kModulusBits)
         qs.push_back(nttPrimes(4096, bits, 1)[0]);
     return qs;
 }
 
 /** Span lengths hitting full vectors, tails, and sub-vector sizes. */
 const size_t kSpanSizes[] = {1, 3, 7, 8, 9, 15, 16, 64, 333, 1024};
+
+/** (length, all-(q-1) inputs?) for every kSpanSizes entry. */
+std::vector<std::pair<size_t, bool>>
+spanCases()
+{
+    std::vector<std::pair<size_t, bool>> out;
+    for (bool top : {false, true})
+        for (size_t n : kSpanSizes)
+            out.emplace_back(n, top);
+    return out;
+}
 
 std::vector<u64>
 randomCanonical(size_t n, u64 q, u64 seed)
@@ -58,6 +71,13 @@ randomCanonical(size_t n, u64 q, u64 seed)
     for (auto& x : v)
         x = rng.uniformU64(q);
     return v;
+}
+
+/** n random residues mod q, or all q - 1 (the tightest lazy bounds). */
+std::vector<u64>
+residues(size_t n, u64 q, bool top, u64 seed)
+{
+    return top ? std::vector<u64>(n, q - 1) : randomCanonical(n, q, seed);
 }
 
 std::vector<i64>
@@ -76,37 +96,60 @@ randomSigned(size_t n, u64 seed)
     return v;
 }
 
-class SimdLevelGuard
-{
-  public:
-    ~SimdLevelGuard() { simd::setLevel(simd::bestAvailableLevel()); }
-};
-
 TEST(SimdDispatchTest, SetLevelClampsToAvailable)
 {
     SimdLevelGuard guard;
+    // Logged so a CI run on a host without IFMA is visible as such.
+    std::printf("[   INFO   ] SIMD levels: cpuid %s, best runnable %s\n",
+                simdLevelName(detectedSimdLevel()),
+                simdLevelName(simd::bestAvailableLevel()));
+    EXPECT_LE(simd::bestAvailableLevel(), detectedSimdLevel());
     EXPECT_EQ(simd::setLevel(SimdLevel::Scalar), SimdLevel::Scalar);
     EXPECT_EQ(simd::activeLevel(), SimdLevel::Scalar);
-    SimdLevel best = simd::setLevel(SimdLevel::Avx512);
+    SimdLevel best = simd::setLevel(SimdLevel::Avx512Ifma);
     EXPECT_EQ(best, simd::bestAvailableLevel());
     EXPECT_EQ(simd::kernels().level, best);
+}
+
+TEST(SimdDispatchTest, LevelNamesRoundTrip)
+{
+    for (SimdLevel level : {SimdLevel::Scalar, SimdLevel::Avx2,
+                            SimdLevel::Avx512, SimdLevel::Avx512Ifma}) {
+        SimdLevel parsed = SimdLevel::Scalar;
+        ASSERT_TRUE(simdLevelFromName(simdLevelName(level), parsed))
+            << simdLevelName(level);
+        EXPECT_EQ(parsed, level) << simdLevelName(level);
+    }
+    SimdLevel untouched = SimdLevel::Avx2;
+    EXPECT_FALSE(simdLevelFromName("avx512-ifma", untouched));
+    EXPECT_EQ(untouched, SimdLevel::Avx2);
+}
+
+TEST(SimdDispatchTest, Fits52GatesAtTwoToTheFifty)
+{
+    const u64 limit = u64{1} << 50;
+    EXPECT_TRUE(simd::fits52(limit - 1));
+    EXPECT_FALSE(simd::fits52(limit));
+    for (int bits : kModulusBits)
+        EXPECT_EQ(simd::fits52(nttPrimes(4096, bits, 1)[0]), bits <= 50)
+            << bits << "-bit prime";
 }
 
 TEST(SimdSpanTest, FuzzAllKernelsMatchScalarOracle)
 {
     SimdLevelGuard guard;
     u64 seed = 0x5eed;
-    for (SimdLevel level : runnableLevels()) {
+    for (SimdLevel level : runnableSimdLevels()) {
         ASSERT_EQ(simd::setLevel(level), level);
         const simd::Kernels& k = simd::kernels();
         const simd::Kernels& oracle = simd::scalarKernels();
         for (u64 qv : testModuli()) {
             Modulus m(qv);
-            for (size_t n : kSpanSizes) {
-                std::vector<u64> a = randomCanonical(n, qv, ++seed);
-                std::vector<u64> b = randomCanonical(n, qv, ++seed);
-                std::vector<u64> c = randomCanonical(n, qv, ++seed);
-                u64 w = randomCanonical(1, qv, ++seed)[0];
+            for (auto [n, top] : spanCases()) {
+                std::vector<u64> a = residues(n, qv, top, ++seed);
+                std::vector<u64> b = residues(n, qv, top, ++seed);
+                std::vector<u64> c = residues(n, qv, top, ++seed);
+                u64 w = residues(1, qv, top, ++seed)[0];
                 ShoupMul ws(w, m);
 
                 auto check = [&](const char* name, auto&& run) {
@@ -117,7 +160,7 @@ TEST(SimdSpanTest, FuzzAllKernelsMatchScalarOracle)
                     ASSERT_EQ(got, want)
                         << name << " level="
                         << simdLevelName(level) << " q=" << qv
-                        << " n=" << n;
+                        << " n=" << n << " top=" << top;
                 };
 
                 check("addSpan",
@@ -180,31 +223,41 @@ TEST(SimdSpanTest, BaseConvMatchesScalarAndExactOracle)
     // Rows of 1..5 sources into targets across the modulus range, with
     // source words drawn from the whole u64 range (the kernel's contract)
     // and from canonical residues of a 61-bit prime (what ModUp and
-    // ModDown feed it).  Every level must equal the scalar table, and
-    // the scalar table the exact 128-bit sum.
+    // ModDown feed it).  Targets below 2^50 also run as fits52 rows,
+    // whose sources are canonical below 2^50 (random, then all p - 1).
+    // Every level must equal the scalar table, and the scalar table the
+    // exact 128-bit sum.
     SimdLevelGuard guard;
     u64 seed = 0xba5e;
     const simd::Kernels& oracle = simd::scalarKernels();
-    for (SimdLevel level : runnableLevels()) {
+    const u64 p61 = testModuli().back();
+    const u64 p50 = nttPrimes(4096, 50, 1)[0];
+    for (SimdLevel level : runnableSimdLevels()) {
         ASSERT_EQ(simd::setLevel(level), level);
         const simd::Kernels& k = simd::kernels();
         for (u64 tv : testModuli()) {
             Modulus t(tv);
             for (size_t srcs = 1; srcs <= 5; ++srcs) {
-                for (size_t n : kSpanSizes) {
+                for (auto [n, narrow] : spanCases()) {
+                    if (narrow && !simd::fits52(tv))
+                        continue;
                     std::vector<u64> hat = randomCanonical(srcs, tv, ++seed);
                     std::vector<u64> hat_shoup(srcs);
                     for (size_t i = 0; i < srcs; ++i)
                         hat_shoup[i] = ShoupMul(hat[i], t).shoup();
                     simd::BaseConvRow row{srcs, tv,
                                           randomCanonical(1, tv, ++seed)[0],
-                                          hat.data(), hat_shoup.data()};
+                                          hat.data(), hat_shoup.data(),
+                                          narrow};
                     std::vector<std::vector<u64>> y(srcs);
                     std::vector<const u64*> yp(srcs);
-                    u64 p61 = testModuli().back();
                     for (size_t i = 0; i < srcs; ++i) {
-                        y[i] = (i % 2) ? randomCanonical(n, p61, ++seed)
-                                       : randomCanonical(n, ~u64{0}, ++seed);
+                        if (narrow)
+                            y[i] = residues(n, p50, i % 2, ++seed);
+                        else
+                            y[i] = (i % 2) ? randomCanonical(n, p61, ++seed)
+                                           : randomCanonical(n, ~u64{0},
+                                                             ++seed);
                         yp[i] = y[i].data();
                     }
                     std::vector<u64> got(n), want(n);
@@ -212,7 +265,8 @@ TEST(SimdSpanTest, BaseConvMatchesScalarAndExactOracle)
                     oracle.baseConvSpan(want.data(), yp.data(), n, row);
                     ASSERT_EQ(got, want)
                         << "baseConvSpan level=" << simdLevelName(level)
-                        << " t=" << tv << " k=" << srcs << " n=" << n;
+                        << " t=" << tv << " k=" << srcs << " n=" << n
+                        << " fits52=" << narrow;
                     for (size_t x = 0; x < n; ++x) {
                         u128 sum = row.offset;
                         for (size_t i = 0; i < srcs; ++i)
@@ -226,48 +280,117 @@ TEST(SimdSpanTest, BaseConvMatchesScalarAndExactOracle)
     }
 }
 
+TEST(SimdSpanTest, BaseConverterMatchesScalarInBootstrapShapes)
+{
+    // bootstrapTest()'s bases: 42-bit chain primes and 55-bit special
+    // primes at n = 2^10.  ModUp converts a digit of chain primes into
+    // another chain prime (42 -> 42, a fits52 row) and into the special
+    // primes (42 -> 55); ModDown converts the special primes back
+    // (55 -> 42).  The last two take the AVX-512 fallback at the IFMA
+    // level.  Inputs are random residues, then all q - 1.
+    SimdLevelGuard guard;
+    const size_t n = 1024;
+    std::vector<Modulus> mods;
+    for (u64 q : nttPrimes(n, 42, 6))
+        mods.emplace_back(q);
+    for (u64 p : nttPrimes(n, 55, 2))
+        mods.emplace_back(p);
+    struct Shape
+    {
+        size_t begin, end, target;
+    };
+    const Shape shapes[] = {{0, 5, 5}, {0, 5, 6}, {0, 5, 7},
+                            {6, 8, 0}, {6, 8, 5}};
+
+    std::vector<std::vector<u64>> want;
+    for (SimdLevel level : runnableSimdLevels()) {
+        ASSERT_EQ(simd::setLevel(level), level);
+        size_t c = 0;
+        u64 seed = 0xc0de;
+        for (const Shape& sh : shapes) {
+            BaseConverter conv(mods, sh.begin, sh.end);
+            for (bool top : {false, true}) {
+                std::vector<std::vector<u64>> w(conv.size());
+                std::vector<const u64*> wp(conv.size());
+                for (size_t i = 0; i < conv.size(); ++i) {
+                    u64 p = mods[sh.begin + i].value();
+                    w[i] = residues(n, p, top, ++seed);
+                    conv.prepareSource(w[i].data(), w[i].data(), i, n);
+                    wp[i] = w[i].data();
+                }
+                std::vector<u64> dst(n);
+                conv.convert(dst.data(), wp.data(), sh.target, n);
+                if (level == SimdLevel::Scalar) {
+                    want.push_back(dst);
+                    continue;
+                }
+                ASSERT_EQ(dst, want[c++])
+                    << "level=" << simdLevelName(level) << " sources ["
+                    << sh.begin << ", " << sh.end << ") target "
+                    << sh.target << " top=" << top;
+            }
+        }
+    }
+}
+
 TEST(SimdNttTest, TransformsMatchScalarAndRoundTrip)
 {
     SimdLevelGuard guard;
     u64 seed = 0xabcd;
-    for (SimdLevel level : runnableLevels()) {
+    for (SimdLevel level : runnableSimdLevels()) {
         ASSERT_EQ(simd::setLevel(level), level);
         const simd::Kernels& k = simd::kernels();
         const simd::Kernels& oracle = simd::scalarKernels();
         // n = 4 and 8 exercise the small-n scalar fallbacks, 16 the
         // tile-transposed short strides alone, larger sizes both loop
-        // families plus odd/even log2(n) for the radix-4 path.
+        // families plus odd/even log2(n) for the radix-4 path.  Inputs
+        // are random residues, then all q - 1.
         for (size_t n : {size_t{4}, size_t{8}, size_t{16}, size_t{32},
                          size_t{1024}, size_t{4096}}) {
-            for (int bits : {45, 59, 61}) {
-                Modulus q(nttPrimes(n, bits, 1)[0]);
-                NttTable table(n, q);
-                std::vector<u64> input =
-                    randomCanonical(n, q.value(), ++seed);
+            for (int bits : {42, 45, 50, 51, 55, 59, 61}) {
+                for (bool top : {false, true}) {
+                    Modulus q(nttPrimes(n, bits, 1)[0]);
+                    NttTable table(n, q);
+                    std::vector<u64> input =
+                        residues(n, q.value(), top, ++seed);
 
-                std::vector<u64> fwd = input;
-                k.nttForward(table, fwd.data());
-                std::vector<u64> want = input;
-                oracle.nttForward(table, want.data());
-                ASSERT_EQ(fwd, want)
-                    << "forward n=" << n << " bits=" << bits
-                    << " level=" << simdLevelName(level);
+                    std::vector<u64> fwd = input;
+                    k.nttForward(table, fwd.data());
+                    std::vector<u64> want = input;
+                    oracle.nttForward(table, want.data());
+                    ASSERT_EQ(fwd, want)
+                        << "forward n=" << n << " bits=" << bits
+                        << " top=" << top
+                        << " level=" << simdLevelName(level);
 
-                std::vector<u64> r4 = input;
-                k.nttForwardRadix4(table, r4.data());
-                ASSERT_EQ(r4, want)
-                    << "radix4 n=" << n << " bits=" << bits
-                    << " level=" << simdLevelName(level);
+                    std::vector<u64> r4 = input;
+                    k.nttForwardRadix4(table, r4.data());
+                    ASSERT_EQ(r4, want)
+                        << "radix4 n=" << n << " bits=" << bits
+                        << " top=" << top
+                        << " level=" << simdLevelName(level);
 
-                std::vector<u64> inv = fwd;
-                k.nttInverse(table, inv.data());
-                ASSERT_EQ(inv, input)
-                    << "roundtrip n=" << n << " bits=" << bits
-                    << " level=" << simdLevelName(level);
+                    std::vector<u64> inv = fwd;
+                    k.nttInverse(table, inv.data());
+                    ASSERT_EQ(inv, input)
+                        << "roundtrip n=" << n << " bits=" << bits
+                        << " top=" << top
+                        << " level=" << simdLevelName(level);
 
-                std::vector<u64> inv_want = fwd;
-                oracle.nttInverse(table, inv_want.data());
-                ASSERT_EQ(inv, inv_want);
+                    std::vector<u64> inv_want = fwd;
+                    oracle.nttInverse(table, inv_want.data());
+                    ASSERT_EQ(inv, inv_want);
+
+                    // The inverse of all q - 1 (evaluation domain).
+                    inv = input;
+                    inv_want = input;
+                    k.nttInverse(table, inv.data());
+                    oracle.nttInverse(table, inv_want.data());
+                    ASSERT_EQ(inv, inv_want)
+                        << "inverse n=" << n << " bits=" << bits
+                        << " top=" << top
+                        << " level=" << simdLevelName(level);
+                }
             }
         }
     }
@@ -305,7 +428,7 @@ checkOpsAcrossLevels(const CkksParams& params)
         Ciphertext add, mul_plain, mac, cmult, rot, hoisted;
     };
     std::vector<std::pair<SimdLevel, Outputs>> runs;
-    for (SimdLevel level : runnableLevels()) {
+    for (SimdLevel level : runnableSimdLevels()) {
         ASSERT_EQ(simd::setLevel(level), level);
         Outputs o;
         o.add = h.eval.add(ca, cb);
