@@ -79,7 +79,9 @@ def check_ledger(st, label):
 
 
 def bert_spec(duration):
-    """The bench/serving.cc kBertHeavySpec shape, duration-scaled."""
+    """The BERT-heavy cake mix, duration-scaled: two 4-card bert groups
+    serving one closed-loop client (60 s think time) and an open-loop
+    tenant at 0.012 requests/s."""
     return ("seed=11,duration=%d,sched=cake,queue=256,"
             "group=bert:4,group=bert:4,"
             "tenant=nlp:closed:bert:1:60,"

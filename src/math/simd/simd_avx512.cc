@@ -18,7 +18,17 @@
 
 #include "math/simd/simd.hh"
 
+// Quiets GCC bug 105593 inside the intrinsic header only; see
+// simd_avx512_ntt.hh.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#endif
 #include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 #include "math/ntt.hh"
 #include "math/simd/simd_avx512_ntt.hh"

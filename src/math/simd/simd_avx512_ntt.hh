@@ -29,7 +29,20 @@
 #ifndef HYDRA_MATH_SIMD_SIMD_AVX512_NTT_HH
 #define HYDRA_MATH_SIMD_SIMD_AVX512_NTT_HH
 
+// GCC 12 reports -Wmaybe-uninitialized / -Wuninitialized inside
+// avx512fintrin.h, at the _mm512_undefined_epi32() that intrinsics such
+// as _mm512_srli_epi64 and _mm512_min_epu64 expand to (GCC bug 105593).
+// The pragmas cover the intrinsic header only, so project code in the
+// AVX-512 translation units still gets both warnings.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#endif
 #include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 #include "math/ntt.hh"
 #include "math/simd/simd.hh"

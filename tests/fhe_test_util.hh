@@ -88,10 +88,16 @@ struct ThreadCountGuard
     size_t saved;
 };
 
-/** Restore the best SIMD dispatch level even if an assertion throws. */
+/**
+ * Restore the SIMD dispatch level in force at construction (the
+ * startup level, HYDRA_SIMD_LEVEL cap included) even if an assertion
+ * throws.
+ */
 struct SimdLevelGuard
 {
-    ~SimdLevelGuard() { simd::setLevel(simd::bestAvailableLevel()); }
+    ~SimdLevelGuard() { simd::setLevel(saved); }
+
+    SimdLevel saved = simd::activeLevel();
 };
 
 /**

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -94,6 +96,30 @@ randomSigned(size_t n, u64 seed)
             x += 1;
     }
     return v;
+}
+
+/**
+ * The first dispatch honours the HYDRA_SIMD_LEVEL cap: it runs the
+ * strongest runnable level at or below the cap (the best level when
+ * the variable is unset or unrecognized).  Every test that calls
+ * setLevel() restores the startup level through SimdLevelGuard.  ctest
+ * also runs this case under HYDRA_SIMD_LEVEL=scalar
+ * (tests/CMakeLists.txt).
+ */
+TEST(SimdDispatchTest, EnvCapPicksStartupLevel)
+{
+    SimdLevel startup = simd::activeLevel();
+    SimdLevel best = simd::bestAvailableLevel();
+    SimdLevel cap = best;
+    const char* env = std::getenv("HYDRA_SIMD_LEVEL");
+    bool capped = env != nullptr && simdLevelFromName(env, cap);
+    std::printf("[   INFO   ] HYDRA_SIMD_LEVEL=%s, startup level %s\n",
+                capped ? env : "(none)", simdLevelName(startup));
+    EXPECT_EQ(startup, std::min(cap, best));
+    // The name hydrabench stamps as simd_level reads back the cap.
+    if (capped && cap <= best) {
+        EXPECT_STREQ(simdLevelName(startup), env);
+    }
 }
 
 TEST(SimdDispatchTest, SetLevelClampsToAvailable)
