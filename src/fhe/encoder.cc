@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <map>
-#include <mutex>
 #include <numbers>
 
 #include "common/logging.hh"
@@ -13,61 +11,6 @@
 #include "math/simd/simd.hh"
 
 namespace hydra {
-
-/** Per-level memo of NTT-form restricted plaintext polynomials. */
-struct Plaintext::NttCache
-{
-    std::mutex m;
-    std::map<size_t, RnsPoly> byLevel;
-};
-
-Plaintext::Plaintext()
-    : cache_(std::make_unique<NttCache>())
-{
-}
-
-Plaintext::Plaintext(RnsPoly p, double s)
-    : poly(std::move(p)), scale(s), cache_(std::make_unique<NttCache>())
-{
-}
-
-Plaintext::Plaintext(const Plaintext& o)
-    : poly(o.poly), scale(o.scale), cache_(std::make_unique<NttCache>())
-{
-}
-
-Plaintext&
-Plaintext::operator=(const Plaintext& o)
-{
-    poly = o.poly;
-    scale = o.scale;
-    cache_ = std::make_unique<NttCache>();
-    return *this;
-}
-
-Plaintext::Plaintext(Plaintext&&) noexcept = default;
-Plaintext& Plaintext::operator=(Plaintext&&) noexcept = default;
-Plaintext::~Plaintext() = default;
-
-const RnsPoly&
-Plaintext::nttRestricted(size_t levels) const
-{
-    HYDRA_ASSERT(levels >= 1 && levels <= poly.nLimbs() &&
-                     poly.specialCount() == 0,
-                 "cannot restrict plaintext to this level");
-    if (poly.nttForm() && levels == poly.nLimbs())
-        return poly;
-    std::lock_guard<std::mutex> lock(cache_->m);
-    auto [it, inserted] = cache_->byLevel.try_emplace(levels);
-    if (inserted) {
-        RnsPoly pp(poly.basis(), levels, 0, poly.nttForm());
-        for (size_t k = 0; k < levels; ++k)
-            pp.copyLimbFrom(k, poly, k);
-        pp.toNtt();
-        it->second = std::move(pp);
-    }
-    return it->second;
-}
 
 CkksEncoder::CkksEncoder(const CkksContext& ctx)
     : ctx_(ctx),
@@ -185,9 +128,9 @@ CkksEncoder::encode(const std::vector<cplx>& values, double scale,
         coeffs[i] = static_cast<i64>(std::llround(re));
         coeffs[i + slots_] = static_cast<i64>(std::llround(im));
     }
-    return Plaintext{RnsPoly::fromSigned(ctx_.basis(), n_limbs, 0,
-                                         coeffs),
-                     scale};
+    RnsPoly p = RnsPoly::fromSigned(ctx_.basis(), n_limbs, 0, coeffs);
+    p.toNtt();
+    return Plaintext{std::move(p), scale};
 }
 
 Plaintext
@@ -215,17 +158,6 @@ roundConstant(double x)
 
 Plaintext
 CkksEncoder::encodeConstant(cplx c, double scale, size_t n_limbs) const
-{
-    std::vector<i64> coeffs(ctx_.n(), 0);
-    coeffs[0] = roundConstant(c.real() * scale);
-    coeffs[slots_] = roundConstant(c.imag() * scale);
-    return Plaintext{RnsPoly::fromSigned(ctx_.basis(), n_limbs, 0,
-                                         coeffs),
-                     scale};
-}
-
-Plaintext
-CkksEncoder::encodeConstantNtt(cplx c, double scale, size_t n_limbs) const
 {
     i64 re = roundConstant(c.real() * scale);
     i64 im = roundConstant(c.imag() * scale);
@@ -256,18 +188,20 @@ CkksEncoder::encodeConstantNtt(cplx c, double scale, size_t n_limbs) const
 std::vector<cplx>
 CkksEncoder::decode(const Plaintext& pt) const
 {
-    HYDRA_ASSERT(!pt.poly.nttForm(), "decode expects coefficient domain");
-    size_t count = pt.poly.nLimbs();
+    HYDRA_ASSERT(pt.poly.nttForm(), "plaintexts are kept in NTT form");
+    RnsPoly coeffs = pt.poly;
+    coeffs.fromNtt();
+    size_t count = coeffs.nLimbs();
     const RnsBasis& basis = *ctx_.basis();
 
     std::vector<cplx> z(slots_);
     std::vector<u64> residues(count);
     for (size_t i = 0; i < slots_; ++i) {
         for (size_t k = 0; k < count; ++k)
-            residues[k] = pt.poly.limb(k)[i];
+            residues[k] = coeffs.limb(k)[i];
         long double re = basis.composeCentered(residues, count);
         for (size_t k = 0; k < count; ++k)
-            residues[k] = pt.poly.limb(k)[i + slots_];
+            residues[k] = coeffs.limb(k)[i + slots_];
         long double im = basis.composeCentered(residues, count);
         z[i] = cplx(static_cast<double>(re / pt.scale),
                     static_cast<double>(im / pt.scale));

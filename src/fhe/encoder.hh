@@ -3,13 +3,17 @@
  * CKKS encoder: canonical-embedding encode/decode between complex slot
  * vectors and ring plaintexts, via the HEAAN-style special FFT over the
  * 5^j twisted roots.
+ *
+ * Plaintexts, keys and ciphertexts live in NTT form; coefficients exist
+ * only inside encode/decode, ModUp/ModDown and rescale.  Each RNS
+ * limb's NTT is independent, so a plaintext encoded with more limbs
+ * than a ciphertext serves it through its leading limbs.
  */
 
 #ifndef HYDRA_FHE_ENCODER_HH
 #define HYDRA_FHE_ENCODER_HH
 
 #include <complex>
-#include <memory>
 #include <vector>
 
 #include "fhe/context.hh"
@@ -19,40 +23,11 @@ namespace hydra {
 
 using cplx = std::complex<double>;
 
-/** Plaintext polynomial together with its scaling factor. */
+/** Plaintext polynomial, in NTT form, together with its scaling factor. */
 struct Plaintext
 {
     RnsPoly poly;
     double scale = 0.0;
-
-    Plaintext();
-    Plaintext(RnsPoly p, double s);
-
-    /** Copies start with a cold cache so edits to `poly` stay safe. */
-    Plaintext(const Plaintext& o);
-    Plaintext& operator=(const Plaintext& o);
-
-    /** A moved-from plaintext may only be assigned to or destroyed. */
-    Plaintext(Plaintext&&) noexcept;
-    Plaintext& operator=(Plaintext&&) noexcept;
-    ~Plaintext();
-
-    /**
-     * NTT-form copy of `poly` restricted to its first `levels` limbs.
-     * An NTT-form `poly` of exactly `levels` limbs is returned itself;
-     * any other restriction is built on first use and memoized per
-     * level, so repeated plaintext-ciphertext operations against the
-     * same plaintext (the BSGS inner loop) pay the restrict + forward
-     * NTT exactly once.  Safe to call from concurrent tasks.  Do not
-     * mutate `poly` after calling this.
-     */
-    const RnsPoly& nttRestricted(size_t levels) const;
-
-  private:
-    struct NttCache;
-    /** Created with the plaintext, so concurrent first calls of
-     *  nttRestricted only contend on its mutex. */
-    std::unique_ptr<NttCache> cache_;
 };
 
 /** Encode/decode between C^{n/2} and R = Z[X]/(X^n+1). */
@@ -68,7 +43,7 @@ class CkksEncoder
 
     /**
      * Encode a complex vector (padded with zeros up to n/2 slots) at the
-     * given scale into a plaintext with `n_limbs` active limbs.
+     * given scale into an NTT-form plaintext with `n_limbs` limbs.
      */
     Plaintext encode(const std::vector<cplx>& values, double scale,
                      size_t n_limbs) const;
@@ -78,20 +53,15 @@ class CkksEncoder
                      size_t n_limbs) const;
 
     /**
-     * Encode the constant vector (c, c, ..., c) without an FFT:
-     * the plaintext is Re(c)*scale + Im(c)*scale * X^{n/2}.
+     * Encode the constant vector (c, c, ..., c) without an FFT or an
+     * NTT: the plaintext is Re(c)*scale + Im(c)*scale * X^{n/2}, and
+     * the NTT of X^{n/2} is ctx.iMonomialNtt(), so limb k holds
+     * (Re mod q_k) + (Im mod q_k) * iota_k -- a per-limb scalar when
+     * Im is zero.
      */
     Plaintext encodeConstant(cplx c, double scale, size_t n_limbs) const;
 
-    /**
-     * encodeConstant in NTT form, without encoding a polynomial: the
-     * NTT of X^{n/2} is ctx.iMonomialNtt(), so limb k holds
-     * (Re mod q_k) + (Im mod q_k) * iota_k -- a per-limb scalar when
-     * Im is zero.  Bit-identical to encodeConstant followed by toNtt.
-     */
-    Plaintext encodeConstantNtt(cplx c, double scale, size_t n_limbs) const;
-
-    /** Decode a plaintext back to its complex slot vector. */
+    /** Decode an NTT-form plaintext back to its complex slot vector. */
     std::vector<cplx> decode(const Plaintext& pt) const;
 
     /** Special FFT (coefficient-packing -> slot values), in place. */

@@ -13,7 +13,8 @@ Ciphertext
 Encryptor::encrypt(const Plaintext& pt)
 {
     size_t levels = pt.poly.nLimbs();
-    HYDRA_ASSERT(pt.poly.specialCount() == 0, "plaintext must be over Q");
+    HYDRA_ASSERT(pt.poly.nttForm() && pt.poly.specialCount() == 0,
+                 "plaintexts are NTT-form polynomials over Q");
 
     // u ternary; e0, e1 small.
     std::vector<i64> uv(ctx_.n()), e0v(ctx_.n()), e1v(ctx_.n());
@@ -29,9 +30,6 @@ Encryptor::encrypt(const Plaintext& pt)
     RnsPoly e1 = RnsPoly::fromSigned(ctx_.basis(), levels, 0, e1v);
     e1.toNtt();
 
-    RnsPoly m = pt.poly;
-    m.toNtt();
-
     // Restrict the (full-level) public key to the plaintext's limbs.
     Ciphertext ct;
     ct.c0 = RnsPoly(ctx_.basis(), levels, 0, true);
@@ -46,7 +44,7 @@ Encryptor::encrypt(const Plaintext& pt)
         const auto c1k = ct.c1.limb(k);
         const auto e0k = e0.limb(k);
         const auto e1k = e1.limb(k);
-        const auto mk = m.limb(k);
+        const auto mk = pt.poly.limb(k);
         for (size_t i = 0; i < c0k.size(); ++i) {
             c0k[i] = mod.addMod(mod.addMod(mod.mulMod(bk[i], uk[i]),
                                            e0k[i]),
@@ -78,7 +76,6 @@ Decryptor::decrypt(const Ciphertext& ct)
         for (size_t i = 0; i < mk.size(); ++i)
             mk[i] = mod.addMod(c0k[i], mod.mulMod(c1k[i], sk_k[i]));
     }
-    m.fromNtt();
     return Plaintext{std::move(m), ct.scale};
 }
 

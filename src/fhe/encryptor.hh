@@ -34,7 +34,7 @@ class Decryptor
   public:
     Decryptor(const CkksContext& ctx, SecretKey sk);
 
-    /** Decrypt to an encoded plaintext (coefficient domain). */
+    /** Decrypt to an encoded plaintext (NTT form). */
     Plaintext decrypt(const Ciphertext& ct);
 
   private:

@@ -31,6 +31,23 @@ restrictTo(const RnsPoly& p, size_t levels)
     return out;
 }
 
+/**
+ * A plaintext serves a ciphertext through its leading limbs: each RNS
+ * limb's NTT is independent, so limbs [0, a.level()) of a plaintext
+ * encoded with more limbs are the plaintext at the ciphertext's level.
+ */
+void
+checkPlainCovers(const Plaintext& p, const Ciphertext& a)
+{
+    HYDRA_ASSERT(p.poly.basis() == a.c0.basis() && p.poly.nttForm() &&
+                     p.poly.specialCount() == 0,
+                 "plaintexts are NTT-form polynomials over the chain");
+    HYDRA_ASSERT(p.poly.nLimbs() >= a.level(), "plaintext level too low");
+    HYDRA_ASSERT(a.c0.sameShape(a.c1) && a.c0.nttForm() &&
+                     a.c0.specialCount() == 0,
+                 "ciphertexts are kept in NTT form");
+}
+
 } // namespace
 
 Evaluator::Evaluator(const CkksContext& ctx, const CkksEncoder& encoder)
@@ -87,9 +104,12 @@ Ciphertext
 Evaluator::addPlain(const Ciphertext& a, const Plaintext& p) const
 {
     checkScalesMatch(a.scale, p.scale);
-    HYDRA_ASSERT(p.poly.nLimbs() >= a.level(), "plaintext level too low");
+    checkPlainCovers(p, a);
     Ciphertext out = a;
-    out.c0.add(p.nttRestricted(a.level()));
+    parallelFor(0, out.level(), [&](size_t k) {
+        simd::kernels().addSpan(out.c0.limbData(k), p.poly.limbData(k),
+                                out.c0.n(), out.c0.mod(k).value());
+    });
     count(HeOpType::HAdd, out.level());
     return out;
 }
@@ -97,10 +117,14 @@ Evaluator::addPlain(const Ciphertext& a, const Plaintext& p) const
 void
 Evaluator::mulPlainInPlace(Ciphertext& a, const Plaintext& p) const
 {
-    HYDRA_ASSERT(p.poly.nLimbs() >= a.level(), "plaintext level too low");
-    const RnsPoly& pp = p.nttRestricted(a.level());
-    a.c0.mulPointwise(pp);
-    a.c1.mulPointwise(pp);
+    checkPlainCovers(p, a);
+    parallelFor(0, a.level(), [&](size_t k) {
+        const u64* pk = p.poly.limbData(k);
+        simd::kernels().mulSpan(a.c0.limbData(k), pk, a.c0.n(),
+                                a.c0.mod(k));
+        simd::kernels().mulSpan(a.c1.limbData(k), pk, a.c1.n(),
+                                a.c1.mod(k));
+    });
     a.scale *= p.scale;
     count(HeOpType::PMult, a.level());
 }
@@ -117,13 +141,17 @@ void
 Evaluator::addMulPlain(Ciphertext& acc, const Ciphertext& a,
                        const Plaintext& p) const
 {
-    HYDRA_ASSERT(acc.level() == a.level(),
+    HYDRA_ASSERT(acc.c0.sameShape(a.c0) && acc.c1.sameShape(a.c1),
                  "level mismatch in addMulPlain");
-    HYDRA_ASSERT(p.poly.nLimbs() >= a.level(), "plaintext level too low");
+    checkPlainCovers(p, a);
     checkScalesMatch(acc.scale, a.scale * p.scale);
-    const RnsPoly& pp = p.nttRestricted(a.level());
-    acc.c0.addMulPointwise(a.c0, pp);
-    acc.c1.addMulPointwise(a.c1, pp);
+    parallelFor(0, a.level(), [&](size_t k) {
+        const u64* pk = p.poly.limbData(k);
+        simd::kernels().macSpan(acc.c0.limbData(k), a.c0.limbData(k), pk,
+                                a.c0.n(), a.c0.mod(k));
+        simd::kernels().macSpan(acc.c1.limbData(k), a.c1.limbData(k), pk,
+                                a.c1.n(), a.c1.mod(k));
+    });
     count(HeOpType::PMult, acc.level());
     count(HeOpType::HAdd, acc.level());
 }
@@ -180,14 +208,14 @@ Evaluator::square(const Ciphertext& a) const
 Ciphertext
 Evaluator::mulConstant(const Ciphertext& a, cplx c, double scale) const
 {
-    Plaintext pt = encoder_.encodeConstantNtt(c, scale, a.level());
+    Plaintext pt = encoder_.encodeConstant(c, scale, a.level());
     return mulPlain(a, pt);
 }
 
 Ciphertext
 Evaluator::addConstant(const Ciphertext& a, cplx c) const
 {
-    Plaintext pt = encoder_.encodeConstantNtt(c, a.scale, a.level());
+    Plaintext pt = encoder_.encodeConstant(c, a.scale, a.level());
     return addPlain(a, pt);
 }
 

@@ -35,6 +35,11 @@ class Evaluator
     Ciphertext add(const Ciphertext& a, const Ciphertext& b) const;
     Ciphertext sub(const Ciphertext& a, const Ciphertext& b) const;
     Ciphertext negate(const Ciphertext& a) const;
+
+    /**
+     * a + p.  Like every plaintext operand here, p may carry more limbs
+     * than a: its leading a.level() limbs are read in place.
+     */
     Ciphertext addPlain(const Ciphertext& a, const Plaintext& p) const;
 
     /** a += b without materializing a result ciphertext. */

@@ -142,11 +142,7 @@ KeyGenerator::relinKey(const SecretKey& sk)
 EvalKey
 KeyGenerator::galoisKey(const SecretKey& sk, u64 galois)
 {
-    RnsPoly s = sk.s;
-    s.fromNtt();
-    RnsPoly s_g = s.automorphism(galois);
-    s_g.toNtt();
-    return makeSwitchKey(s_g, sk);
+    return makeSwitchKey(sk.s.automorphismNtt(galois), sk);
 }
 
 std::vector<int>

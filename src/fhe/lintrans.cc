@@ -98,7 +98,6 @@ LinearTransform::LinearTransform(const CkksEncoder& encoder,
         for (size_t j = 0; j < slots_; ++j)
             rotated[j] = diag[(j + slots_ - shift) % slots_];
         term.pt = encoder.encode(rotated, scale_, levels_);
-        term.pt.poly.toNtt();
     });
 }
 

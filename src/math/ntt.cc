@@ -47,12 +47,6 @@ NttTable::forward(u64* a) const
 }
 
 void
-NttTable::forwardRadix4(u64* a) const
-{
-    simd::kernels().nttForwardRadix4(*this, a);
-}
-
-void
 NttTable::inverse(u64* a) const
 {
     simd::kernels().nttInverse(*this, a);

@@ -46,23 +46,6 @@ class NttTable
     /** In-place inverse negacyclic NTT (evaluations -> coefficients). */
     void inverse(u64* a) const;
 
-    /**
-     * Forward transform with two Cooley-Tukey stages fused per memory
-     * pass (the paper's radix-4 dataflow: "we use Radix-4 ... as it is
-     * a better match to the application parameters").  Bit-identical
-     * to forward(); halves the number of passes over the coefficient
-     * array.  Under a vector dispatch level this maps to the SIMD
-     * radix-2 kernel, whose lane-parallel passes subsume the memory
-     * win.
-     */
-    void forwardRadix4(u64* a) const;
-
-    void
-    forwardRadix4(std::vector<u64>& a) const
-    {
-        forwardRadix4(a.data());
-    }
-
     void forward(std::vector<u64>& a) const { forward(a.data()); }
     void inverse(std::vector<u64>& a) const { inverse(a.data()); }
 

@@ -179,83 +179,6 @@ nttForwardScalar(const NttTable& tb, u64* a)
 }
 
 void
-nttForwardRadix4Scalar(const NttTable& tb, u64* a)
-{
-    // Same lazy [0, 4q) discipline as nttForwardScalar, applied to the
-    // fused two-stage pass: the stage-1 outputs feed stage 2 through
-    // the same conditional 2q pull-down a fresh butterfly load would
-    // get.
-    const size_t nn = tb.n();
-    const u64 q = tb.modulus().value();
-    const u64 two_q = 2 * q;
-    const u64* W = tb.fwdW();
-    const u64* WS = tb.fwdWShoup();
-    size_t m = 1;
-    while (m * 2 < nn) {
-        // Fuse stages m and 2m: one pass applies both butterflies.
-        size_t t1 = nn / (2 * m); // stage-1 offset
-        size_t t2 = t1 >> 1;      // stage-2 offset
-        for (size_t i = 0; i < m; ++i) {
-            size_t j1 = 2 * i * t1;
-            u64 w1 = W[m + i], ws1 = WS[m + i];
-            u64 w2a = W[2 * m + 2 * i], ws2a = WS[2 * m + 2 * i];
-            u64 w2b = W[2 * m + 2 * i + 1], ws2b = WS[2 * m + 2 * i + 1];
-            for (size_t j = j1; j < j1 + t2; ++j) {
-                u64 x0 = a[j];
-                if (x0 >= two_q)
-                    x0 -= two_q;
-                u64 x1 = a[j + t2];
-                if (x1 >= two_q)
-                    x1 -= two_q;
-                // Stage 1: pairs (x0,x2) and (x1,x3), twiddle S1.
-                u64 v0 = mulModLazy(a[j + t1], w1, ws1, q);
-                u64 v1 = mulModLazy(a[j + t1 + t2], w1, ws1, q);
-                u64 u0 = x0 + v0;
-                u64 u2 = x0 - v0 + two_q;
-                u64 u1 = x1 + v1;
-                u64 u3 = x1 - v1 + two_q;
-                if (u0 >= two_q)
-                    u0 -= two_q;
-                if (u2 >= two_q)
-                    u2 -= two_q;
-                // Stage 2: (u0,u1) with S2a, (u2,u3) with S2b.
-                u64 y0 = mulModLazy(u1, w2a, ws2a, q);
-                u64 y1 = mulModLazy(u3, w2b, ws2b, q);
-                a[j] = u0 + y0;
-                a[j + t2] = u0 - y0 + two_q;
-                a[j + t1] = u2 + y1;
-                a[j + t1 + t2] = u2 - y1 + two_q;
-            }
-        }
-        m <<= 2;
-    }
-    if (m < nn) {
-        // Odd log2(n): one radix-2 stage remains (t == 1).
-        size_t t = nn / (2 * m);
-        for (size_t i = 0; i < m; ++i) {
-            size_t j1 = 2 * i * t;
-            u64 w = W[m + i], ws = WS[m + i];
-            for (size_t j = j1; j < j1 + t; ++j) {
-                u64 u = a[j];
-                if (u >= two_q)
-                    u -= two_q;
-                u64 v = mulModLazy(a[j + t], w, ws, q);
-                a[j] = u + v;
-                a[j + t] = u - v + two_q;
-            }
-        }
-    }
-    for (size_t j = 0; j < nn; ++j) {
-        u64 x = a[j];
-        if (x >= two_q)
-            x -= two_q;
-        if (x >= q)
-            x -= q;
-        a[j] = x;
-    }
-}
-
-void
 nttInverseScalar(const NttTable& tb, u64* a)
 {
     // Lazy Gentleman-Sande: values stay in [0, 2q) across stages (the
@@ -308,7 +231,6 @@ const Kernels scalar_kernels = {
     reduceCenteredSpanScalar,
     baseConvSpanScalar,
     nttForwardScalar,
-    nttForwardRadix4Scalar,
     nttInverseScalar,
 };
 

@@ -132,8 +132,6 @@ struct Kernels
 
     /** In-place forward NTT (lazy Harvey butterflies). */
     void (*nttForward)(const NttTable& t, u64* a);
-    /** Radix-4 forward (bit-identical to nttForward). */
-    void (*nttForwardRadix4)(const NttTable& t, u64* a);
     /** In-place inverse NTT. */
     void (*nttInverse)(const NttTable& t, u64* a);
 };

@@ -523,7 +523,6 @@ const Kernels avx2_kernels = {
     reduceCenteredSpanAvx2,
     baseConvSpanAvx2,
     nttForwardAvx2,
-    nttForwardAvx2,
     nttInverseAvx2,
 };
 

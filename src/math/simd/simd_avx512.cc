@@ -385,9 +385,6 @@ const Kernels avx512_kernels = {
     reduceCenteredSpanAvx512,
     baseConvSpanAvx512,
     nttForwardAvx512,
-    // The lane-parallel radix-2 kernel already subsumes the memory win
-    // radix-4 exists for; outputs are bit-identical either way.
-    nttForwardAvx512,
     nttInverseAvx512,
 };
 

@@ -285,7 +285,6 @@ avx512IfmaKernels()
         k.subMulScalarSpan = subMulScalarSpanIfma;
         k.baseConvSpan = baseConvSpanIfma;
         k.nttForward = nttForwardIfma;
-        k.nttForwardRadix4 = nttForwardIfma;
         k.nttInverse = nttInverseIfma;
         return k;
     }();

@@ -115,11 +115,11 @@ TEST_F(FheBasicTest, MulConstantAndAddConstant)
 
 TEST_F(FheBasicTest, ConstantOpsMatchEncodedPlaintextBitForBit)
 {
-    // mulConstant, addConstant and mulConstantRescale build the
-    // constant's NTT form per limb (no polynomial, no transform); the
-    // result must equal the encodeConstant -> mulPlain / addPlain path
-    // exactly, at every level, for real, imaginary and complex
-    // constants of either sign.
+    // encodeConstant builds the constant's NTT form per limb (no
+    // polynomial, no transform); it must equal the coefficient
+    // construction followed by toNtt, and the constant ops built on it
+    // the mulPlain / addPlain path, exactly, at every level, for real,
+    // imaginary and complex constants of either sign.
     auto v = randomComplexVec(h_.ctx.slots(), 22);
     double scale = h_.ctx.params().scale();
     for (size_t level = h_.ctx.levels(); level >= 1; --level) {
@@ -127,27 +127,26 @@ TEST_F(FheBasicTest, ConstantOpsMatchEncodedPlaintextBitForBit)
         for (cplx c : {cplx(0.75, 0.0), cplx(-1.5, 0.0), cplx(0.0, 0.3),
                        cplx(0.0, -2.25), cplx(0.5, -2.0),
                        cplx(-0.125, 1.0)}) {
-            Plaintext coeff = h_.encoder.encodeConstant(c, scale, level);
-            Plaintext ntt = h_.encoder.encodeConstantNtt(c, scale, level);
-            RnsPoly want = coeff.poly;
-            want.toNtt();
-            EXPECT_TRUE(test::polysIdentical(want, ntt.poly))
+            Plaintext want =
+                test::constantFromCoefficients(h_.ctx, c, scale, level);
+            EXPECT_TRUE(test::polysIdentical(
+                want.poly, h_.encoder.encodeConstant(c, scale, level).poly))
                 << "level " << level << ", c " << c;
 
             EXPECT_TRUE(test::ciphertextsIdentical(
-                h_.eval.mulPlain(ct, coeff),
+                h_.eval.mulPlain(ct, want),
                 h_.eval.mulConstant(ct, c, scale)))
                 << "mulConstant, level " << level << ", c " << c;
             Plaintext shift =
-                h_.encoder.encodeConstant(c, ct.scale, level);
+                test::constantFromCoefficients(h_.ctx, c, ct.scale, level);
             EXPECT_TRUE(test::ciphertextsIdentical(
                 h_.eval.addPlain(ct, shift), h_.eval.addConstant(ct, c)))
                 << "addConstant, level " << level << ", c " << c;
             if (level >= 2) {
                 double q_last = static_cast<double>(
                     h_.ctx.basis()->mod(level - 1).value());
-                Plaintext u = h_.encoder.encodeConstant(
-                    c, scale * q_last / ct.scale, level);
+                Plaintext u = test::constantFromCoefficients(
+                    h_.ctx, c, scale * q_last / ct.scale, level);
                 Ciphertext manual =
                     h_.eval.rescale(h_.eval.mulPlain(ct, u));
                 manual.scale = scale;

@@ -62,10 +62,13 @@ TEST(Bootstrap, ModRaisePreservesMessageModQ0)
     // Decrypting the raised ciphertext gives m + q0 * I; reducing the
     // decrypted coefficients mod q0 must recover the message.
     Plaintext pt = h.decryptor.decrypt(raised);
+    RnsPoly coeffs = pt.poly;
+    coeffs.fromNtt();
     RnsPoly one_limb(h.ctx.basis(), 1, false, false);
     const Modulus& q0 = h.ctx.basis()->mod(0);
     for (size_t i = 0; i < h.ctx.n(); ++i)
-        one_limb.limb(0)[i] = pt.poly.limb(0)[i] % q0.value();
+        one_limb.limb(0)[i] = coeffs.limb(0)[i] % q0.value();
+    one_limb.toNtt();
     Plaintext reduced{std::move(one_limb), pt.scale};
     auto w = h.encoder.decode(reduced);
     EXPECT_LT(maxError(v, w), 1e-4);
@@ -84,17 +87,19 @@ TEST(Bootstrap, CoeffToSlotExtractsCoefficients)
     // Reference: the encoded plaintext's coefficients over the scale,
     // in bit-reversed slot order (C2S skips the FFT's bit reversal).
     Plaintext pt = h.encoder.encode(v, h.ctx.params().scale(), 1);
+    RnsPoly coeffs = pt.poly;
+    coeffs.fromNtt();
     const Modulus& q0 = h.ctx.basis()->mod(0);
     int log_s = std::countr_zero(s);
     std::vector<cplx> c_lo(s), c_hi(s);
     for (size_t i = 0; i < s; ++i) {
         size_t c = static_cast<size_t>(bitReverse(i, log_s));
         c_lo[i] = cplx(static_cast<double>(q0.toCentered(
-                           pt.poly.limb(0)[c])) /
+                           coeffs.limb(0)[c])) /
                            pt.scale,
                        0.0);
         c_hi[i] = cplx(static_cast<double>(q0.toCentered(
-                           pt.poly.limb(0)[c + s])) /
+                           coeffs.limb(0)[c + s])) /
                            pt.scale,
                        0.0);
     }

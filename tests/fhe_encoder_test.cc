@@ -67,7 +67,10 @@ TEST_P(EncoderTest, ShortVectorIsZeroPadded)
 TEST_P(EncoderTest, ConstantEncodeMatchesFullEncode)
 {
     cplx c(0.75, -1.25);
-    Plaintext direct = enc_->encodeConstant(c, ctx_->params().scale(), 2);
+    double scale = ctx_->params().scale();
+    Plaintext direct = enc_->encodeConstant(c, scale, 2);
+    EXPECT_TRUE(test::polysIdentical(
+        direct.poly, test::constantFromCoefficients(*ctx_, c, scale, 2).poly));
     auto w = enc_->decode(direct);
     for (const auto& x : w)
         EXPECT_NEAR(std::abs(x - c), 0.0, 1e-9);
@@ -80,6 +83,8 @@ TEST_P(EncoderTest, DecodeMatchesDirectRootEvaluation)
     auto v = randomComplexVec(enc_->slots(), 7);
     double scale = ctx_->params().scale();
     Plaintext pt = enc_->encode(v, scale, 1);
+    RnsPoly coeffs = pt.poly;
+    coeffs.fromNtt();
 
     // Evaluate the integer polynomial at each embedding root directly.
     size_t n = ctx_->n();
@@ -89,7 +94,7 @@ TEST_P(EncoderTest, DecodeMatchesDirectRootEvaluation)
         cplx acc(0, 0);
         cplx zi(1, 0);
         for (size_t i = 0; i < n; ++i) {
-            acc += static_cast<double>(q0.toCentered(pt.poly.limb(0)[i])) *
+            acc += static_cast<double>(q0.toCentered(coeffs.limb(0)[i])) *
                    zi;
             zi *= zeta;
         }

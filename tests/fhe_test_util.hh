@@ -26,6 +26,23 @@
 
 namespace hydra::test {
 
+/**
+ * Oracle for CkksEncoder::encodeConstant, which writes the NTT form
+ * per limb: the constant's coefficients (Re(c) * scale at X^0, Im(c) *
+ * scale at X^{n/2}), transformed.
+ */
+inline Plaintext
+constantFromCoefficients(const CkksContext& ctx, cplx c, double scale,
+                         size_t levels)
+{
+    std::vector<i64> coeffs(ctx.n(), 0);
+    coeffs[0] = std::llround(c.real() * scale);
+    coeffs[ctx.slots()] = std::llround(c.imag() * scale);
+    RnsPoly p = RnsPoly::fromSigned(ctx.basis(), levels, 0, coeffs);
+    p.toNtt();
+    return Plaintext{std::move(p), scale};
+}
+
 /** Everything needed to exercise the scheme, wired together. */
 struct FheHarness
 {

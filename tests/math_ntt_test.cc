@@ -128,16 +128,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(16, 64, 256, 1024, 4096),
                        ::testing::Values(30, 45, 59)));
 
-TEST_P(NttParamTest, Radix4MatchesRadix2)
-{
-    std::mt19937_64 rng(45);
-    auto a = randomPoly(n_, q_, rng);
-    auto b = a;
-    table_->forward(a);
-    table_->forwardRadix4(b.data());
-    EXPECT_EQ(a, b);
-}
-
 TEST(BitReverse, SmallCases)
 {
     EXPECT_EQ(bitReverse(0b001, 3), 0b100u);

@@ -388,8 +388,9 @@ TEST_P(HybridRnsTest, ModUpMatchesExactCrtUpToSmallMultiple)
                 }
                 ASSERT_TRUE(ok) << "alpha " << alpha << " levels " << levels
                                 << " digit " << j << " coeff " << i;
-                if (e - b == 1)
+                if (e - b == 1) {
                     EXPECT_EQ(found, centered_u);
+                }
             }
         }
     }
@@ -452,8 +453,9 @@ TEST_P(HybridRnsTest, ModDownMatchesExactCrtUpToSmallMultiple)
             }
             ASSERT_TRUE(ok) << "alpha " << alpha << " levels " << levels
                             << " coeff " << i;
-            if (alpha == 1)
+            if (alpha == 1) {
                 EXPECT_EQ(found, centered_u);
+            }
         }
     }
 }

@@ -369,8 +369,8 @@ TEST(SimdNttTest, TransformsMatchScalarAndRoundTrip)
         const simd::Kernels& oracle = simd::scalarKernels();
         // n = 4 and 8 exercise the small-n scalar fallbacks, 16 the
         // tile-transposed short strides alone, larger sizes both loop
-        // families plus odd/even log2(n) for the radix-4 path.  Inputs
-        // are random residues, then all q - 1.
+        // families plus odd/even log2(n).  Inputs are random residues,
+        // then all q - 1.
         for (size_t n : {size_t{4}, size_t{8}, size_t{16}, size_t{32},
                          size_t{1024}, size_t{4096}}) {
             for (int bits : {42, 45, 50, 51, 55, 59, 61}) {
@@ -386,13 +386,6 @@ TEST(SimdNttTest, TransformsMatchScalarAndRoundTrip)
                     oracle.nttForward(table, want.data());
                     ASSERT_EQ(fwd, want)
                         << "forward n=" << n << " bits=" << bits
-                        << " top=" << top
-                        << " level=" << simdLevelName(level);
-
-                    std::vector<u64> r4 = input;
-                    k.nttForwardRadix4(table, r4.data());
-                    ASSERT_EQ(r4, want)
-                        << "radix4 n=" << n << " bits=" << bits
                         << " top=" << top
                         << " level=" << simdLevelName(level);
 
