@@ -111,7 +111,7 @@ CkksEncoder::fftSpecialInvStage(std::vector<cplx>& vals, size_t len) const
 
 Plaintext
 CkksEncoder::encode(const std::vector<cplx>& values, double scale,
-                    size_t n_limbs) const
+                    size_t n_limbs, bool over_qp) const
 {
     HYDRA_ASSERT(values.size() <= slots_, "too many values to encode");
     HYDRA_ASSERT(scale > 0, "scale must be positive");
@@ -128,7 +128,9 @@ CkksEncoder::encode(const std::vector<cplx>& values, double scale,
         coeffs[i] = static_cast<i64>(std::llround(re));
         coeffs[i + slots_] = static_cast<i64>(std::llround(im));
     }
-    RnsPoly p = RnsPoly::fromSigned(ctx_.basis(), n_limbs, 0, coeffs);
+    RnsPoly p = RnsPoly::fromSigned(
+        ctx_.basis(), n_limbs, over_qp ? ctx_.params().specialPrimes : 0,
+        coeffs);
     p.toNtt();
     return Plaintext{std::move(p), scale};
 }

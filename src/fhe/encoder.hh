@@ -43,10 +43,12 @@ class CkksEncoder
 
     /**
      * Encode a complex vector (padded with zeros up to n/2 slots) at the
-     * given scale into an NTT-form plaintext with `n_limbs` limbs.
+     * given scale into an NTT-form plaintext with `n_limbs` chain limbs,
+     * followed by the alpha special limbs when `over_qp` (the operand of
+     * a PMult over Q*P).
      */
     Plaintext encode(const std::vector<cplx>& values, double scale,
-                     size_t n_limbs) const;
+                     size_t n_limbs, bool over_qp = false) const;
 
     /** Encode a real vector. */
     Plaintext encode(const std::vector<double>& values, double scale,

@@ -35,17 +35,27 @@ restrictTo(const RnsPoly& p, size_t levels)
  * A plaintext serves a ciphertext through its leading limbs: each RNS
  * limb's NTT is independent, so limbs [0, a.level()) of a plaintext
  * encoded with more limbs are the plaintext at the ciphertext's level.
+ * A ciphertext over Q*P takes a plaintext over Q*P, whose special limbs
+ * follow its chain limbs.
  */
 void
 checkPlainCovers(const Plaintext& p, const Ciphertext& a)
 {
     HYDRA_ASSERT(p.poly.basis() == a.c0.basis() && p.poly.nttForm() &&
-                     p.poly.specialCount() == 0,
-                 "plaintexts are NTT-form polynomials over the chain");
+                     p.poly.specialCount() == a.c0.specialCount(),
+                 "plaintexts are NTT-form polynomials over the "
+                 "ciphertext's basis");
     HYDRA_ASSERT(p.poly.nLimbs() >= a.level(), "plaintext level too low");
-    HYDRA_ASSERT(a.c0.sameShape(a.c1) && a.c0.nttForm() &&
-                     a.c0.specialCount() == 0,
+    HYDRA_ASSERT(a.c0.sameShape(a.c1) && a.c0.nttForm(),
                  "ciphertexts are kept in NTT form");
+}
+
+/** The limb of p that serves limb k of ciphertext a. */
+const u64*
+plainLimb(const Plaintext& p, const Ciphertext& a, size_t k)
+{
+    return p.poly.limbData(k < a.level() ? k
+                                         : p.poly.nLimbs() + k - a.level());
 }
 
 } // namespace
@@ -53,6 +63,15 @@ checkPlainCovers(const Plaintext& p, const Ciphertext& a)
 Evaluator::Evaluator(const CkksContext& ctx, const CkksEncoder& encoder)
     : ctx_(ctx), encoder_(encoder)
 {
+    const RnsBasis& basis = *ctx_.basis();
+    pMod_.assign(basis.totalCount(), 1);
+    for (size_t t = 0; t < basis.totalCount(); ++t) {
+        const Modulus& m = basis.mod(t);
+        for (size_t i = 0; i < basis.specialCount(); ++i)
+            pMod_[t] = m.mulMod(
+                pMod_[t], m.reduceU64(basis.mod(basis.specialIndex(i))
+                                          .value()));
+    }
 }
 
 void
@@ -105,6 +124,7 @@ Evaluator::addPlain(const Ciphertext& a, const Plaintext& p) const
 {
     checkScalesMatch(a.scale, p.scale);
     checkPlainCovers(p, a);
+    HYDRA_ASSERT(a.c0.specialCount() == 0, "addPlain works over the chain");
     Ciphertext out = a;
     parallelFor(0, out.level(), [&](size_t k) {
         simd::kernels().addSpan(out.c0.limbData(k), p.poly.limbData(k),
@@ -118,8 +138,8 @@ void
 Evaluator::mulPlainInPlace(Ciphertext& a, const Plaintext& p) const
 {
     checkPlainCovers(p, a);
-    parallelFor(0, a.level(), [&](size_t k) {
-        const u64* pk = p.poly.limbData(k);
+    parallelFor(0, a.c0.limbCount(), [&](size_t k) {
+        const u64* pk = plainLimb(p, a, k);
         simd::kernels().mulSpan(a.c0.limbData(k), pk, a.c0.n(),
                                 a.c0.mod(k));
         simd::kernels().mulSpan(a.c1.limbData(k), pk, a.c1.n(),
@@ -145,8 +165,8 @@ Evaluator::addMulPlain(Ciphertext& acc, const Ciphertext& a,
                  "level mismatch in addMulPlain");
     checkPlainCovers(p, a);
     checkScalesMatch(acc.scale, a.scale * p.scale);
-    parallelFor(0, a.level(), [&](size_t k) {
-        const u64* pk = p.poly.limbData(k);
+    parallelFor(0, a.c0.limbCount(), [&](size_t k) {
+        const u64* pk = plainLimb(p, a, k);
         simd::kernels().macSpan(acc.c0.limbData(k), a.c0.limbData(k), pk,
                                 a.c0.n(), a.c0.mod(k));
         simd::kernels().macSpan(acc.c1.limbData(k), a.c1.limbData(k), pk,
@@ -236,6 +256,7 @@ void
 Evaluator::rescaleInPlace(Ciphertext& a) const
 {
     HYDRA_ASSERT(a.level() >= 2, "no limb left to rescale away");
+    HYDRA_ASSERT(a.c0.specialCount() == 0, "rescale works over the chain");
     u64 q_last = a.c0.mod(a.level() - 1).value();
     a.c0.divideRoundByLast();
     a.c1.divideRoundByLast();
@@ -265,9 +286,8 @@ Evaluator::dropToLevel(const Ciphertext& a, size_t levels) const
 }
 
 std::pair<RnsPoly, RnsPoly>
-Evaluator::accumulateKey(const std::vector<RnsPoly>& digits,
-                         const EvalKey& key, size_t levels,
-                         u64 galois) const
+Evaluator::keyMac(const std::vector<RnsPoly>& digits, const EvalKey& key,
+                  size_t levels, u64 galois) const
 {
     size_t alpha = ctx_.params().specialPrimes;
     RnsPoly acc0(ctx_.basis(), levels, alpha, true);
@@ -316,9 +336,6 @@ Evaluator::accumulateKey(const std::vector<RnsPoly>& digits,
         }
     });
 
-    // ModDown: divide by P, the product of the special primes.
-    acc0.divideRoundByLast(alpha);
-    acc1.divideRoundByLast(alpha);
     count(HeOpType::KeySwitch, levels);
     return {std::move(acc0), std::move(acc1)};
 }
@@ -326,7 +343,11 @@ Evaluator::accumulateKey(const std::vector<RnsPoly>& digits,
 std::pair<RnsPoly, RnsPoly>
 Evaluator::keySwitch(const RnsPoly& d, const EvalKey& key) const
 {
-    return accumulateKey(d.modUp(), key, d.nLimbs());
+    auto [t0, t1] = keyMac(d.modUp(), key, d.nLimbs());
+    // ModDown: divide by P, the product of the special primes.
+    t0.divideRoundByLast(t0.specialCount());
+    t1.divideRoundByLast(t1.specialCount());
+    return {std::move(t0), std::move(t1)};
 }
 
 Ciphertext
@@ -386,8 +407,36 @@ std::vector<Ciphertext>
 Evaluator::rotateHoisted(const Ciphertext& a,
                          const std::vector<int>& steps) const
 {
+    // ModDown(P * rot(c0) + t0) is rot(c0) + ModDown(t0) exactly: P * x
+    // vanishes mod P, so the ModDown's correction reads t0 alone.
+    std::vector<Ciphertext> out = rotateHoistedQP(a, steps);
+    parallelForOuter(out.size(), [&](size_t i) {
+        modDownInPlace(out[i]);
+    });
+    return out;
+}
+
+RnsPoly
+Evaluator::liftQP(const RnsPoly& p) const
+{
+    RnsPoly out(p.basis(), p.nLimbs(), ctx_.params().specialPrimes, true);
+    std::vector<u64> scalars(out.limbCount());
+    for (size_t k = 0; k < out.limbCount(); ++k) {
+        if (k < p.nLimbs())
+            out.copyLimbFrom(k, p, k);
+        scalars[k] = pMod_[out.basisIndex(k)];
+    }
+    out.mulScalarPerLimb(scalars);
+    return out;
+}
+
+std::vector<Ciphertext>
+Evaluator::rotateHoistedQP(const Ciphertext& a,
+                           const std::vector<int>& steps) const
+{
     HYDRA_ASSERT(galois_ != nullptr, "Galois keys not set");
     std::vector<RnsPoly> digits = a.c1.modUp();
+    RnsPoly lifted_c0 = liftQP(a.c0);
 
     // Each step is an independent keyswitch over the shared digits, so
     // the steps form the op-level loop: one rotation per pool task when
@@ -395,22 +444,53 @@ Evaluator::rotateHoisted(const Ciphertext& a,
     std::vector<Ciphertext> out(steps.size());
     parallelForOuter(steps.size(), [&](size_t i) {
         u64 g = ctx_.galoisForRotation(steps[i]);
+        Ciphertext& ct = out[i];
+        ct.scale = a.scale;
         if (g == 1) {
-            out[i] = a;
+            ct.c0 = lifted_c0;
+            ct.c1 = liftQP(a.c1);
             return;
         }
-        auto [t0, t1] = accumulateKey(digits, galois_->at(g), a.level(),
-                                      g);
-        // Accumulate the permuted c0 straight into the keyswitch
-        // output instead of materializing the rotated polynomial.
-        Ciphertext& ct = out[i];
+        auto [t0, t1] = keyMac(digits, galois_->at(g), a.level(), g);
+        // Accumulate the permuted P * c0 straight into the key MAC
+        // instead of materializing the rotated polynomial.
         ct.c0 = std::move(t0);
-        ct.c0.addAutomorphismNtt(a.c0, g);
+        ct.c0.addAutomorphismNtt(lifted_c0, g);
         ct.c1 = std::move(t1);
-        ct.scale = a.scale;
         count(HeOpType::Rotate, ct.level());
     });
     return out;
+}
+
+Ciphertext
+Evaluator::rotateQP(Ciphertext a, int steps) const
+{
+    HYDRA_ASSERT(galois_ != nullptr, "Galois keys not set");
+    HYDRA_ASSERT(a.c0.sameShape(a.c1) && a.c0.specialCount() > 0,
+                 "rotateQP wants a ciphertext over Q*P");
+    u64 g = ctx_.galoisForRotation(steps);
+    if (g == 1)
+        return a;
+    // Only c1 needs the chain basis for its ModUp; c0 stays over Q*P.
+    a.c1.divideRoundByLast(a.c1.specialCount());
+    auto [t0, t1] = keyMac(a.c1.automorphismNtt(g).modUp(),
+                           galois_->at(g), a.level());
+    Ciphertext out;
+    out.c0 = std::move(t0);
+    out.c0.addAutomorphismNtt(a.c0, g);
+    out.c1 = std::move(t1);
+    out.scale = a.scale;
+    count(HeOpType::Rotate, out.level());
+    return out;
+}
+
+void
+Evaluator::modDownInPlace(Ciphertext& a) const
+{
+    HYDRA_ASSERT(a.c0.sameShape(a.c1) && a.c0.specialCount() > 0,
+                 "ModDown wants a ciphertext over Q*P");
+    a.c0.divideRoundByLast(a.c0.specialCount());
+    a.c1.divideRoundByLast(a.c1.specialCount());
 }
 
 } // namespace hydra

@@ -60,7 +60,8 @@ class Evaluator
     /**
      * acc += a * p without materializing the product: the fused
      * multiply-accumulate behind BSGS inner loops.  Requires acc at the
-     * same level as `a` with scale a.scale * p.scale.
+     * same level as `a` with scale a.scale * p.scale.  PMults also take
+     * a ciphertext over Q*P (below) with a plaintext over Q*P.
      */
     void addMulPlain(Ciphertext& acc, const Ciphertext& a,
                      const Plaintext& p) const;
@@ -131,6 +132,35 @@ class Evaluator
     Ciphertext conjugate(const Ciphertext& a) const;
     /// @}
 
+    /// @name Keyswitching over Q*P (double hoisting)
+    /// A ciphertext whose c0 and c1 carry the alpha special limbs lives
+    /// over Q*P and holds P times its value: c0 + c1 s = P (scale m + e)
+    /// mod Q*P.  HAdd, PMult by a plaintext over Q*P and the rotations
+    /// below keep it there; modDownInPlace() returns it to the chain.
+    /// Chaining keyswitches without the ModDown in between is double
+    /// hoisting (Bossuat et al., Eurocrypt 2021).
+    /// @{
+    /**
+     * rotateHoisted() without its ModDowns: entry i is over Q*P, its c0
+     * being the key MAC plus P times the permuted c0 of `a` (a step
+     * that is a multiple of the slot count gives P * a).  ModDown of
+     * entry i is rotateHoisted(a, steps)[i] bit for bit.
+     */
+    std::vector<Ciphertext> rotateHoistedQP(const Ciphertext& a,
+                                            const std::vector<int>&
+                                                steps) const;
+
+    /**
+     * Rotate a Q*P ciphertext and stay over Q*P: ModDown of c1 alone,
+     * ModUp of its rotation, the key MAC, plus the rotated c0 over Q*P.
+     * Takes `a` by value: its c1 is divided down in place.
+     */
+    Ciphertext rotateQP(Ciphertext a, int steps) const;
+
+    /** Divide a Q*P ciphertext by P, back onto its chain limbs. */
+    void modDownInPlace(Ciphertext& a) const;
+    /// @}
+
     /**
      * Bare hybrid keyswitch of polynomial d (NTT form, `level` chain
      * limbs, no special limbs): ModUp into ceil(level / alpha) digits
@@ -155,18 +185,25 @@ class Evaluator
                            HeOpType op) const;
 
     /**
-     * Multiply-accumulate ModUp digits (galois != 1: permuted by that
-     * automorphism) against a key into (t0, t1), then ModDown.
+     * The key MAC of a keyswitch: ModUp digits (galois != 1: permuted by
+     * that automorphism) multiply-accumulated against a key into
+     * (t0, t1) over Q*P, `levels` chain limbs plus the alpha special
+     * limbs.  A ModDown of both finishes the keyswitch.
      */
     std::pair<RnsPoly, RnsPoly>
-    accumulateKey(const std::vector<RnsPoly>& digits, const EvalKey& key,
-                  size_t levels, u64 galois = 1) const;
+    keyMac(const std::vector<RnsPoly>& digits, const EvalKey& key,
+           size_t levels, u64 galois = 1) const;
+
+    /** P * p over Q*P: each chain limb times [P]_q, special limbs 0. */
+    RnsPoly liftQP(const RnsPoly& p) const;
 
     const CkksContext& ctx_;
     const CkksEncoder& encoder_;
     const EvalKey* relin_ = nullptr;
     const GaloisKeys* galois_ = nullptr;
     mutable OpCounter* counter_ = nullptr;
+    /** [P]_t for every basis prime t (0 on the special primes). */
+    std::vector<u64> pMod_;
 };
 
 } // namespace hydra

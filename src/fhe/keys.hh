@@ -90,14 +90,20 @@ struct GaloisKeys
     }
 };
 
-/** Ciphertext (c0, c1) with c0 + c1 s = scale * m + e; NTT form. */
+/**
+ * Ciphertext (c0, c1) with c0 + c1 s = scale * m + e; NTT form.  Inside
+ * double-hoisted keyswitching c0 and c1 also carry the alpha special
+ * limbs: the ciphertext is then over Q*P and holds P times that
+ * relation (see Evaluator::rotateHoistedQP).
+ */
 struct Ciphertext
 {
     RnsPoly c0;
     RnsPoly c1;
     double scale = 0.0;
 
-    /** Active modulus-chain limbs (the "level" plus one). */
+    /** Active modulus-chain limbs (the "level" plus one; special limbs
+     *  not counted). */
     size_t level() const { return c0.nLimbs(); }
 };
 

@@ -63,7 +63,7 @@ LinearTransform::LinearTransform(const CkksEncoder& encoder,
     // Place every non-zero diagonal; the encoding runs below.
     giant_.resize(gs_);
     shift_.resize(gs_);
-    needBaby_.assign(bs_, false);
+    std::vector<bool> need_baby(bs_, false);
     struct Place
     {
         size_t g;    ///< giant step
@@ -77,16 +77,19 @@ LinearTransform::LinearTransform(const CkksEncoder& encoder,
                 continue; // structurally zero diagonal
             places.push_back({g, giant_[g].size()});
             giant_[g].push_back({b, Plaintext{}});
-            needBaby_[b] = true;
+            need_baby[b] = true;
         }
     }
     diagonals_ = places.size();
+    for (size_t b = 0; b < bs_; ++b)
+        if (need_baby[b])
+            babyShifts_.push_back(static_cast<int>(b * stride_));
 
     // The diagonals are independent: encode them as op-level tasks.
-    // Each is stored once, in NTT form with only the limbs the
+    // Each is stored once, in NTT form with only the chain limbs the
     // transform runs at -- the residues of a full-chain encoding minus
-    // limbs no ciphertext here ever has -- so the multiplies read it
-    // directly.
+    // limbs no ciphertext here ever has -- plus the special limbs the
+    // baby steps carry over Q*P, so the multiplies read it directly.
     parallelForOuter(places.size(), [&](size_t i) {
         Term& term = giant_[places[i].g][places[i].term];
         size_t shift = shift_[places[i].g];
@@ -97,7 +100,8 @@ LinearTransform::LinearTransform(const CkksEncoder& encoder,
         std::vector<cplx> rotated(slots_);
         for (size_t j = 0; j < slots_; ++j)
             rotated[j] = diag[(j + slots_ - shift) % slots_];
-        term.pt = encoder.encode(rotated, scale_, levels_);
+        term.pt = encoder.encode(rotated, scale_, levels_,
+                                 /*over_qp=*/true);
     });
 }
 
@@ -112,63 +116,47 @@ std::vector<int>
 LinearTransform::requiredRotations() const
 {
     std::vector<int> steps;
-    for (size_t b = 1; b < bs_; ++b)
-        steps.push_back(static_cast<int>(b * stride_));
+    for (int b : babyShifts_)
+        if (b != 0)
+            steps.push_back(b);
     for (size_t g = 0; g < gs_; ++g)
-        if (shift_[g] != 0)
+        if (shift_[g] != 0 && !giant_[g].empty())
             steps.push_back(static_cast<int>(shift_[g]));
     return steps;
 }
 
-std::vector<Ciphertext>
-LinearTransform::babySteps(const Evaluator& eval,
-                           const Ciphertext& ct) const
-{
-    if (ct.level() > levels_)
-        return babySteps(eval, eval.dropToLevel(ct, levels_));
-    // Hoisted baby steps: one ModUp shared by all.
-    std::vector<int> steps;
-    for (size_t b = 1; b < bs_; ++b)
-        if (needBaby_[b])
-            steps.push_back(static_cast<int>(b * stride_));
-    std::vector<Ciphertext> hoisted = eval.rotateHoisted(ct, steps);
-    std::vector<Ciphertext> baby(bs_);
-    if (needBaby_[0])
-        baby[0] = ct;
-    for (size_t i = 0; i < steps.size(); ++i)
-        baby[static_cast<size_t>(steps[i]) / stride_] =
-            std::move(hoisted[i]);
-    return baby;
-}
-
 Ciphertext
-LinearTransform::applyBaby(const Evaluator& eval,
-                           const std::vector<Ciphertext>& baby) const
+LinearTransform::apply(const Evaluator& eval, const Ciphertext& ct) const
 {
     HYDRA_ASSERT(diagonals_ > 0, "empty linear transform");
-    HYDRA_ASSERT(baby.size() == bs_, "baby-step count mismatch");
-    for (size_t b = 0; b < bs_; ++b)
-        HYDRA_ASSERT(!needBaby_[b] || baby[b].c0.valid(),
-                     "baby step missing for a stored diagonal");
+    if (ct.level() > levels_)
+        return apply(eval, eval.dropToLevel(ct, levels_));
 
-    // Giant-step accumulators: the first diagonal materializes the
-    // product, every further one is a fused multiply-accumulate into it
-    // -- no per-term ciphertext, no copy-then-add.
+    // Hoisted baby steps over Q*P: one ModUp shared by all, no ModDown.
+    std::vector<Ciphertext> hoisted = eval.rotateHoistedQP(ct, babyShifts_);
+    std::vector<const Ciphertext*> baby(bs_, nullptr);
+    for (size_t i = 0; i < babyShifts_.size(); ++i)
+        baby[static_cast<size_t>(babyShifts_[i]) / stride_] = &hoisted[i];
+
+    // Giant-step accumulators over Q*P: the first diagonal materializes
+    // the product, every further one is a fused multiply-accumulate
+    // into it -- no per-term ciphertext, no copy-then-add.  The giant
+    // step's rotation keeps the sum over Q*P as well.
     std::vector<Ciphertext> partial(gs_);
     parallelForOuter(gs_, [&](size_t g) {
         const std::vector<Term>& terms = giant_[g];
         if (terms.empty())
             return;
-        Ciphertext acc = eval.mulPlain(baby[terms[0].b], terms[0].pt);
+        Ciphertext acc = eval.mulPlain(*baby[terms[0].b], terms[0].pt);
         for (size_t t = 1; t < terms.size(); ++t)
-            eval.addMulPlain(acc, baby[terms[t].b], terms[t].pt);
-        partial[g] = shift_[g] == 0
-                         ? std::move(acc)
-                         : eval.rotate(acc, static_cast<int>(shift_[g]));
+            eval.addMulPlain(acc, *baby[terms[t].b], terms[t].pt);
+        partial[g] = eval.rotateQP(std::move(acc),
+                                   static_cast<int>(shift_[g]));
     });
 
     // Summing the partials in fixed g order reproduces the serial
-    // result bit for bit (and modular addition is exact anyway).
+    // result bit for bit (and modular addition is exact anyway); one
+    // ModDown then returns the sum to the chain.
     bool have_total = false;
     Ciphertext total;
     for (size_t g = 0; g < gs_; ++g) {
@@ -181,14 +169,9 @@ LinearTransform::applyBaby(const Evaluator& eval,
             have_total = true;
         }
     }
+    eval.modDownInPlace(total);
     eval.rescaleInPlace(total);
     return total;
-}
-
-Ciphertext
-LinearTransform::apply(const Evaluator& eval, const Ciphertext& ct) const
-{
-    return applyBaby(eval, babySteps(eval, ct));
 }
 
 std::vector<cplx>

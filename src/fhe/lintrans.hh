@@ -11,6 +11,13 @@
  * count drops from K to bs + gs with bs * gs >= K.  A dense s x s
  * matrix is the case base = 0, t = 1, K = s; a sparse FFT factor of
  * the bootstrapping DFT has ~2r diagonals at a larger stride.
+ *
+ * Keyswitching is double-hoisted (Bossuat et al., Eurocrypt 2021): the
+ * baby steps share one ModUp and stay over Q*P without a ModDown, the
+ * diagonals are encoded over Q*P, and each giant step ModDowns only its
+ * c1 before rotating.  A transform runs one full ModDown (plus one c1
+ * ModDown per rotated giant step) where a single-hoisted one ran one
+ * per rotation.
  */
 
 #ifndef HYDRA_FHE_LINTRANS_HH
@@ -46,9 +53,9 @@ class LinearTransform
      * `scale`.
      * @param bs baby-step count, at most the diagonal count; 0 selects
      *           ceil(sqrt(diagonal count)) rounded to a power of two.
-     * @param levels limb count the transform runs at: the diagonals are
-     *           stored in NTT form with that many limbs (0 = the full
-     *           chain).
+     * @param levels chain limb count the transform runs at: the
+     *           diagonals are stored in NTT form over those limbs and
+     *           the alpha special primes (0 = the full chain).
      */
     LinearTransform(const CkksEncoder& encoder,
                     const MatrixDiagonals& diagonals, double scale,
@@ -58,34 +65,19 @@ class LinearTransform
     LinearTransform(const CkksEncoder& encoder, const CMatrix& matrix,
                     double scale, size_t bs = 0);
 
-    /** Rotation steps the evaluator's Galois keys must cover. */
+    /**
+     * Rotation steps the evaluator's Galois keys must cover: the baby
+     * steps and giant-step shifts some stored diagonal reads.
+     */
     std::vector<int> requiredRotations() const;
 
     /**
-     * Hoisted baby steps rot_{b*t}(ct), indexed by b in
-     * [0, babySteps()).  A ciphertext above levels() is first dropped
-     * to it.
-     * Entries no stored diagonal reads stay empty.  Transforms with the
-     * same baby-step count and stride can share one set over the same
-     * ciphertext.
-     */
-    std::vector<Ciphertext> babySteps(const Evaluator& eval,
-                                      const Ciphertext& ct) const;
-
-    /**
-     * Giant steps over precomputed baby steps.  Consumes one level
-     * (PMult + final rescale); the result decodes to M * decode(ct).
+     * M * ct, consuming one level (PMult + final rescale).  A
+     * ciphertext above the transform's level is first dropped to it.
      * The giant steps are independent, so they run as op-level pool
      * tasks and their partial sums are added in fixed g order.
      */
-    Ciphertext applyBaby(const Evaluator& eval,
-                         const std::vector<Ciphertext>& baby) const;
-
-    /** applyBaby(eval, babySteps(eval, ct)). */
     Ciphertext apply(const Evaluator& eval, const Ciphertext& ct) const;
-
-    size_t babySteps() const { return bs_; }
-    size_t giantSteps() const { return gs_; }
 
     /** Number of stored (non-negligible) diagonals. */
     size_t diagonalCount() const { return diagonals_; }
@@ -95,8 +87,8 @@ class LinearTransform
     struct Term
     {
         size_t b;
-        /** Encoded diagonal, pre-rotated by -shift_g, in NTT form at
-         *  levels_ limbs. */
+        /** Encoded diagonal, pre-rotated by -shift_g, in NTT form over
+         *  levels_ chain limbs and the special primes. */
         Plaintext pt;
     };
 
@@ -111,8 +103,9 @@ class LinearTransform
     std::vector<std::vector<Term>> giant_;
     /** Per giant step g, its rotation shift_g mod slots. */
     std::vector<size_t> shift_;
-    /** Whether some stored diagonal reads baby step b. */
-    std::vector<bool> needBaby_;
+    /** Rotations b * stride of the baby steps b some stored diagonal
+     *  reads, in increasing b (0 when b = 0 is read). */
+    std::vector<int> babyShifts_;
 };
 
 /**

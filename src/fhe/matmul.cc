@@ -86,15 +86,19 @@ ccmmRotations(size_t d)
 
 namespace {
 
-/** Sum of hoisted rotations of `ct` by every step in `steps`. */
+/**
+ * Sum of hoisted rotations of `ct` by every step in `steps`, added over
+ * Q*P so that one ModDown serves the whole sum.
+ */
 Ciphertext
 sumRotations(const Evaluator& eval, const Ciphertext& ct,
              const std::vector<int>& steps)
 {
-    std::vector<Ciphertext> rots = eval.rotateHoisted(ct, steps);
+    std::vector<Ciphertext> rots = eval.rotateHoistedQP(ct, steps);
     Ciphertext acc = std::move(rots[0]);
     for (size_t i = 1; i < rots.size(); ++i)
         eval.addInPlace(acc, rots[i]);
+    eval.modDownInPlace(acc);
     return acc;
 }
 

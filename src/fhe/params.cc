@@ -60,7 +60,9 @@ CkksParams::bootstrapTest()
     p.levels = 20;
     p.scaleBits = 42;
     p.firstPrimeBits = 42;
-    p.specialPrimeBits = 55;
+    // Below 2^50 every limb, special ones included, runs the IFMA
+    // kernels; 5 x 50 bits still cover one 5-prime digit.
+    p.specialPrimeBits = 50;
     // alpha = 5 gives dnum = 4, the hybrid keyswitch OpCostModel prices.
     p.specialPrimes = 5;
     p.secretHammingWeight = 64;

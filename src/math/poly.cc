@@ -167,17 +167,6 @@ RnsPoly::addMulPointwise(const RnsPoly& a, const RnsPoly& b)
 }
 
 void
-RnsPoly::mulScalar(u64 a)
-{
-    parallelFor(0, limbCount_, [&](size_t k) {
-        const Modulus& m = mod(k);
-        ShoupMul w(m.reduceU64(a), m);
-        simd::kernels().mulScalarSpan(limbData(k), n_, w.value(),
-                                      w.shoup(), m.value());
-    });
-}
-
-void
 RnsPoly::mulScalarPerLimb(const std::vector<u64>& a)
 {
     HYDRA_ASSERT(a.size() == limbCount_, "per-limb scalar count");

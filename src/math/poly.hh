@@ -170,9 +170,6 @@ class RnsPoly
     /** this += a * b pointwise; all three in NTT form. */
     void addMulPointwise(const RnsPoly& a, const RnsPoly& b);
 
-    /** Multiply every limb by a (reduced per prime). */
-    void mulScalar(u64 a);
-
     /** Multiply limb k by its prime-specific scalar a_k. */
     void mulScalarPerLimb(const std::vector<u64>& a);
 

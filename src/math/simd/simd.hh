@@ -106,7 +106,7 @@ struct Kernels
     /**
      * Fused keyswitch MAC: acc0[i] += x[i]*y0[i], acc1[i] += x[i]*y1[i]
      * (mod q).  Shares the decomposition of x across both products --
-     * the dominant loop of accumulateKey.
+     * the dominant loop of Evaluator::keyMac.
      */
     void (*macPairSpan)(u64* acc0, u64* acc1, const u64* x,
                         const u64* y0, const u64* y1, size_t n,

@@ -7,9 +7,9 @@
  *
  * A call takes the 52-bit path only when every modulus it touches
  * passes fits52 (q < 2^50, so lazy NTT values below 4q fit 52 bits);
- * otherwise it forwards to the AVX-512 kernel.  The 55-bit special
- * primes of hybrid keyswitching and the ModDown rows whose sources are
- * those primes therefore run the AVX-512 code.
+ * otherwise it forwards to the AVX-512 kernel.  A wider prime (such as
+ * unitTest()'s 51-bit special prime) and every base-conversion row that
+ * touches it therefore run the AVX-512 code.
  *
  * Both products keep the scalar oracle's reductions:
  *  - Barrett (mulSpan, macSpan, macPairSpan): the 104-bit product is

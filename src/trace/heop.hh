@@ -113,12 +113,6 @@ struct OpMix
     uint32_t cmults = 0;
     uint32_t pmults = 0;
     uint32_t hadds = 0;
-
-    uint32_t
-    totalOps() const
-    {
-        return rotations + cmults + pmults + hadds;
-    }
 };
 
 } // namespace hydra

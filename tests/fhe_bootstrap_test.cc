@@ -13,6 +13,7 @@
 #include "fhe/bootstrap.hh"
 #include "fhe_test_util.hh"
 #include "math/ntt.hh"
+#include "math/simd/simd.hh"
 
 namespace hydra {
 namespace {
@@ -250,7 +251,22 @@ TEST(Bootstrap, DepthMatchesConfiguration)
     Bootstrapper def(ctx, enc);
     EXPECT_EQ(def.depth(), 17u);
     EXPECT_LT(def.depth(), p.levels);
-    EXPECT_LE(def.requiredRotations().size(), 46u);
+    EXPECT_EQ(def.requiredRotations(),
+              (std::vector<int>{1, 2, 3, 4, 8, 12, 16, 32, 48, 64, 112, 116,
+                                120, 124}));
+}
+
+TEST(Bootstrap, EveryPrimeRunsOnTheIfmaTier)
+{
+    // The avx512ifma kernels take only moduli below 2^50; a limb above
+    // it silently falls back to the 64-bit-product AVX-512 kernels.
+    // Every chain and special prime of bootstrapTest() must qualify.
+    CkksContext ctx(CkksParams::bootstrapTest());
+    const RnsBasis& basis = *ctx.basis();
+    EXPECT_EQ(basis.specialCount(), 5u);
+    for (size_t t = 0; t < basis.totalCount(); ++t)
+        EXPECT_TRUE(simd::fits52(basis.mod(t).value()))
+            << "basis prime " << t << " = " << basis.mod(t).value();
 }
 
 /**
@@ -331,19 +347,19 @@ TEST(Bootstrap, KeyswitchCountIsExactAtAnyThreadCount)
     // = 28.  The dense two-matrix C2S/S2C this replaced ran 187
     // keyswitches (153 rotations) at r = 9.  The keyswitch method does
     // not change the counts: alpha = 1 (one digit per limb, one special
-    // prime) pins the output of the per-limb keyswitch it generalizes,
-    // alpha = 5 (dnum = 4) is bootstrapTest()'s default.  Every SIMD
-    // level the host runs must reproduce both digests: the IFMA table
-    // takes the 42-bit chain primes and forwards the 55-bit special
-    // primes to the AVX-512 kernels.
+    // prime) and alpha = 5 (dnum = 4, bootstrapTest()'s default) both
+    // run C2S/S2C double-hoisted, with keyswitches chained over Q*P.
+    // Every SIMD level the host runs must reproduce both digests: the
+    // IFMA table takes every limb, the 42-bit chain primes and the
+    // 50-bit special primes alike.
     test::SimdLevelGuard simd_guard;
     struct Pin
     {
         size_t alpha;
         uint64_t digest;
     };
-    for (const Pin& pin : {Pin{1, 0xdc70f0c704cc9dd8ULL},
-                           Pin{5, 0x4592e5095e0c2372ULL}}) {
+    for (const Pin& pin : {Pin{1, 0x965504c6b3b14213ULL},
+                           Pin{5, 0x124d61bef70a9beaULL}}) {
         CkksParams p = btParams(1 << 10);
         p.specialPrimes = pin.alpha;
         BootHarness b(p);
@@ -354,6 +370,13 @@ TEST(Bootstrap, KeyswitchCountIsExactAtAnyThreadCount)
                           planRotations(b.boot.slotToCoeffPlan()) +
                           2 * (6 + 7 + 1);
         EXPECT_EQ(closed, 69u);
+        // The Galois keys, and so the key stream the digest depends
+        // on, cover exactly these steps: the ones some stored
+        // diagonal reads.
+        EXPECT_EQ(b.probe_boot.requiredRotations(),
+                  (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 64,
+                                    96, 128, 256, 384, 480, 488, 496,
+                                    504}));
 
         // EvalMod's two lanes, the power-ladder rungs and short
         // giant-step batches run on thread teams whenever there are

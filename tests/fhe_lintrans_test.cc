@@ -173,8 +173,10 @@ TEST(LinearTransformSpecial, StridedDiagonalsMatchPlainMatVec)
 TEST(LinearTransformSpecial, DenseDigestPinsParent)
 {
     // Dense matrices take the generalized-diagonal path with base 0 and
-    // stride 1; keys, op counts and output words must stay exactly what
-    // the one-path-per-matrix transform produced.
+    // stride 1.  Keys and op counts are those of the one-path-per-matrix
+    // transform; the output words are pinned for double hoisting, whose
+    // one ModDown of the Q*P sum rounds differently from a ModDown per
+    // rotation.
     CkksParams p = smallParams();
     CkksContext probe(p);
     CkksEncoder probe_enc(probe);
@@ -190,8 +192,8 @@ TEST(LinearTransformSpecial, DenseDigestPinsParent)
         uint64_t pmults;
         uint64_t digest;
     };
-    for (const Pin& pin : {Pin{0, 14, 14, 63, 0x3fa10f39919c9f2dULL},
-                           Pin{16, 18, 18, 63, 0x59acc2023dfe8b6fULL}}) {
+    for (const Pin& pin : {Pin{0, 14, 14, 63, 0x6b611b22bc3ba6a0ULL},
+                           Pin{16, 18, 18, 63, 0x48977c2e2a679c04ULL}}) {
         LinearTransform probe_lt(probe_enc, m, p.scale(), pin.bs);
         std::vector<int> rots = probe_lt.requiredRotations();
         EXPECT_EQ(rots.size(), pin.rotations) << "bs " << pin.bs;

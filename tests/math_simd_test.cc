@@ -308,12 +308,13 @@ TEST(SimdSpanTest, BaseConvMatchesScalarAndExactOracle)
 
 TEST(SimdSpanTest, BaseConverterMatchesScalarInBootstrapShapes)
 {
-    // bootstrapTest()'s bases: 42-bit chain primes and 55-bit special
-    // primes at n = 2^10.  ModUp converts a digit of chain primes into
-    // another chain prime (42 -> 42, a fits52 row) and into the special
-    // primes (42 -> 55); ModDown converts the special primes back
-    // (55 -> 42).  The last two take the AVX-512 fallback at the IFMA
-    // level.  Inputs are random residues, then all q - 1.
+    // bootstrapTest()'s shapes, 42-bit chain primes at n = 2^10, with
+    // 55-bit special primes so that both sides of the 2^50 gate run.
+    // ModUp converts a digit of chain primes into another chain prime
+    // (42 -> 42, a fits52 row) and into the special primes (42 -> 55);
+    // ModDown converts the special primes back (55 -> 42).  The last two
+    // take the AVX-512 fallback at the IFMA level.  Inputs are random
+    // residues, then all q - 1.
     SimdLevelGuard guard;
     const size_t n = 1024;
     std::vector<Modulus> mods;
