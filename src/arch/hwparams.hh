@@ -66,12 +66,6 @@ struct FpgaParams
     double computeDerate = 1.0;
 
     double cycleSeconds() const { return 1.0 / clockHz; }
-
-    Tick
-    cycleTicks() const
-    {
-        return static_cast<Tick>(1e12 / clockHz);
-    }
 };
 
 /** Inter-card network parameters (Hydra DTU + switches). */

@@ -111,15 +111,6 @@ machineNames()
     return names;
 }
 
-bool
-machineExists(const std::string& name)
-{
-    for (const auto& e : kMachineRegistry)
-        if (name == e.name)
-            return true;
-    return false;
-}
-
 PrototypeSpec
 machineByName(const std::string& name)
 {
@@ -175,17 +166,6 @@ asicEdapTable()
         {"BTS", 53.81, 14257.4, 10313.9, 12103166},
         {"ARK", 0.54, 143.7, 104.0, 122024},
         {"SHARP", 0.09, 22.8, 16.5, 19330},
-    };
-    return rows;
-}
-
-const std::vector<PublishedRow>&
-paperHydraEdapTable()
-{
-    static const std::vector<PublishedRow> rows = {
-        {"Hydra-S", 0.12, 32.8, 8.8, 12703},
-        {"Hydra-M", 0.15, 33.8, 12.5, 13541},
-        {"Hydra-L", 0.59, 48.1, 38.1, 16208},
     };
     return rows;
 }

@@ -49,9 +49,6 @@ PrototypeSpec poseidonSpec();
 /** CLI names of every registered machine configuration. */
 std::vector<std::string> machineNames();
 
-/** True when `name` resolves via machineByName(). */
-bool machineExists(const std::string& name);
-
 /** Resolve a machine by CLI name ("hydra-m", "fab-l", ...); calls
  *  fatal() with the list of valid names on an unknown one. */
 PrototypeSpec machineByName(const std::string& name);
@@ -78,9 +75,6 @@ const std::vector<PublishedRow>& paperHydraTable();
 
 /** EDAP rows of Table III as published. */
 const std::vector<PublishedRow>& asicEdapTable();
-
-/** Paper Table III Hydra rows. */
-const std::vector<PublishedRow>& paperHydraEdapTable();
 
 } // namespace hydra
 

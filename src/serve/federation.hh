@@ -94,7 +94,6 @@ class Federation
 
     const PrototypeSpec& spec() const { return spec_; }
     const ServeSpec& serveSpec() const { return serve_; }
-    size_t clusterCount() const { return serve_.clusters; }
 
   private:
     PrototypeSpec spec_;

@@ -7,15 +7,6 @@
 namespace hydra {
 
 void
-EventQueue::advanceTo(Tick t)
-{
-    HYDRA_ASSERT(events_.empty() || events_.front().when >= t,
-                 "advancing the clock past a pending event");
-    if (t > now_)
-        now_ = t;
-}
-
-void
 EventQueue::schedule(Tick when, std::function<void()> cb)
 {
     HYDRA_ASSERT(when >= now_, "scheduling into the past");

@@ -53,14 +53,6 @@ class EventQueue
     /** Current simulated time. */
     Tick now() const { return now_; }
 
-    /**
-     * Jump the clock forward to `t` before any event is scheduled
-     * (no-op when t <= now).  Lets several runs compose on one shared
-     * virtual clock: a later run starts its queue at the previous
-     * run's finish time instead of 0.
-     */
-    void advanceTo(Tick t);
-
     /** Whether any event is pending. */
     bool empty() const { return events_.empty(); }
 

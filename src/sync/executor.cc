@@ -1,6 +1,7 @@
 #include "sync/executor.hh"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <set>
 
@@ -103,7 +104,7 @@ struct Event
     {
         /** tryCompute + tryComm on `card`. */
         Sweep,
-        /** The same on every card in index order. */
+        /** The same on every dirty card in index order. */
         SweepAll,
         /** The same on each receiver of comm task `index` (sent by
          *  `card`), then on the sender. */
@@ -295,9 +296,16 @@ struct Engine
         computeId.reserve(computeBase[n]);
         computeLabel.reserve(computeBase[n]);
         waitBegin.reserve(computeBase[n] + 1);
+        // Per dense compute id: the one card that carries it, kNoIndex
+        // before any does, n once several do.
+        std::vector<uint32_t> carrier(ids.size() + 1, kNoIndex);
         for (size_t c = 0; c < n; ++c) {
             for (const ComputeTask& t : prog.cards[c].compute) {
-                computeId.push_back(ids(t.id));
+                const uint32_t k = ids(t.id);
+                carrier[k] = carrier[k] == kNoIndex || carrier[k] == c
+                                 ? static_cast<uint32_t>(c)
+                                 : static_cast<uint32_t>(n);
+                computeId.push_back(k);
                 computeLabel.push_back(labelIds(t.label));
                 waitBegin.push_back(static_cast<uint32_t>(waitMsg.size()));
                 for (uint64_t m : t.waitMsgs)
@@ -320,6 +328,8 @@ struct Engine
                         after = ids(t.afterCompute);
                         if (after == kNoIndex)
                             after = static_cast<uint32_t>(ids.size());
+                        else if (carrier[after] != c)
+                            crossSends.emplace_back(after, c);
                     }
                 }
                 commAfter.push_back(after);
@@ -328,6 +338,10 @@ struct Engine
 
         received = CardBits(msgs, n);
         ready = CardBits(msgs, n);
+        dirty.assign((n + 63) / 64, 0);
+        blocked = dirty;
+        for (size_t c = 0; c < n; ++c)
+            markDirty(c); // the run's first SweepAll visits every card
         attempts.assign(msgs, 0);
         labelTicks.assign(labelIds.size(), 0);
         labelSeen.assign(labelIds.size(), 0);
@@ -355,6 +369,10 @@ struct Engine
     std::vector<size_t> senderOf;
     /** Dense label numbering (labelComputeTicks keys). */
     DenseIds labelIds;
+    /** (dense compute id, sending card) for each send whose payload
+     *  compute another card carries, in card order; empty for every
+     *  compiled program. */
+    std::vector<std::pair<uint32_t, uint32_t>> crossSends;
 
     enum class Outcome : uint8_t { Ok, Drop, Timeout, Corrupt };
 
@@ -394,6 +412,13 @@ struct Engine
     std::vector<uint8_t> labelSeen;  // per dense label: ran a task
     /** Cards whose compute pipeline is busy right now. */
     size_t computingCards = 0;
+    /** One bit per card: cards whose sweep may act, the only ones a
+     *  SweepAll visits.  sweep(c) clears bit c. */
+    std::vector<uint64_t> dirty;
+    /** One bit per card: senders whose last tryComm stopped at a check
+     *  another card's compute completion or posted ready can clear
+     *  (SAC, handshake, host-mediated busy pipelines). */
+    std::vector<uint64_t> blocked;
 
     std::vector<Event> events;
     uint64_t seq = 0;
@@ -432,8 +457,12 @@ struct Engine
                 sweep(ev.card);
                 break;
             case Event::Kind::SweepAll:
-                for (size_t c = 0; c < n; ++c)
-                    sweep(c);
+                // A sweep only makes cards busier, so no sweep in this
+                // loop dirties a card: the dirty cards come out in
+                // index order, and a clean card's sweep is a no-op.
+                for (size_t w = 0; w < dirty.size(); ++w)
+                    while (dirty[w])
+                        sweep(w * 64 + std::countr_zero(dirty[w]));
                 break;
             case Event::Kind::SweepLanded:
                 forEachReceiver(ev.card, ev.index,
@@ -511,8 +540,29 @@ struct Engine
     void
     sweep(size_t c)
     {
+        const uint64_t bit = uint64_t{1} << (c % 64);
+        dirty[c / 64] &= ~bit;
+        blocked[c / 64] &= ~bit;
         tryCompute(c);
         tryComm(c);
+    }
+
+    /** Card `c`'s sweep inputs changed: the next SweepAll visits it. */
+    void
+    markDirty(size_t c)
+    {
+        dirty[c / 64] |= uint64_t{1} << (c % 64);
+    }
+
+    /** A compute finished or a ready was posted: every blocked sender
+     *  may proceed. */
+    void
+    wakeBlocked()
+    {
+        for (size_t w = 0; w < dirty.size(); ++w) {
+            dirty[w] |= blocked[w];
+            blocked[w] = 0;
+        }
     }
 
     void
@@ -582,10 +632,17 @@ struct Engine
         labelSeen[computeLabel[g]] = 1;
         ++st.computeIdx;
         finishTick = now;
+        markDirty(c);
+        wakeBlocked();
         // Host-mediated mode: remote senders may be blocked on this
-        // card's compute pipeline; re-evaluate everyone.
+        // card's compute pipeline; SweepAll re-evaluates the dirty
+        // cards, the blocked senders among them.
         schedule(now, overlap ? Event::Kind::Sweep : Event::Kind::SweepAll,
                  c);
+        // A send on another card whose payload this compute is.
+        for (auto [k, s] : crossSends)
+            if (k == computeId[g] && s != c)
+                schedule(now, Event::Kind::Sweep, s);
     }
 
     /** Handshake: has every receiver of send `g` on card `c` posted
@@ -619,21 +676,19 @@ struct Engine
         }
 
         // Send: needs its payload computed (SAC) and every receiver
-        // ready (handshake).
-        if (commAfter[g] != kNoIndex && !doneCompute[commAfter[g]])
-            return;
-        if (!receiversReady(c, g))
-            return;
+        // ready (handshake).  Host-mediated movement also engages the
+        // FPGA's only DMA path, so it cannot start while the pipeline
+        // computes; a broadcast reaches every other card, so any busy
+        // pipeline blocks it.  Only a compute completion or a posted
+        // ready can clear these checks: the sender waits as blocked.
         const bool bcast = task.peer == kBroadcast;
-        if (!overlap) {
-            // Host-mediated movement engages the FPGA's only DMA path;
-            // it cannot start while the pipeline computes.  A
-            // broadcast reaches every other card, so any busy pipeline
-            // blocks it.
-            if (st.computeBusy)
-                return;
-            if (bcast ? computingCards > 0 : cards[task.peer].computeBusy)
-                return;
+        if ((commAfter[g] != kNoIndex && !doneCompute[commAfter[g]]) ||
+            !receiversReady(c, g) ||
+            (!overlap &&
+             (st.computeBusy ||
+              (bcast ? computingCards > 0 : cards[task.peer].computeBusy)))) {
+            blocked[c / 64] |= uint64_t{1} << (c % 64);
+            return;
         }
 
         Tick dur = bcast ? net.broadcastTime(task.bytes, c, n)
@@ -684,6 +739,8 @@ struct Engine
         st.recvConfigured = true;
         uint32_t m = commMsg[g];
         ready.set(m, c);
+        markDirty(c);
+        wakeBlocked();
         // An unmatched recv quiesces here and is reported by the
         // deadlock diagnostics (no abort).
         if (senderOf[m] != kNoCard)
@@ -699,6 +756,7 @@ struct Engine
         s.commBusy = false;
         s.commBusyTicks += f.consumed;
         emit(c, f.start, now, TaskEvent::Kind::Transfer, 0);
+        markDirty(c);
 
         if (f.out == Outcome::Ok) {
             ++s.commIdx;
@@ -710,6 +768,7 @@ struct Engine
                 emit(r, f.start, now, TaskEvent::Kind::Transfer, 0);
                 ++rs.commIdx;
                 received.set(m, r);
+                markDirty(r);
             });
             ready.clearRow(m);
             finishTick = now;
@@ -726,6 +785,7 @@ struct Engine
             rs.commBusy = false;
             rs.commBusyTicks += f.consumed;
             emit(r, f.start, now, TaskEvent::Kind::Transfer, 0);
+            markDirty(r);
         });
         switch (f.out) {
         case Outcome::Drop:

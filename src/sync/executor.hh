@@ -128,7 +128,6 @@ class ClusterExecutor
 
     /** DTU retry/timeout/backoff policy for failed transfers. */
     void setRetryPolicy(const RetryPolicy& p) { retry_ = p; }
-    const RetryPolicy& retryPolicy() const { return retry_; }
 
     /**
      * Start subsequent runs at absolute virtual time `t` instead of 0,
@@ -139,7 +138,6 @@ class ClusterExecutor
      * origin fires immediately at run start.
      */
     void setTimeOrigin(Tick t) { origin_ = t; }
-    Tick timeOrigin() const { return origin_; }
 
     /** Run Program::validate() before executing (default on).
      *  InferenceRunner turns it off: compileSteps() already validated

@@ -122,6 +122,29 @@ TEST(Executor, NonOverlappingNetworkBlocksCompute)
     EXPECT_EQ(st.makespan, 115u);
 }
 
+TEST(Executor, CrossCardAfterComputeCompletes)
+{
+    // Card 1 sends to card 2 once card 0's compute is done: the
+    // payload's producer sits on another card, so only card 0's
+    // completion can wake the sender.  On both network kinds the
+    // transfer runs [500, 600).
+    for (bool overlaps : {true, false}) {
+        ClusterConfig cfg{1, 3};
+        TestNetwork net(100, overlaps);
+        ProgramBuilder pb(3);
+        uint32_t l = pb.label("t");
+        uint64_t c0 = pb.addCompute(0, 500, noCost(), l);
+        pb.sendTo(1, 2, 1, c0);
+        Program prog = pb.take();
+        EXPECT_TRUE(prog.validate().empty());
+        ClusterExecutor ex(cfg, net);
+        RunResult res = ex.tryRun(prog);
+        EXPECT_TRUE(res.ok()) << "overlaps=" << overlaps << ": "
+                              << res.error.message;
+        EXPECT_EQ(res.stats.makespan, 600u) << "overlaps=" << overlaps;
+    }
+}
+
 TEST(Executor, HandshakeDelaysSendUntilReceiverReady)
 {
     // The receiver posts ready only when its recv reaches the head of

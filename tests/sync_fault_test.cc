@@ -545,9 +545,10 @@ TEST(Degraded, FusedRunRedispatchesOntoSurvivors)
  * Degraded whole-machine runs pinned on the pre-unification runner
  * (whole-machine fault runs then shifted kill ticks per step on a
  * restarting clock; the one absolute clock reproduces them exactly).
- * Covers switched (hydra-m) and host-mediated (fab-m) networks and
- * the single-card poseidon: single and double kills, transient
- * drop/corrupt/degrade faults, and stragglers with and without kills.
+ * Covers switched (hydra-m) and host-mediated (fab-m, and fab-l's 64
+ * cards) networks and the single-card poseidon: single and double
+ * kills, transient drop/corrupt/degrade faults, and stragglers with
+ * and without kills.
  */
 struct DegradedGolden
 {
@@ -582,6 +583,8 @@ const DegradedGolden kDegradedGoldens[] = {
     {"poseidon", "resnet20", "straggle=0:1.2,kill=0@0.5",
      500000000000ull, 0x5bf90bedb9e964a5ull, {0}, 1, 248357643372ull,
      false},
+    {"fab-l", "resnet20", "seed=7,drop=0.02,corrupt=0.01,kill=5@0.5",
+     23260158469104ull, 0x28816c2f31151ce3ull, {5}, 1, 21851519462ull, true},
 };
 
 TEST(Degraded, PinnedDegradedRunsKeepTheirTicks)

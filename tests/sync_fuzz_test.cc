@@ -3,8 +3,8 @@
  * Property/fuzz tests of the Procedure-1 executor: randomized programs
  * with consistent message ordering must always complete (no deadlock),
  * deterministically, with conserved compute time -- under both
- * overlapping (Hydra) and blocking (FAB) networks.  One digest pin
- * fixes the executor's exact schedules, timelines and diagnostics.
+ * overlapping (Hydra) and blocking (FAB) networks.  Two digest pins
+ * fix the executor's exact schedules, timelines and diagnostics.
  */
 
 #include <gtest/gtest.h>
@@ -457,6 +457,57 @@ TEST(FuzzGolden, EngineDigestPinsParent)
 
     EXPECT_EQ(d.runs, 98u);
     EXPECT_EQ(d.h, 0x8e1be80f6c1952b7ull);
+}
+
+/**
+ * Second engine pin, captured while every host-mediated compute
+ * completion still swept all cards: the FuzzTest programs with CT_d
+ * waits on both network kinds, with and without a fault plan, and
+ * 64-card broadcast-heavy programs on a host-mediated network started
+ * at a time origin.  The CT_d waits and the 64-card host-mediated runs
+ * are where a wake-up that misses a card shows first.
+ */
+TEST(FuzzGolden, DataDependentDigestPinsParent)
+{
+    EngineDigest d;
+    RetryPolicy retry;
+    retry.maxAttempts = 3;
+    retry.backoffBase = 50;
+
+    for (size_t cards : {2, 3, 4, 8, 16}) {
+        for (bool overlaps : {false, true}) {
+            for (uint64_t seed : {11, 22, 33, 44}) {
+                ClusterConfig cfg{1, cards};
+                FuzzNetwork net(3, 20, overlaps);
+                ClusterExecutor ex(cfg, net);
+                ex.setRecordTimeline(true);
+                ex.setRetryPolicy(retry);
+                Tick total = 0;
+                d.add(ex.tryRun(
+                    randomProgram(cards, seed, 40, 30, total, true)));
+                ex.setFaultPlan(randomFaultPlan(seed * 100 + cards, cards));
+                d.add(ex.tryRun(
+                    randomProgram(cards, seed, 40, 30, total, true)));
+            }
+        }
+    }
+
+    RetryPolicy patient = retry;
+    patient.maxAttempts = 8;
+    for (uint64_t seed : {5, 6, 7}) {
+        ClusterConfig cfg{8, 8};
+        FuzzNetwork net(1, 20, false);
+        ClusterExecutor ex(cfg, net);
+        ex.setRecordTimeline(true);
+        ex.setRetryPolicy(patient);
+        ex.setTimeOrigin(7000);
+        d.add(ex.tryRun(broadcastProgram(64, seed, 32)));
+        ex.setFaultPlan(randomFaultPlan(seed + 64, 64));
+        d.add(ex.tryRun(broadcastProgram(64, seed, 32)));
+    }
+
+    EXPECT_EQ(d.runs, 86u);
+    EXPECT_EQ(d.h, 0xca4267dd1eb714efull);
 }
 
 TEST(FuzzEdge, EmptyProgramFinishesInstantly)
