@@ -242,9 +242,12 @@ main(int argc, char** argv)
         return 1;
     }
     std::printf("end to end: %.3f s, comm overhead %.2f%%, "
-                "%.2f GiB moved\n\n",
+                "%.2f GiB moved\n",
                 res.seconds(), res.commFraction() * 100,
                 static_cast<double>(res.total.netBytes) / (1 << 30));
+    std::printf("replayed: %zu of %zu unit(s) reused an earlier run "
+                "of the same program\n\n",
+                res.replayedUnits, res.steps.size());
     if (!faults.empty()) {
         std::printf("fault recovery: %" PRIu64 " retries (%" PRIu64
                     " dropped, %" PRIu64 " corrupted, %" PRIu64

@@ -41,6 +41,8 @@ struct OpCost
         limbs = limbs > o.limbs ? limbs : o.limbs;
         return *this;
     }
+
+    bool operator==(const OpCost&) const = default;
 };
 
 /**

@@ -29,8 +29,7 @@ waitedMsgIds(const Program& prog)
 {
     std::unordered_set<uint64_t> waited;
     for (const auto& card : prog.cards)
-        for (const auto& t : card.compute)
-            waited.insert(t.waitMsgs.begin(), t.waitMsgs.end());
+        waited.insert(card.waits.begin(), card.waits.end());
     return waited;
 }
 
@@ -49,7 +48,7 @@ canonicalComputeOrder(Program& prog)
     for (auto& card : prog.cards) {
         auto& q = card.compute;
         auto movable = [&](const ComputeTask& t) {
-            return t.waitMsgs.empty() && !anchored.count(t.id);
+            return t.waitCount == 0 && !anchored.count(t.id);
         };
         size_t i = 0;
         while (i < q.size()) {
@@ -114,24 +113,29 @@ eliminateDeadTransfers(Program& prog)
 void
 rewriteWaits(Program& prog, uint64_t from, uint64_t to)
 {
-    for (auto& card : prog.cards)
+    for (auto& card : prog.cards) {
+        std::vector<uint64_t> waits;
+        waits.reserve(card.waits.size());
         for (auto& t : card.compute) {
-            bool has_to = false;
-            for (uint64_t m : t.waitMsgs)
-                has_to |= (m == to);
-            for (auto& m : t.waitMsgs)
+            auto old = card.waitMsgs(t);
+            bool has_to = std::find(old.begin(), old.end(), to) != old.end();
+            bool kept_to = false;
+            t.waitBegin = static_cast<uint32_t>(waits.size());
+            for (uint64_t m : old) {
                 if (m == from)
                     m = to;
-            if (has_to) {
-                // Both were present: drop the duplicate.
-                auto it = std::find(t.waitMsgs.begin(),
-                                    t.waitMsgs.end(), to);
-                if (it != t.waitMsgs.end())
-                    t.waitMsgs.erase(
-                        std::remove(it + 1, t.waitMsgs.end(), to),
-                        t.waitMsgs.end());
+                if (has_to && m == to) {
+                    // Both were present: keep the first `to` only.
+                    if (kept_to)
+                        continue;
+                    kept_to = true;
+                }
+                waits.push_back(m);
             }
+            t.waitCount = static_cast<uint32_t>(waits.size()) - t.waitBegin;
         }
+        card.waits = std::move(waits);
+    }
 }
 
 /**
@@ -223,7 +227,7 @@ hoistIndependentCompute(Program& prog)
             before[k] = q[k].id;
         std::stable_partition(q.begin(), q.end(),
                               [](const ComputeTask& t) {
-                                  return t.waitMsgs.empty();
+                                  return t.waitCount == 0;
                               });
         for (size_t k = 0; k < q.size(); ++k)
             if (q[k].id != before[k])
@@ -363,8 +367,7 @@ describeProgram(const Program& prog, const OptReport* report)
                 ++recvs;
             }
         }
-        for (const auto& t : card.compute)
-            waits += t.waitMsgs.size();
+        waits += card.waits.size();
         out += strf("  card %2zu: compute %4zu (%4" PRIu64
                     " wait(s)), send %4" PRIu64 ", recv %4" PRIu64
                     ", out %8.3f MiB\n",

@@ -71,6 +71,13 @@ compileSteps(const OpCostModel& cost, const NetworkModel& net,
     CompiledStep out;
     out.program = optimizeProgram(pb.take(), level, net.overlapsCompute(),
                                   &out.report);
+    // A compiled program is cached and run many times but never grows
+    // again: drop the queues' push_back slack.
+    for (CardProgram& card : out.program.cards) {
+        card.compute.shrink_to_fit();
+        card.comm.shrink_to_fit();
+        card.waits.shrink_to_fit();
+    }
     // The one static check of every Program a plan runs: executors
     // fed from here skip their per-run prevalidation.
     HYDRA_ASSERT(out.program.validate().empty(),

@@ -53,7 +53,8 @@ struct CompiledStep
  * a multi-step unit has no internal sync barrier), then optimize
  * (`level` pass pipeline, gated on net.overlapsCompute()), then assert
  * that Program::validate() finds nothing -- the one validation each
- * plan's Program gets.
+ * plan's Program gets.  Every card's compute and comm queue (and its
+ * wait array) leaves at exact size (capacity() == size()).
  */
 CompiledStep compileSteps(const OpCostModel& cost, const NetworkModel& net,
                           size_t cards, size_t log_slots,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <unordered_map>
 
 #include "sched/execplan.hh"
 
@@ -247,6 +248,20 @@ InferenceRunner::execFaulted(const PrototypeSpec& sub,
     if (num_units < end - first_unit)
         end = first_unit + num_units;
 
+    // A fault-free run of a compiled program is start-invariant (the
+    // time origin only shifts timestamps), and within this call the
+    // cluster, network and retry policy are fixed: a program's first
+    // successful run stands for all its repeats.  Keys hold the
+    // programs alive, so a ProgramCache eviction cannot recycle an
+    // address into a false hit.
+    std::unordered_map<std::shared_ptr<const CompiledStep>, RunStats>
+        firstRuns;
+    auto complete = [&](const ExecUnit& u, const RunStats& stats) {
+        result.total.append(stats, net.stepSyncLatency());
+        result.steps.push_back(StepResult{u.name, u.lead, stats});
+        result.stepEnds.push_back(result.total.makespan);
+    };
+
     for (size_t ui = first_unit; ui < end; ++ui) {
         const ExecUnit& u = plan.units[ui];
         for (;;) {
@@ -266,12 +281,19 @@ InferenceRunner::execFaulted(const PrototypeSpec& sub,
                     ? u.compiled
                     : compileUnit(sub, cluster, sub.cluster, cost_, net,
                                   plan.logSlots, u.steps, plan.level);
+            auto first = faults.empty() ? firstRuns.find(compiled)
+                                        : firstRuns.end();
+            if (first != firstRuns.end()) {
+                complete(u, first->second);
+                ++result.replayedUnits;
+                break;
+            }
             RunResult rr = executor->tryRun(compiled->program);
             if (rr.ok()) {
-                result.total.append(rr.stats, net.stepSyncLatency());
-                result.steps.push_back(
-                    StepResult{u.name, u.lead, rr.stats});
-                result.stepEnds.push_back(result.total.makespan);
+                complete(u, rr.stats);
+                if (faults.empty())
+                    firstRuns.emplace(std::move(compiled),
+                                      std::move(rr.stats));
                 break;
             }
             if (rr.error.kind != RunError::Kind::CardFailed) {

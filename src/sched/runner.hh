@@ -102,6 +102,10 @@ struct InferenceResult
     /** Simulated time wasted in aborted step attempts (included in
      *  total.makespan): the makespan penalty of degraded execution. */
     Tick recoveryPenalty = 0;
+    /** Units whose program already ran earlier in this fault-free
+     *  call: their stats were replayed, not re-simulated.  Host-side
+     *  bookkeeping only, outside every fingerprint and hash. */
+    size_t replayedUnits = 0;
     /** Terminal error when even the degraded path could not finish
      *  (retry budget exhausted, deadlock, all cards dead). */
     RunError error;
@@ -234,7 +238,9 @@ class InferenceRunner
      * The shared body of runPlan() and runJob(): run the plan window
      * on the cards in `cards` (original machine indices) under `sub`'s
      * topology, re-dispatching onto survivors after permanent card
-     * failures.
+     * failures.  Under an empty fault plan, a unit whose compiled
+     * program already ran in this call replays that run's stats
+     * (InferenceResult::replayedUnits).
      */
     InferenceResult
     execFaulted(const PrototypeSpec& sub, const NetworkModel& net,

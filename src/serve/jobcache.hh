@@ -13,6 +13,10 @@
  * Any cluster whose local plan injects anything at all (rates,
  * stragglers, kills) bypasses the cache, keeping the guarantee that
  * absolute-tick faults land in real executions.
+ *
+ * The same start-invariance rule lets the execution driver replay
+ * repeated units within one call (DESIGN.md §16, "Start
+ * invariance"); this cache is its cross-call user.
  */
 
 #ifndef HYDRA_SERVE_JOBCACHE_HH

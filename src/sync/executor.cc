@@ -277,8 +277,8 @@ struct Engine
                 commBase[c] + static_cast<uint32_t>(cp.comm.size());
             for (const ComputeTask& t : cp.compute) {
                 compute_ids.push_back(t.id);
-                msg_refs.insert(msg_refs.end(), t.waitMsgs.begin(),
-                                t.waitMsgs.end());
+                auto waits = cp.waitMsgs(t);
+                msg_refs.insert(msg_refs.end(), waits.begin(), waits.end());
                 label_refs.push_back(t.label);
             }
             for (const CommTask& t : cp.comm)
@@ -308,7 +308,7 @@ struct Engine
                 computeId.push_back(k);
                 computeLabel.push_back(labelIds(t.label));
                 waitBegin.push_back(static_cast<uint32_t>(waitMsg.size()));
-                for (uint64_t m : t.waitMsgs)
+                for (uint64_t m : prog.cards[c].waitMsgs(t))
                     waitMsg.push_back(msgIds(m));
             }
         }
@@ -625,7 +625,7 @@ struct Engine
         --computingCards;
         st.computeBusyTicks += st.computeDur;
         emit(c, st.computeStart, now, TaskEvent::Kind::Compute, task.label);
-        stats.totalCost += task.cost;
+        stats.totalCost += prog.costs[task.costId];
         uint32_t g = computeBase[c] + static_cast<uint32_t>(st.computeIdx);
         doneCompute[computeId[g]] = 1;
         labelTicks[computeLabel[g]] += st.computeDur;

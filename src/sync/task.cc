@@ -127,7 +127,7 @@ Program::validate() const
 
     for (size_t c = 0; c < n; ++c) {
         for (const auto& t : cards[c].compute) {
-            for (uint64_t m : t.waitMsgs) {
+            for (uint64_t m : cards[c].waitMsgs(t)) {
                 auto rit = recvs.find(m);
                 if (rit == recvs.end() || !rit->second.count(c))
                     add(ProgramIssue::Kind::WaitOnUnknownMsg, c, m,
@@ -152,6 +152,16 @@ Program::labelId(const std::string& name)
     return static_cast<uint32_t>(labels.size() - 1);
 }
 
+uint32_t
+Program::costId(const OpCost& cost)
+{
+    for (size_t i = costs.size(); i-- > 0;)
+        if (costs[i] == cost)
+            return static_cast<uint32_t>(i);
+    costs.push_back(cost);
+    return static_cast<uint32_t>(costs.size() - 1);
+}
+
 uint64_t
 ProgramBuilder::addCompute(size_t card, Tick duration, const OpCost& cost,
                            uint32_t label,
@@ -159,8 +169,12 @@ ProgramBuilder::addCompute(size_t card, Tick duration, const OpCost& cost,
 {
     HYDRA_ASSERT(card < prog_.cardCount(), "card index out of range");
     uint64_t id = nextCompute_++;
-    prog_.cards[card].compute.push_back(
-        ComputeTask{id, duration, std::move(wait_msgs), cost, label});
+    CardProgram& cp = prog_.cards[card];
+    cp.compute.push_back(
+        ComputeTask{id, duration, static_cast<uint32_t>(cp.waits.size()),
+                    static_cast<uint32_t>(wait_msgs.size()),
+                    prog_.costId(cost), label});
+    cp.waits.insert(cp.waits.end(), wait_msgs.begin(), wait_msgs.end());
     return id;
 }
 

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,10 +33,14 @@ struct ComputeTask
     uint64_t id = 0;
     /** Execution time on this card. */
     Tick duration = 0;
-    /** Message ids whose reception must complete first (CT_d). */
-    std::vector<uint64_t> waitMsgs;
-    /** Aggregated hardware cost, for energy accounting. */
-    OpCost cost;
+    /** Message ids whose reception must complete first (CT_d):
+     *  entries [waitBegin, waitBegin + waitCount) of the card's
+     *  CardProgram::waits (read them through CardProgram::waitMsgs). */
+    uint32_t waitBegin = 0;
+    uint32_t waitCount = 0;
+    /** Aggregated hardware cost, for energy accounting: an index into
+     *  Program::costs, since a program's tasks share a few costs. */
+    uint32_t costId = 0;
     /** Procedure tag for per-step statistics (e.g.\ "ConvBN"). */
     uint32_t label = 0;
 };
@@ -93,6 +98,17 @@ struct CardProgram
 {
     std::vector<ComputeTask> compute;
     std::vector<CommTask> comm;
+    /** Every compute task's wait list in one array: a task is a range
+     *  of it, not a vector of its own, and every entry belongs to
+     *  exactly one task's range. */
+    std::vector<uint64_t> waits;
+
+    /** The message ids compute task `t` (one of `compute`) waits on. */
+    std::span<const uint64_t>
+    waitMsgs(const ComputeTask& t) const
+    {
+        return {waits.data() + t.waitBegin, t.waitCount};
+    }
 
     bool
     empty() const
@@ -107,6 +123,8 @@ struct Program
     std::vector<CardProgram> cards;
     /** Names backing ComputeTask::label. */
     std::vector<std::string> labels;
+    /** Distinct costs backing ComputeTask::costId. */
+    std::vector<OpCost> costs;
 
     explicit Program(size_t n_cards = 0) : cards(n_cards) {}
 
@@ -114,6 +132,9 @@ struct Program
 
     /** Intern a label name, returning its id. */
     uint32_t labelId(const std::string& name);
+
+    /** Intern a cost, returning its id. */
+    uint32_t costId(const OpCost& cost);
 
     /**
      * Static pre-execution checks: unmatched message ids, dangling

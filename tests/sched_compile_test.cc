@@ -138,16 +138,17 @@ struct ProgramDigest
         for (const CardProgram& card : prog.cards) {
             u64(card.compute.size());
             for (const ComputeTask& t : card.compute) {
+                const OpCost& cost = prog.costs[t.costId];
                 u64(t.id);
                 u64(t.duration);
-                u64(t.cost.cycles);
-                u64(t.cost.hbmBytes);
-                for (uint64_t ops : t.cost.cuOps)
+                u64(cost.cycles);
+                u64(cost.hbmBytes);
+                for (uint64_t ops : cost.cuOps)
                     u64(ops);
-                u64(t.cost.limbs);
+                u64(cost.limbs);
                 u64(t.label);
-                u64(t.waitMsgs.size());
-                for (uint64_t m : t.waitMsgs)
+                u64(t.waitCount);
+                for (uint64_t m : card.waitMsgs(t))
                     u64(m);
             }
             u64(card.comm.size());
@@ -254,6 +255,29 @@ TEST(CompileGolden, ProgramDigestPinsEveryPair)
     }
     EXPECT_EQ(checked, std::size(kDigests));
     EXPECT_EQ(checked, machineNames().size() * workloadNames().size());
+}
+
+TEST(CompileGolden, CompiledQueuesAreExactSize)
+{
+    // Cached programs never grow after compileSteps(): no queue keeps
+    // push_back slack.
+    for (const Golden& g : kGoldens) {
+        InferenceRunner runner(machineByName(g.machine));
+        for (OptLevel level :
+             {OptLevel::None, OptLevel::Safe, OptLevel::Aggressive}) {
+            auto plan = runner.planFor(workloadByName(g.workload), level);
+            for (const ExecUnit& u : plan->units) {
+                for (const CardProgram& card : u.compiled->program.cards) {
+                    EXPECT_EQ(card.compute.capacity(), card.compute.size())
+                        << g.machine << "/" << g.workload << " " << u.name;
+                    EXPECT_EQ(card.comm.capacity(), card.comm.size())
+                        << g.machine << "/" << g.workload << " " << u.name;
+                    EXPECT_EQ(card.waits.capacity(), card.waits.size())
+                        << g.machine << "/" << g.workload << " " << u.name;
+                }
+            }
+        }
+    }
 }
 
 TEST(CompilePipeline, SafeLevelIsTickNeutralPerStep)
@@ -541,10 +565,12 @@ TEST(Passes, BroadcastCoalesceMergesAdjacentSameAnchor)
     EXPECT_EQ(c.messages, 1u);
     EXPECT_EQ(c.bytes, 128u);
     // Waits on the merged message collapse to the survivor, deduped.
-    EXPECT_EQ(opt.cards[1].compute[0].waitMsgs,
-              (std::vector<uint64_t>{m1}));
-    EXPECT_EQ(opt.cards[2].compute[0].waitMsgs,
-              (std::vector<uint64_t>{m1}));
+    for (size_t c = 1; c <= 2; ++c) {
+        auto waits = opt.cards[c].waitMsgs(opt.cards[c].compute[0]);
+        EXPECT_EQ(std::vector<uint64_t>(waits.begin(), waits.end()),
+                  (std::vector<uint64_t>{m1}))
+            << "card " << c;
+    }
     EXPECT_TRUE(opt.validate().empty());
     PassNetwork net(true);
     ClusterExecutor ex(ClusterConfig{1, 3}, net);

@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 
 #include "baselines/prototypes.hh"
 #include "sched/execplan.hh"
+#include "sched/progcache.hh"
 
 namespace hydra {
 namespace {
@@ -181,6 +184,115 @@ TEST(RunnerFaults, RepeatedCardDeathsDedupAndTerminate)
     EXPECT_GE(r2.recoveryPenalty, r1.recoveryPenalty);
     EXPECT_GT(r2.recoveryPenalty, 0u);
     EXPECT_GE(r2.redispatches, r1.redispatches);
+}
+
+/**
+ * The replay oracle: every unit of `plan` run on a fresh executor for
+ * `sub`'s cluster at its serial origin (start + makespan so far), with
+ * no stats reused between units.
+ */
+InferenceResult
+runUnitByUnit(const InferenceRunner& runner, const PrototypeSpec& sub,
+              const ExecPlan& plan, Tick start)
+{
+    std::unique_ptr<NetworkModel> net = sub.makeNetwork();
+    InferenceResult r;
+    for (const ExecUnit& u : plan.units) {
+        auto compiled =
+            u.compiled ? u.compiled
+                       : compileUnit(sub, sub.cluster, sub.cluster,
+                                     runner.costModel(), *net,
+                                     plan.logSlots, u.steps, plan.level);
+        ClusterExecutor ex(sub.cluster, *net);
+        ex.setTimeOrigin(start + r.total.makespan);
+        RunResult rr = ex.tryRun(compiled->program);
+        if (!rr.ok()) {
+            r.error = rr.error;
+            return r;
+        }
+        r.total.append(rr.stats, net->stepSyncLatency());
+        r.steps.push_back(StepResult{u.name, u.lead, rr.stats});
+        r.stepEnds.push_back(r.total.makespan);
+    }
+    return r;
+}
+
+/** Every step fingerprint, the unit boundaries and the total agree. */
+void
+expectSameRun(const InferenceResult& got, const InferenceResult& want,
+              const std::string& what)
+{
+    ASSERT_TRUE(got.ok()) << what << ": " << got.error.message;
+    ASSERT_TRUE(want.ok()) << what << ": " << want.error.message;
+    ASSERT_EQ(got.steps.size(), want.steps.size()) << what;
+    for (size_t i = 0; i < got.steps.size(); ++i)
+        EXPECT_EQ(got.steps[i].stats.fingerprint(),
+                  want.steps[i].stats.fingerprint())
+            << what << " unit " << i;
+    EXPECT_EQ(got.stepEnds, want.stepEnds) << what;
+    EXPECT_EQ(got.total.fingerprint(), want.total.fingerprint()) << what;
+}
+
+TEST(RunnerPlan, ReplayMatchesUnitByUnitExecution)
+{
+    const char* const workloads[] = {"resnet18", "resnet50", "bert", "opt",
+                                     "resnet20"};
+    size_t replayed = 0;
+    for (const std::string& machine : machineNames()) {
+        InferenceRunner runner(machineByName(machine));
+        for (const char* workload : workloads) {
+            for (OptLevel level : {OptLevel::Safe, OptLevel::Aggressive}) {
+                auto plan = runner.planFor(workloadByName(workload), level);
+                std::string what = machine + "/" + workload + "@" +
+                                   optLevelName(level);
+                InferenceResult res = runner.runPlan(*plan);
+                expectSameRun(res,
+                              runUnitByUnit(runner, runner.spec(), *plan,
+                                            0),
+                              what);
+                replayed += res.replayedUnits;
+            }
+        }
+    }
+    EXPECT_GT(replayed, 0u);
+
+    // A skeleton plan on a ragged group resolves every unit through the
+    // ProgramCache, and a nonzero start only shifts the origin.
+    InferenceRunner runner{hydraMSpec()};
+    CardGroup group;
+    group.cards = {1, 4, 6};
+    auto job = runner.planForJob(makeResNet18(), group);
+    const Tick start = secondsToTicks(10.0);
+    InferenceResult res = runner.runJob(*job, group, start);
+    expectSameRun(res,
+                  runUnitByUnit(runner,
+                                groupSubSpec(runner.spec(), group), *job,
+                                start),
+                  "hydra-m/resnet18 on cards {1, 4, 6}");
+    EXPECT_GT(res.replayedUnits, 0u);
+}
+
+TEST(RunnerPlan, ReplayedUnitsCountRepeatedPrograms)
+{
+    InferenceRunner runner{hydraLSpec()};
+    auto plan = runner.planFor(makeResNet50());
+    std::set<const CompiledStep*> distinct;
+    for (const ExecUnit& u : plan->units)
+        distinct.insert(u.compiled.get());
+    InferenceResult res = runner.runPlan(*plan);
+    ASSERT_TRUE(res.ok());
+    EXPECT_LT(distinct.size(), plan->units.size());
+    EXPECT_EQ(res.replayedUnits, plan->units.size() - distinct.size());
+
+    // Any non-empty fault plan executes every unit, even one whose
+    // only fault lands after the run has ended.
+    FaultPlan late;
+    late.cardFailAt[0] = 2 * res.total.makespan;
+    InferenceResult faulted = runner.runJob(
+        *plan, CardGroup::contiguous(0, runner.spec().cluster.totalCards()),
+        0, late);
+    EXPECT_EQ(faulted.replayedUnits, 0u);
+    expectSameRun(faulted, res, "hydra-l/resnet50 with a late kill");
 }
 
 TEST(RunnerJobs, AlignedGroupMatchesWholeMachine)

@@ -601,6 +601,8 @@ TEST(Degraded, PinnedDegradedRunsKeepTheirTicks)
         EXPECT_EQ(res.failedCards, g.failedCards) << what;
         EXPECT_EQ(res.redispatches, g.redispatches) << what;
         EXPECT_EQ(res.recoveryPenalty, g.recoveryPenalty) << what;
+        // A faulted run executes every unit: nothing is replayed.
+        EXPECT_EQ(res.replayedUnits, 0u) << what;
     }
 }
 
