@@ -49,7 +49,7 @@ main()
                 // The fused unit's own makespan: one program, no
                 // per-step barrier.
                 double fused = ticksToSeconds(
-                    runner.runPlan(fusePlan(*runner.planFor(wl)))
+                    runner.runPlan(*runner.fusePlan(*runner.planFor(wl)))
                         .steps.front()
                         .stats.makespan);
                 t.addRow({wl.name, spec.name, fmtF(stepwise, 2),

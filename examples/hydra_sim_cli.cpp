@@ -97,23 +97,17 @@ parseOptLevel(const std::string& s)
 }
 
 /** Print every unit's compiled Program plus the optimizer's pass
- *  deltas (the --dump-program flag).  Skeleton units (a fused plan)
- *  resolve exactly as the execution driver resolves them. */
+ *  deltas (the --dump-program flag). */
 void
-dumpPrograms(const InferenceRunner& runner, const ExecPlan& plan)
+dumpPrograms(const ExecPlan& plan)
 {
     for (size_t ui = 0; ui < plan.units.size(); ++ui) {
         const ExecUnit& u = plan.units[ui];
-        std::shared_ptr<const CompiledStep> cs =
-            u.compiled ? u.compiled
-                       : compileUnit(runner.spec(), plan.cluster,
-                                     plan.cluster, runner.costModel(),
-                                     runner.network(), plan.logSlots,
-                                     u.steps, plan.level);
         std::printf("unit %3zu %-24s [%s, %zu step(s)]\n", ui,
                     u.name.c_str(), procName(u.lead), u.steps.size());
-        std::printf("%s\n",
-                    describeProgram(cs->program, &cs->report).c_str());
+        std::printf("%s\n", describeProgram(u.compiled->program,
+                                            &u.compiled->report)
+                                .c_str());
     }
 }
 
@@ -204,14 +198,14 @@ main(int argc, char** argv)
         fatal("--json only applies to --dump-graph");
 
     if (fused)
-        plan = std::make_shared<ExecPlan>(fusePlan(*plan));
+        plan = runner.fusePlan(*plan);
 
     if (dumpProgram) {
         std::printf("machine : %s, workload: %s, opt level: %s, "
                     "%zu unit(s)\n\n",
                     spec.name.c_str(), wl.name.c_str(),
                     optLevelName(optLevel), plan->size());
-        dumpPrograms(runner, *plan);
+        dumpPrograms(*plan);
         return 0;
     }
 

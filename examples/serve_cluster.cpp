@@ -74,8 +74,8 @@
 #include "common/parse.hh"
 #include "sched/execplan.hh"
 #include "sched/progcache.hh"
+#include "serve/federation.hh"
 #include "serve/partition.hh"
-#include "serve/sim.hh"
 #include "workloads/model.hh"
 
 using namespace hydra;
@@ -92,10 +92,9 @@ dumpGroupPrograms(const PrototypeSpec& spec, const ServeSpec& serve)
 {
     std::vector<std::string> wlNames = serve.workloadTable();
     FleetPartition fleet(spec, serve, wlNames);
+    InferenceRunner runner(spec);
     for (const auto& g : fleet.groups()) {
         WorkloadModel wl = workloadByName(wlNames[g.workload]);
-        InferenceRunner runner(groupSubSpec(spec, g.cards));
-        const ClusterConfig& sub = runner.spec().cluster;
         std::vector<OptLevel> levels;
         for (const auto& t : serve.tenants)
             if (t.workload == wlNames[g.workload] &&
@@ -105,11 +104,13 @@ dumpGroupPrograms(const PrototypeSpec& spec, const ServeSpec& serve)
         if (levels.empty())
             levels.push_back(OptLevel::Safe);
         for (OptLevel lv : levels) {
-            std::shared_ptr<const ExecPlan> plan = runner.planFor(wl, lv);
+            std::shared_ptr<const ExecPlan> plan =
+                runner.planForJob(wl, g.cards, lv);
             std::printf("group %zu: %s on %zu card(s) "
                         "(%zu server(s) x %zu), opt=%s, %zu unit(s)\n",
                         g.id, wl.name.c_str(), g.cards.size(),
-                        sub.servers, sub.cardsPerServer,
+                        plan->cluster.servers,
+                        plan->cluster.cardsPerServer,
                         optLevelName(lv), plan->size());
             for (size_t ui = 0; ui < plan->units.size(); ++ui) {
                 const ExecUnit& u = plan->units[ui];
@@ -234,7 +235,7 @@ main(int argc, char** argv)
         return 0;
     }
 
-    ServeSim sim(std::move(spec), serve, faults, retry);
+    Federation sim(std::move(spec), serve, faults, retry);
     ServeStats stats = sim.run();
 
     if (json) {

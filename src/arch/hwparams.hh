@@ -123,6 +123,8 @@ struct ClusterConfig
     {
         return card / cardsPerServer;
     }
+
+    bool operator==(const ClusterConfig&) const = default;
 };
 
 /** Named Hydra prototypes from the paper (Section V-A). */

@@ -43,7 +43,6 @@ matMulRef(const RMatrix& a, const RMatrix& b)
 
 PcmmPlan::PcmmPlan(const CkksEncoder& encoder, const RMatrix& w, size_t d,
                    double scale)
-    : d_(d)
 {
     size_t slots = encoder.slots();
     HYDRA_ASSERT(d * d <= slots, "matrix exceeds slot count");

@@ -52,10 +52,7 @@ class PcmmPlan
     /** decode(apply(ct)) unpacks to (packed A) x W. */
     Ciphertext apply(const Evaluator& eval, const Ciphertext& ct) const;
 
-    size_t dim() const { return d_; }
-
   private:
-    size_t d_;
     std::unique_ptr<LinearTransform> lt_;
 };
 

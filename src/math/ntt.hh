@@ -37,7 +37,6 @@ class NttTable
     NttTable(size_t n, Modulus q);
 
     size_t n() const { return n_; }
-    int logN() const { return logN_; }
     const Modulus& modulus() const { return q_; }
 
     /** In-place forward negacyclic NTT (coefficients -> evaluations). */

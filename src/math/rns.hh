@@ -135,12 +135,6 @@ class RnsBasis
      */
     const BaseConverter& converter(size_t begin, size_t end) const;
 
-    /**
-     * Garner constant for CRT composition over the first `count` limbs:
-     * inverse of (q_0 * ... * q_{i-1}) mod q_i.
-     */
-    u64 garnerInv(size_t i) const { return garnerInv_[i]; }
-
     /** Product q_0..q_{count-1} as a big integer. */
     BigUInt productQ(size_t count) const;
 
@@ -158,6 +152,8 @@ class RnsBasis
     std::vector<std::unique_ptr<NttTable>> ntts_;
     /** inv_[l][j] = q_l^{-1} mod q_j. */
     std::vector<std::vector<u64>> inv_;
+    /** garnerInv_[i] = (q_0 * ... * q_{i-1})^{-1} mod q_i (Garner's
+     *  CRT composition). */
     std::vector<u64> garnerInv_;
     std::map<std::pair<size_t, size_t>, BaseConverter> converters_;
 };

@@ -39,24 +39,4 @@ compilePlan(const PrototypeSpec& spec, const OpCostModel& cost,
     return plan;
 }
 
-ExecPlan
-fusePlan(const ExecPlan& plan)
-{
-    ExecPlan fused = plan;
-    fused.units.clear();
-    if (plan.units.empty())
-        return fused;
-
-    ExecUnit u;
-    u.kind = ExecUnit::Kind::Fused;
-    u.lead = plan.units.front().lead;
-    for (const ExecUnit& pu : plan.units)
-        u.steps.insert(u.steps.end(), pu.steps.begin(), pu.steps.end());
-    u.name = u.steps.size() == 1
-                 ? u.steps.front().name
-                 : u.steps.front().name + ".." + u.steps.back().name;
-    fused.units.push_back(std::move(u));
-    return fused;
-}
-
 } // namespace hydra

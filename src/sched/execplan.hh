@@ -4,11 +4,11 @@
  * workload, model graph and card group compiles to.
  *
  * An ExecPlan is an ordered sequence of units, each carrying its
- * member steps by value and (when materialized) its compiled Program,
- * plus the plan's opt-level provenance.  There is one compile
- * pipeline: compilePlan() takes a NetworkGraph (a workload's step list
- * lifts to the equivalent chain through NetworkGraph::fromModel) and
- * runs partitionNetwork() (sched/graph/netcompile.hh).  At
+ * member steps by value and its compiled Program, plus the plan's
+ * opt-level provenance.  There is one compile pipeline: compilePlan()
+ * takes a NetworkGraph (a workload's step list lifts to the
+ * equivalent chain through NetworkGraph::fromModel) and runs
+ * partitionNetwork() (sched/graph/netcompile.hh).  At
  * OptLevel::None/Safe every layer becomes one Single unit; at
  * Aggressive the cross-step passes (boot-plan, fuse-linear, prefetch)
  * may merge layers into multi-step units.  Every unit compiles through
@@ -27,13 +27,14 @@
  * (workload, level), which is what makes unit indices meaningful
  * across dispatch, preemption and failover.
  *
- * compilePlan() returns a *skeleton* (no Program resolved);
- * InferenceRunner::planFor materializes every unit up front, while
- * serving's planForJob keeps the skeleton and the execution driver
- * resolves each executed unit through compileUnit — also the degraded
- * re-dispatch path, where the executing cluster shrank under the plan.
- * fusePlan() turns any plan into the paper's Section IV-D fused mode:
- * one skeleton unit holding every step.
+ * compilePlan() is the partition step alone.  The plans a caller gets
+ * come from InferenceRunner (planFor, planForJob, fusePlan), which
+ * resolves every unit's Program through compileUnit for the plan's
+ * cluster before returning: one plan form, compiled at plan time.
+ * Execution compiles again only on the degraded re-dispatch path,
+ * where a card death shrank the executing cluster under the plan.
+ * InferenceRunner::fusePlan turns any plan into the paper's Section
+ * IV-D fused mode: one compiled unit holding every step.
  */
 
 #ifndef HYDRA_SCHED_EXECPLAN_HH
@@ -56,7 +57,7 @@ struct ExecUnit
     enum class Kind : uint8_t
     {
         Single,   ///< one layer, step-compiler semantics
-        Fused,    ///< fuse-linear group or fusePlan()'s whole plan
+        Fused,    ///< fuse-linear group or a fused plan's one unit
         Prefetch, ///< prefetch window (transfers hide under compute)
     };
 
@@ -69,8 +70,8 @@ struct ExecUnit
      *  by value so a shrunken cluster can recompile the unit without
      *  the original workload/graph in hand. */
     std::vector<Step> steps;
-    /** Compiled program; null in skeleton plans (resolve on demand
-     *  through compileUnit). */
+    /** Compiled program for the plan's cluster (the ProgramCache
+     *  entry under the unit's unitCacheKey). */
     std::shared_ptr<const CompiledStep> compiled;
 };
 
@@ -123,25 +124,14 @@ struct ExecPlan
 };
 
 /**
- * Compile `graph` for `spec`'s machine at `level` into a skeleton
- * plan (unit boundaries and member steps; no Program resolved).  The
+ * Partition `graph` for `spec`'s machine at `level` into units (unit
+ * boundaries and member steps; InferenceRunner compiles them).  The
  * graph must be validate()-clean (callers report the SpecError; a
  * cyclic graph fatals in partitionNetwork).
  */
 ExecPlan compilePlan(const PrototypeSpec& spec, const OpCostModel& cost,
                      const NetworkModel& net, const NetworkGraph& graph,
                      OptLevel level = OptLevel::Safe);
-
-/**
- * Section IV-D fused preloading ("multiple tasks can be loaded into
- * each FPGA's task queue at once"): merge every unit of `plan` into
- * one ExecUnit::Kind::Fused skeleton unit, so each card's queue holds
- * the whole inference and a card may start the next layer while its
- * peers drain the current one.  The fused unit executes — and
- * re-dispatches onto survivors after a card death — like any other
- * unit.
- */
-ExecPlan fusePlan(const ExecPlan& plan);
 
 } // namespace hydra
 

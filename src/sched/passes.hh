@@ -21,7 +21,7 @@
  *    waiting ones — a stable partition, which provably cannot
  *    introduce deadlock).
  *
- * The default compile path (InferenceRunner / ServeSim / ProgramCache)
+ * The default compile path (InferenceRunner / Federation / ProgramCache)
  * runs Safe, keeping every golden makespan and determinism hash
  * bit-identical; Aggressive is opt-in for exploration.
  */

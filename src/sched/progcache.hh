@@ -11,12 +11,12 @@
  * *execution* time, so a cached Program stays valid under any
  * FaultPlan.  Every ExecPlan unit (sched/execplan.hh) therefore
  * compiles through one cached compiler, compileUnit(), keyed by one
- * rule, unitCacheKey(): plan materialization (InferenceRunner::planFor),
- * the execution driver's on-demand resolution of skeleton units
- * (runJob, degraded re-dispatch) and ServeSim all share one
- * process-wide cache, in the counter style of BufferPool: deep serving
- * runs and repeated identical layers (ResNet blocks, transformer
- * layers) hit after the first compile.
+ * rule, unitCacheKey(): plan compilation (InferenceRunner's planFor,
+ * planForJob and fusePlan), the execution driver's degraded
+ * re-dispatch and the serving engine all share one process-wide cache,
+ * in the counter style of BufferPool: repeated plans and repeated
+ * identical layers (ResNet blocks, transformer layers) hit after the
+ * first compile.
  *
  * Keys are explicit human-readable strings covering every mapping
  * input (no hash collisions by construction); step *names* and step
@@ -172,8 +172,8 @@ class ProgramCache
 
 /**
  * compileSteps() through ProgramCache::global() under unitCacheKey():
- * the one cached unit compiler (plan materialization and the
- * execution driver's degraded / shape-mismatch path).
+ * the one cached unit compiler (plan compilation and the execution
+ * driver's degraded re-dispatch).
  */
 std::shared_ptr<const CompiledStep>
 compileUnit(const PrototypeSpec& spec, const ClusterConfig& exec_cluster,

@@ -4,6 +4,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "common/logging.hh"
 #include "sched/execplan.hh"
 
 namespace hydra {
@@ -102,21 +103,17 @@ InferenceRunner::InferenceRunner(PrototypeSpec spec, size_t ring_n)
 {
 }
 
-namespace {
-
-/** planFor's materialization: resolve every unit's Program through the
- *  shared ProgramCache for the plan's own cluster. */
 std::shared_ptr<const ExecPlan>
-materialize(ExecPlan plan, const PrototypeSpec& spec,
-            const OpCostModel& cost, const NetworkModel& net)
+InferenceRunner::materialize(ExecPlan plan) const
 {
+    PrototypeSpec sub = spec_;
+    sub.cluster = plan.cluster;
+    std::unique_ptr<NetworkModel> net = sub.makeNetwork();
     for (ExecUnit& u : plan.units)
-        u.compiled = compileUnit(spec, plan.cluster, plan.cluster, cost,
-                                 net, plan.logSlots, u.steps, plan.level);
+        u.compiled = compileUnit(sub, plan.cluster, plan.cluster, cost_,
+                                 *net, plan.logSlots, u.steps, plan.level);
     return std::make_shared<ExecPlan>(std::move(plan));
 }
-
-} // namespace
 
 std::shared_ptr<const ExecPlan>
 InferenceRunner::planFor(const WorkloadModel& workload,
@@ -124,8 +121,7 @@ InferenceRunner::planFor(const WorkloadModel& workload,
 {
     return materialize(compilePlan(spec_, cost_, *net_,
                                    NetworkGraph::fromModel(workload),
-                                   level),
-                       spec_, cost_, *net_);
+                                   level));
 }
 
 std::shared_ptr<const ExecPlan>
@@ -133,8 +129,7 @@ InferenceRunner::planFor(const NetworkGraph& graph, OptLevel level) const
 {
     SpecError err;
     if (graph.validate(err))
-        return materialize(compilePlan(spec_, cost_, *net_, graph, level),
-                           spec_, cost_, *net_);
+        return materialize(compilePlan(spec_, cost_, *net_, graph, level));
     auto plan = std::make_shared<ExecPlan>();
     plan->machine = spec_.name;
     plan->workload = graph.name;
@@ -151,8 +146,28 @@ InferenceRunner::planForJob(const WorkloadModel& workload,
 {
     PrototypeSpec sub = groupSubSpec(spec_, group);
     std::unique_ptr<NetworkModel> net = sub.makeNetwork();
-    return std::make_shared<ExecPlan>(compilePlan(
+    return materialize(compilePlan(
         sub, cost_, *net, NetworkGraph::fromModel(workload), level));
+}
+
+std::shared_ptr<const ExecPlan>
+InferenceRunner::fusePlan(const ExecPlan& plan) const
+{
+    ExecPlan fused = plan;
+    fused.units.clear();
+    if (!plan.units.empty()) {
+        ExecUnit u;
+        u.kind = ExecUnit::Kind::Fused;
+        u.lead = plan.units.front().lead;
+        for (const ExecUnit& pu : plan.units)
+            u.steps.insert(u.steps.end(), pu.steps.begin(),
+                           pu.steps.end());
+        u.name = u.steps.size() == 1
+                     ? u.steps.front().name
+                     : u.steps.front().name + ".." + u.steps.back().name;
+        fused.units.push_back(std::move(u));
+    }
+    return materialize(std::move(fused));
 }
 
 InferenceResult
@@ -225,6 +240,15 @@ InferenceRunner::execFaulted(const PrototypeSpec& sub,
         result.error = plan.error;
         return result;
     }
+    if (plan.cluster != sub.cluster) {
+        result.error.kind = RunError::Kind::InvalidProgram;
+        result.error.message = strf(
+            "runJob: plan compiled for %zu server(s) x %zu card(s), "
+            "group is %zu x %zu",
+            plan.cluster.servers, plan.cluster.cardsPerServer,
+            sub.cluster.servers, sub.cluster.cardsPerServer);
+        return result;
+    }
 
     // alive[i] = original machine index of the card locally mapped
     // as i.
@@ -235,12 +259,8 @@ InferenceRunner::execFaulted(const PrototypeSpec& sub,
     auto executor = std::make_unique<ClusterExecutor>(cluster, net);
     executor->setRetryPolicy(retry);
     executor->setPrevalidate(false);
-    // Materialized programs are only valid while the executing cluster
-    // matches the plan's shape; after a death (or a shape mismatch)
-    // every attempt resolves through the ProgramCache.
-    bool planShape =
-        sub.cluster.servers == plan.cluster.servers &&
-        sub.cluster.cardsPerServer == plan.cluster.cardsPerServer;
+    // The plan's programs fit the group until a card dies; from then
+    // on every attempt compiles for the survivors.
     bool degraded = false;
 
     size_t end = plan.units.size();
@@ -277,10 +297,10 @@ InferenceRunner::execFaulted(const PrototypeSpec& sub,
             // executor's fault plan differs between attempts, so the
             // cache stays valid across retries and re-dispatches.
             auto compiled =
-                (!degraded && planShape && u.compiled)
-                    ? u.compiled
-                    : compileUnit(sub, cluster, sub.cluster, cost_, net,
-                                  plan.logSlots, u.steps, plan.level);
+                degraded ? compileUnit(sub, cluster, sub.cluster, cost_,
+                                       net, plan.logSlots, u.steps,
+                                       plan.level)
+                         : u.compiled;
             auto first = faults.empty() ? firstRuns.find(compiled)
                                         : firstRuns.end();
             if (first != firstRuns.end()) {

@@ -129,21 +129,23 @@ struct InferenceResult
 };
 
 /**
- * Runs workloads on one machine: two compile calls and two execute
+ * Runs workloads on one machine: three compile calls and two execute
  * calls over one ExecPlan (sched/execplan.hh).
  *
- * Compile: planFor() builds a materialized machine-scoped plan from a
- * workload or a NetworkGraph; planForJob() builds a skeleton plan for
- * one card group's sub-machine.  Section IV-D fused preloading is a
- * plan transform (fusePlan(), sched/execplan.hh), not a run mode.
+ * Compile: planFor() builds a machine-scoped plan from a workload or a
+ * NetworkGraph, planForJob() one for a card group's sub-machine, and
+ * fusePlan() merges a plan into Section IV-D's one preloaded unit.
+ * Every plan they return is compiled: each unit's Program is resolved
+ * through compileUnit() for the plan's cluster before the call
+ * returns.
  *
  * Execute: runJob() is the one driver — a window of plan units on a
  * card group, starting at an absolute tick, under a fault plan with
  * degraded re-dispatch; runPlan() forwards to it with the whole
- * machine and start tick 0.  One clock convention: the executor's
- * origin is the run's start tick plus the time elapsed, and
- * FaultPlan::cardFailAt ticks (and RunError::tick) are on that same
- * absolute clock.
+ * machine and start tick 0.  A plan runs only on a group of its own
+ * shape.  One clock convention: the executor's origin is the run's
+ * start tick plus the time elapsed, and FaultPlan::cardFailAt ticks
+ * (and RunError::tick) are on that same absolute clock.
  */
 class InferenceRunner
 {
@@ -157,9 +159,7 @@ class InferenceRunner
 
     /**
      * Compile `workload` (lifted to its chain graph by
-     * NetworkGraph::fromModel) into a materialized machine-scoped
-     * ExecPlan: every unit's Program resolved through compileUnit()
-     * at build time.
+     * NetworkGraph::fromModel) into a machine-scoped ExecPlan.
      */
     std::shared_ptr<const ExecPlan>
     planFor(const WorkloadModel& workload,
@@ -167,7 +167,7 @@ class InferenceRunner
 
     /**
      * Compile `graph` through the network compiler (DESIGN.md §15)
-     * into a materialized machine-scoped ExecPlan; plan.report holds
+     * into a machine-scoped ExecPlan; plan.report holds
      * the cross-step pass statistics.  At OptLevel::Safe the plan is
      * tick-identical to planFor() on a WorkloadModel holding the
      * graph's steps in topoOrder(); Aggressive enables
@@ -181,16 +181,26 @@ class InferenceRunner
             OptLevel level = OptLevel::Safe) const;
 
     /**
-     * Compile `workload` into a skeleton ExecPlan for `group`'s
-     * sub-machine (unit boundaries and member steps only; programs
-     * resolve through compileUnit() on demand at execution, so
-     * repeated jobs over one shared plan hit the ProgramCache per
-     * executed unit — the serving layer's reuse).  The Aggressive partition is shape-invariant:
-     * every group's plan has the same unit count.
+     * Compile `workload` into an ExecPlan for `group`'s sub-machine
+     * (groupSubSpec()).  Plans are start-invariant and shared: repeated jobs on groups of
+     * one shape reuse one plan (the serving layer's reuse).  The
+     * Aggressive partition is shape-invariant: every group's plan has
+     * the same unit count.
      */
     std::shared_ptr<const ExecPlan>
     planForJob(const WorkloadModel& workload, const CardGroup& group,
                OptLevel level = OptLevel::Safe) const;
+
+    /**
+     * Section IV-D fused preloading ("multiple tasks can be loaded
+     * into each FPGA's task queue at once"): merge every unit of
+     * `plan` into one ExecUnit::Kind::Fused unit, compiled for
+     * plan.cluster, so each card's queue holds the whole inference
+     * and a card may start the next layer while its peers drain the
+     * current one.  The fused unit executes — and re-dispatches onto
+     * survivors after a card death — like any other unit.
+     */
+    std::shared_ptr<const ExecPlan> fusePlan(const ExecPlan& plan) const;
 
     /**
      * Execute units [first_unit, first_unit + num_units) of `plan` on
@@ -205,9 +215,11 @@ class InferenceRunner
      * The execution driver: run units [first_unit, first_unit +
      * num_units) of `plan` confined to `group`'s cards, starting at
      * absolute virtual time `start_tick` on a shared clock (the
-     * executor's time origin).  `plan` should come from planForJob()
-     * with the same group shape (a plan whose cluster shape differs
-     * from the group's sub-machine recompiles per unit via the cache).
+     * executor's time origin).  `plan` must be compiled for the
+     * group's shape, i.e. plan.cluster == groupSubSpec(spec(),
+     * group).cluster (planForJob() with the group, or any group of
+     * that shape); another shape, like an empty group, returns an
+     * InvalidProgram error.
      *
      * Fault-plan card indices are machine-global (entries for cards
      * outside the group are ignored) and cardFailAt ticks are absolute
@@ -234,12 +246,17 @@ class InferenceRunner
     const PrototypeSpec& spec() const { return spec_; }
 
   private:
+    /** Resolve every unit of `plan` through compileUnit() for
+     *  plan.cluster (the machine, or a card group's sub-machine). */
+    std::shared_ptr<const ExecPlan> materialize(ExecPlan plan) const;
+
     /**
      * The shared body of runPlan() and runJob(): run the plan window
      * on the cards in `cards` (original machine indices) under `sub`'s
-     * topology, re-dispatching onto survivors after permanent card
-     * failures.  Under an empty fault plan, a unit whose compiled
-     * program already ran in this call replays that run's stats
+     * topology.  Units run their compiled programs; after a permanent
+     * card failure the rest of the window compiles for the survivors.
+     * Under an empty fault plan, a unit whose compiled program already
+     * ran in this call replays that run's stats
      * (InferenceResult::replayedUnits).
      */
     InferenceResult

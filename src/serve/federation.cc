@@ -28,7 +28,7 @@ constexpr size_t kNoShard = ~size_t{0};
  * entries stripped (the routing tier interprets those), and the seed
  * decorrelated per cluster so identical clusters don't fail in
  * lockstep.  Cluster 0 keeps the plan's own seed, so a single-cluster
- * federation is tick-identical to the pre-federation ServeSim.
+ * federation is tick-identical to the pre-federation serving engine.
  */
 FaultPlan
 clusterLocalPlan(const FaultPlan& f, size_t c, size_t cards_per)
@@ -156,10 +156,9 @@ struct Engine
     JobCache jobCache;
 
     // Unified ExecPlan dispatch: every tenant's jobs execute a
-    // compiled plan at the tenant's `opt=` level.  Plans are skeletons
-    // shared per (workload, level, group shape) — their Programs
-    // resolve through the process-wide ProgramCache per executed unit,
-    // so identical jobs keep the serving layer's compile reuse.
+    // compiled plan at the tenant's `opt=` level.  Plans compile once
+    // per (workload, level, group shape) and every job on a group of
+    // that shape runs them.
     std::vector<OptLevel> tenantOpt;
     std::map<std::tuple<size_t, uint8_t, size_t, size_t>,
              std::shared_ptr<const ExecPlan>>
@@ -218,8 +217,8 @@ struct Engine
 
     /** The shared ExecPlan `wl` executes at `lv` on a group shaped
      *  like `g`.  Shape-keyed: every group with the same sub-machine
-     *  topology shares one skeleton plan (plan content only depends
-     *  on the shape, never on which cards compose the group). */
+     *  topology shares one plan (plan content only depends on the
+     *  shape, never on which cards compose the group). */
     const ExecPlan&
     planOf(size_t wl, OptLevel lv, const CardGroup& g)
     {

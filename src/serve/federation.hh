@@ -93,7 +93,6 @@ class Federation
     ServeStats run();
 
     const PrototypeSpec& spec() const { return spec_; }
-    const ServeSpec& serveSpec() const { return serve_; }
 
   private:
     PrototypeSpec spec_;

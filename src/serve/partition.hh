@@ -34,7 +34,7 @@ struct ServeGroup
     size_t minCards = 1;
     bool retired = false;
 
-    // Serving state, maintained by ServeSim.
+    // Serving state, maintained by the serving engine (Federation).
     bool busy = false;
     Tick busyTicks = 0;
     uint64_t completed = 0;

@@ -2,18 +2,6 @@
 
 namespace hydra {
 
-const char*
-rejectReasonName(RejectReason r)
-{
-    switch (r) {
-    case RejectReason::QueueFull:
-        return "queue-full";
-    case RejectReason::NoCapacity:
-        return "no-capacity";
-    }
-    return "?";
-}
-
 bool
 AdmissionQueue::offer(const Request& r)
 {

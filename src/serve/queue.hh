@@ -37,8 +37,6 @@ enum class RejectReason : uint8_t
     NoCapacity,
 };
 
-const char* rejectReasonName(RejectReason r);
-
 /** Bounded FIFO with priority tiers and tenant-fair dequeue. */
 class AdmissionQueue
 {

@@ -17,7 +17,7 @@
  * t0, so FaultPlan::cardFailAt ticks are absolute serve-clock times
  * and a kill lands in whatever job (or idle period) covers it.  On a
  * cluster with any local fault injection every job executes for real
- * (reuse comes from the shared ProgramCache inside runJob), so
+ * (reuse comes from the compiled plans shared per group shape), so
  * absolute-tick faults land in any job; fault-free clusters replay
  * memoized job windows from the JobCache (serve/jobcache.hh).
  *
@@ -30,7 +30,7 @@
  * with no groups left sheds its queued and future requests with a
  * structured no-capacity reason.
  *
- * Federation: ServeSim is a thin wrapper over the Federation engine
+ * Federation: the engine is the Federation class
  * (serve/federation.hh).  ServeSpec::clusters > 1 replicates the
  * machine behind a health-gated routing tier with cluster-granularity
  * faults, failover, and checkpointed job recovery; clusters = 1 keeps
@@ -40,44 +40,13 @@
 #ifndef HYDRA_SERVE_SIM_HH
 #define HYDRA_SERVE_SIM_HH
 
-#include "serve/partition.hh"
-#include "serve/queue.hh"
-#include "serve/stats.hh"
-#include "sync/fault.hh"
+#include "serve/federation.hh"
 
 namespace hydra {
 
-/** Runs one serving experiment on one machine. */
-class ServeSim
-{
-  public:
-    /**
-     * @param spec machine description (copied)
-     * @param serve serving experiment (tenants, partition, queue)
-     * @param faults machine-global fault plan; cardFailAt ticks are
-     *        absolute serve-clock times
-     * @param retry DTU retry policy forwarded to every job
-     */
-    ServeSim(PrototypeSpec spec, ServeSpec serve, FaultPlan faults = {},
-             RetryPolicy retry = {});
-
-    /**
-     * Run to completion: arrivals stop at the spec horizon, admitted
-     * work drains.  Deterministic: same spec + seed + faults give a
-     * bit-identical ServeStats (same hash()), independent of
-     * HYDRA_THREADS.
-     */
-    ServeStats run();
-
-    const PrototypeSpec& spec() const { return spec_; }
-    const ServeSpec& serveSpec() const { return serve_; }
-
-  private:
-    PrototypeSpec spec_;
-    ServeSpec serve_;
-    FaultPlan faults_;
-    RetryPolicy retry_;
-};
+/** The serving engine under the pipeline's name (hydrabench/ spells
+ *  it so): one machine is a one-cluster Federation. */
+using ServeSim = Federation;
 
 } // namespace hydra
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/logging.hh"
 
@@ -48,15 +49,6 @@ splitOn(const std::string& s, char sep)
     return out;
 }
 
-TenantSpec*
-findTenant(std::vector<TenantSpec>& tenants, const std::string& name)
-{
-    for (auto& t : tenants)
-        if (t.name == name)
-            return &t;
-    return nullptr;
-}
-
 } // namespace
 
 bool
@@ -69,6 +61,18 @@ ServeSpec::tryParse(const std::string& spec, ServeSpec& out,
     // every tenant without an explicit level (including trace-implied
     // ones).  Index-parallel with parsed.tenants.
     std::vector<char> explicitOpt;
+    // Tenant name -> index in parsed.tenants: a spec may declare 10^4
+    // tenants, and a scan per declaration would be quadratic.
+    std::unordered_map<std::string, size_t> tenantIndex;
+    auto findTenant = [&](const std::string& name) -> TenantSpec* {
+        auto it = tenantIndex.find(name);
+        return it == tenantIndex.end() ? nullptr
+                                       : &parsed.tenants[it->second];
+    };
+    auto addTenant = [&](TenantSpec t) {
+        tenantIndex.emplace(t.name, parsed.tenants.size());
+        parsed.tenants.push_back(std::move(t));
+    };
     bool optDefaultSet = false;
     OptLevel optDefault = OptLevel::Safe;
     std::string item;
@@ -178,9 +182,9 @@ ServeSpec::tryParse(const std::string& spec, ServeSpec& out,
                             f[base + 1]);
             }
             if (key == "tenant") {
-                if (findTenant(parsed.tenants, t.name))
+                if (findTenant(t.name))
                     return fail("duplicate tenant", t.name);
-                parsed.tenants.push_back(std::move(t));
+                addTenant(std::move(t));
                 explicitOpt.push_back(0);
             } else {
                 // Bulk expansion: COUNT clones named PREFIX#i, all
@@ -188,9 +192,9 @@ ServeSpec::tryParse(const std::string& spec, ServeSpec& out,
                 for (size_t i = 0; i < count; ++i) {
                     TenantSpec ti = t;
                     ti.name = strf("%s#%zu", t.name.c_str(), i);
-                    if (findTenant(parsed.tenants, ti.name))
+                    if (findTenant(ti.name))
                         return fail("duplicate tenant", ti.name);
-                    parsed.tenants.push_back(std::move(ti));
+                    addTenant(std::move(ti));
                     explicitOpt.push_back(0);
                 }
             }
@@ -210,7 +214,7 @@ ServeSpec::tryParse(const std::string& spec, ServeSpec& out,
                         t.priority = static_cast<int>(p);
                         ++matched;
                     }
-            } else if (TenantSpec* t = findTenant(parsed.tenants, f[0])) {
+            } else if (TenantSpec* t = findTenant(f[0])) {
                 t->priority = static_cast<int>(p);
                 ++matched;
             }
@@ -326,13 +330,13 @@ ServeSpec::tryParse(const std::string& spec, ServeSpec& out,
     // Trace entries for undeclared tenants implicitly declare a
     // trace-only tenant (replay convenience).
     for (const auto& e : parsed.trace) {
-        if (!findTenant(parsed.tenants, e.tenant)) {
+        if (!findTenant(e.tenant)) {
             TenantSpec t;
             t.name = e.tenant;
             t.mode = ArrivalMode::Trace;
             t.workload = e.workload;
             t.opt = optDefault;
-            parsed.tenants.push_back(std::move(t));
+            addTenant(std::move(t));
         }
     }
     out = std::move(parsed);

@@ -124,7 +124,6 @@ class ClusterExecutor
 
     /** Install the fault plan for subsequent runs (empty = off). */
     void setFaultPlan(FaultPlan plan) { faults_ = std::move(plan); }
-    const FaultPlan& faultPlan() const { return faults_; }
 
     /** DTU retry/timeout/backoff policy for failed transfers. */
     void setRetryPolicy(const RetryPolicy& p) { retry_ = p; }

@@ -1,9 +1,9 @@
 /**
  * @file
  * Fused-queue scheduling tests (paper Section IV-D: multiple tasks
- * preloaded per card).  Fusion is a plan transform: fusePlan() merges
- * every unit of a plan into one skeleton unit that the ordinary
- * execution driver runs.
+ * preloaded per card).  Fusion is a plan transform:
+ * InferenceRunner::fusePlan() merges every unit of a plan into one
+ * compiled unit that the ordinary execution driver runs.
  */
 
 #include <gtest/gtest.h>
@@ -17,20 +17,13 @@
 namespace hydra {
 namespace {
 
-/** The fused plan of `wl` at `level` on `runner`'s machine. */
-ExecPlan
-fusedPlan(const InferenceRunner& runner, const WorkloadModel& wl,
-          OptLevel level = OptLevel::Safe)
-{
-    return fusePlan(*runner.planFor(wl, level));
-}
-
 /** The fused unit's own RunStats (one program, no per-step barrier). */
 RunStats
 fusedUnitStats(const InferenceRunner& runner, const WorkloadModel& wl,
              OptLevel level = OptLevel::Safe)
 {
-    InferenceResult res = runner.runPlan(fusedPlan(runner, wl, level));
+    InferenceResult res =
+        runner.runPlan(*runner.fusePlan(*runner.planFor(wl, level)));
     EXPECT_TRUE(res.ok()) << res.error.message;
     EXPECT_EQ(res.steps.size(), 1u);
     return res.steps.empty() ? RunStats{} : res.steps.front().stats;
@@ -115,20 +108,23 @@ TEST(Fused, EveryMachineWorkloadPairKeepsItsFusedTicks)
     }
 }
 
-TEST(Fused, FusePlanMergesEveryStepIntoOneSkeletonUnit)
+TEST(Fused, FusePlanMergesEveryStepIntoOneCompiledUnit)
 {
     InferenceRunner runner(hydraMSpec());
     WorkloadModel wl = makeResNet20Cifar();
     std::shared_ptr<const ExecPlan> plan = runner.planFor(wl);
-    ExecPlan fused = fusePlan(*plan);
-    ASSERT_EQ(fused.size(), 1u);
-    const ExecUnit& u = fused.units.front();
+    std::shared_ptr<const ExecPlan> fused = runner.fusePlan(*plan);
+    ASSERT_EQ(fused->size(), 1u);
+    const ExecUnit& u = fused->units.front();
     EXPECT_EQ(u.kind, ExecUnit::Kind::Fused);
-    EXPECT_EQ(u.compiled, nullptr); // skeleton: resolves at execution
+    ASSERT_NE(u.compiled, nullptr); // compiled when fused
+    EXPECT_EQ(u.compiled->program.cards.size(),
+              plan->cluster.totalCards());
     EXPECT_EQ(u.steps.size(), wl.steps.size());
     EXPECT_EQ(u.name,
               wl.steps.front().name + ".." + wl.steps.back().name);
-    EXPECT_EQ(fused.workload, plan->workload);
+    EXPECT_EQ(fused->workload, plan->workload);
+    EXPECT_EQ(fused->cluster, plan->cluster);
 }
 
 TEST(Fused, NeverSlowerThanStepwise)

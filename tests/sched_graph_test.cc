@@ -19,7 +19,7 @@
 #include "sched/execplan.hh"
 #include "sched/graph/netcompile.hh"
 #include "sched/progcache.hh"
-#include "serve/sim.hh"
+#include "serve/federation.hh"
 
 namespace hydra {
 namespace {
@@ -412,11 +412,11 @@ TEST(NetCompile, DeclarativeModelServesAsTenant)
     // Serving tenants resolve through the workload registry, so mlp3
     // is a workload class like any paper model; the hash pins the
     // whole run.
-    ServeSim sim(machineByName("hydra-m"),
-                 ServeSpec::parse(
-                     "seed=3,duration=120,tenant=enc:open:mlp3:0.05"),
-                 FaultPlan::parse(""));
-    ServeStats st = sim.run();
+    Federation fed(machineByName("hydra-m"),
+                   ServeSpec::parse(
+                       "seed=3,duration=120,tenant=enc:open:mlp3:0.05"),
+                   FaultPlan::parse(""));
+    ServeStats st = fed.run();
     EXPECT_EQ(st.completed, 6u);
     EXPECT_EQ(st.offered, st.completed + st.shed);
     EXPECT_EQ(st.hash(), 0xf9085e37c98f796bull);
@@ -550,7 +550,7 @@ TEST(ExecPlanPath, AggressivePlanMatchesRunGraphAndFusesUnits)
     EXPECT_EQ(viaPlan.stepEnds.size(), plan->size());
 }
 
-TEST(ExecPlanPath, SkeletonJobPlanMatchesLegacyRunJob)
+TEST(ExecPlanPath, JobPlanMatchesLegacyRunJob)
 {
     PrototypeSpec spec = machineByName("hydra-m");
     InferenceRunner runner(spec);
@@ -559,11 +559,11 @@ TEST(ExecPlanPath, SkeletonJobPlanMatchesLegacyRunJob)
         CardGroup::contiguous(0, spec.cluster.cardsPerServer);
     std::shared_ptr<const ExecPlan> plan = runner.planForJob(wl, group);
     for (const ExecUnit& u : plan->units)
-        EXPECT_EQ(u.compiled, nullptr); // skeleton: steps only
+        EXPECT_NE(u.compiled, nullptr); // compiled at plan time
 
     // The pre-ExecPlan step-list runJob's ticks and fingerprints,
-    // pinned; the skeleton plan is start-invariant, so its boundaries
-    // match the materialized whole-machine plan's.
+    // pinned; the job plan is start-invariant, so its boundaries match
+    // the whole-machine plan's.
     const Tick start = secondsToTicks(3.0);
     InferenceResult viaPlan = runner.runJob(*plan, group, start);
     ASSERT_TRUE(viaPlan.ok()) << viaPlan.error.message;
@@ -617,11 +617,28 @@ TEST(ExecPlanPath, AggressiveUnitCountIsShapeInvariant)
 TEST(ExecPlanPath, UnitsAreTheProgramCacheEntries)
 {
     // One compile pipeline: a workload plan is its chain graph's plan,
-    // unit for unit, and every materialized unit IS the ProgramCache
-    // entry under its unitCacheKey (no second key rule, no copy).
+    // unit for unit, and every unit of every plan the runner returns
+    // (planFor, planForJob, fusePlan) IS the ProgramCache entry under
+    // its unitCacheKey for the plan's cluster (no second key rule, no
+    // copy, no unit left to resolve at execution).
+    CardGroup ragged;
+    ragged.cards = {1, 4, 6};
     for (const char* machine : {"hydra-m", "fab-m"}) {
         PrototypeSpec spec = machineByName(machine);
         InferenceRunner runner(spec);
+        auto expectCacheEntries = [&](const ExecPlan& p,
+                                      const std::string& ctx) {
+            for (size_t i = 0; i < p.size(); ++i) {
+                const ExecUnit& u = p.units[i];
+                std::shared_ptr<const CompiledStep> entry =
+                    ProgramCache::global().lookup(unitCacheKey(
+                        spec, p.cluster, p.cluster,
+                        runner.costModel().n(), p.logSlots, u.steps,
+                        p.level));
+                ASSERT_NE(entry, nullptr) << ctx << " unit " << i;
+                EXPECT_EQ(u.compiled, entry) << ctx << " unit " << i;
+            }
+        };
         for (const std::string& name : workloadNames()) {
             WorkloadModel wl = workloadByName(name);
             for (OptLevel lv : {OptLevel::None, OptLevel::Safe,
@@ -642,15 +659,17 @@ TEST(ExecPlanPath, UnitsAreTheProgramCacheEntries)
                     for (size_t k = 0; k < u.steps.size(); ++k)
                         expectStepEq(u.steps[k], g.steps[k],
                                      ctx + " unit " + std::to_string(i));
-                    std::shared_ptr<const CompiledStep> entry =
-                        ProgramCache::global().lookup(unitCacheKey(
-                            spec, spec.cluster, spec.cluster,
-                            runner.costModel().n(), wl.logSlots,
-                            u.steps, lv));
-                    ASSERT_NE(entry, nullptr) << ctx << " unit " << i;
-                    EXPECT_EQ(u.compiled, entry) << ctx << " unit " << i;
-                    EXPECT_EQ(g.compiled, entry) << ctx << " unit " << i;
                 }
+                expectCacheEntries(*plan, ctx);
+                expectCacheEntries(*graphPlan, ctx + " (graph)");
+                std::shared_ptr<const ExecPlan> job =
+                    runner.planForJob(wl, ragged, lv);
+                ASSERT_NE(job->cluster, spec.cluster) << ctx;
+                expectCacheEntries(*job, ctx + " (job)");
+                expectCacheEntries(*runner.fusePlan(*plan),
+                                   ctx + " (fused)");
+                expectCacheEntries(*runner.fusePlan(*job),
+                                   ctx + " (fused job)");
             }
         }
     }

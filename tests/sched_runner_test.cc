@@ -192,20 +192,14 @@ TEST(RunnerFaults, RepeatedCardDeathsDedupAndTerminate)
  * no stats reused between units.
  */
 InferenceResult
-runUnitByUnit(const InferenceRunner& runner, const PrototypeSpec& sub,
-              const ExecPlan& plan, Tick start)
+runUnitByUnit(const PrototypeSpec& sub, const ExecPlan& plan, Tick start)
 {
     std::unique_ptr<NetworkModel> net = sub.makeNetwork();
     InferenceResult r;
     for (const ExecUnit& u : plan.units) {
-        auto compiled =
-            u.compiled ? u.compiled
-                       : compileUnit(sub, sub.cluster, sub.cluster,
-                                     runner.costModel(), *net,
-                                     plan.logSlots, u.steps, plan.level);
         ClusterExecutor ex(sub.cluster, *net);
         ex.setTimeOrigin(start + r.total.makespan);
-        RunResult rr = ex.tryRun(compiled->program);
+        RunResult rr = ex.tryRun(u.compiled->program);
         if (!rr.ok()) {
             r.error = rr.error;
             return r;
@@ -247,8 +241,7 @@ TEST(RunnerPlan, ReplayMatchesUnitByUnitExecution)
                                    optLevelName(level);
                 InferenceResult res = runner.runPlan(*plan);
                 expectSameRun(res,
-                              runUnitByUnit(runner, runner.spec(), *plan,
-                                            0),
+                              runUnitByUnit(runner.spec(), *plan, 0),
                               what);
                 replayed += res.replayedUnits;
             }
@@ -256,8 +249,8 @@ TEST(RunnerPlan, ReplayMatchesUnitByUnitExecution)
     }
     EXPECT_GT(replayed, 0u);
 
-    // A skeleton plan on a ragged group resolves every unit through the
-    // ProgramCache, and a nonzero start only shifts the origin.
+    // A job plan on a ragged group replays the same way, and a nonzero
+    // start only shifts the origin.
     InferenceRunner runner{hydraMSpec()};
     CardGroup group;
     group.cards = {1, 4, 6};
@@ -265,8 +258,7 @@ TEST(RunnerPlan, ReplayMatchesUnitByUnitExecution)
     const Tick start = secondsToTicks(10.0);
     InferenceResult res = runner.runJob(*job, group, start);
     expectSameRun(res,
-                  runUnitByUnit(runner,
-                                groupSubSpec(runner.spec(), group), *job,
+                  runUnitByUnit(groupSubSpec(runner.spec(), group), *job,
                                 start),
                   "hydra-m/resnet18 on cards {1, 4, 6}");
     EXPECT_GT(res.replayedUnits, 0u);
@@ -310,6 +302,27 @@ TEST(RunnerJobs, AlignedGroupMatchesWholeMachine)
                                        slice, secondsToTicks(3.0));
     ASSERT_TRUE(job.ok()) << job.error.message;
     EXPECT_EQ(job.total.makespan, whole.total.makespan);
+}
+
+TEST(RunnerJobs, ShapeMismatchIsAnInvalidProgram)
+{
+    // A plan runs only on a group of the shape it was compiled for: a
+    // whole-machine Hydra-L plan on one 8-card server is a structured
+    // error, like an empty group, not a silent recompile.
+    InferenceRunner runner{hydraLSpec()};
+    std::shared_ptr<const ExecPlan> plan = runner.planFor(makeResNet18());
+    CardGroup server = CardGroup::contiguous(0, 8);
+    ASSERT_NE(groupSubSpec(runner.spec(), server).cluster, plan->cluster);
+    InferenceResult res = runner.runJob(*plan, server, 0);
+    EXPECT_FALSE(res.ok());
+    EXPECT_EQ(res.error.kind, RunError::Kind::InvalidProgram);
+    EXPECT_TRUE(res.steps.empty());
+    EXPECT_EQ(res.total.makespan, 0u);
+
+    // The same group runs its own job plan.
+    EXPECT_TRUE(
+        runner.runJob(*runner.planForJob(makeResNet18(), server), server, 0)
+            .ok());
 }
 
 TEST(RunnerJobs, ResumeComposesWithFullRun)

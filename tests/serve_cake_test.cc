@@ -16,7 +16,6 @@
 #include "serve/federation.hh"
 #include "serve/jobcache.hh"
 #include "serve/queue.hh"
-#include "serve/sim.hh"
 
 namespace hydra {
 namespace {

@@ -8,7 +8,7 @@
 
 #include "baselines/prototypes.hh"
 #include "sched/progcache.hh"
-#include "serve/sim.hh"
+#include "serve/federation.hh"
 
 namespace hydra {
 namespace {
@@ -17,9 +17,9 @@ ServeStats
 runServe(const std::string& machine, const std::string& spec,
          const std::string& faults = "")
 {
-    ServeSim sim(machineByName(machine), ServeSpec::parse(spec),
-                 FaultPlan::parse(faults));
-    return sim.run();
+    Federation fed(machineByName(machine), ServeSpec::parse(spec),
+                   FaultPlan::parse(faults));
+    return fed.run();
 }
 
 /** Every offered request must end up completed or shed. */

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <numeric>
+
 #include "baselines/prototypes.hh"
 #include "sched/execplan.hh"
 #include "sync/executor.hh"
@@ -528,11 +531,12 @@ TEST(Degraded, FusedRunRedispatchesOntoSurvivors)
     // the whole preloaded unit onto the survivors instead of failing.
     InferenceRunner runner(hydraMSpec());
     WorkloadModel wl = toyWorkload();
-    ExecPlan fused = fusePlan(*runner.planFor(wl));
+    std::shared_ptr<const ExecPlan> fused =
+        runner.fusePlan(*runner.planFor(wl));
     FaultPlan plan;
     plan.cardFailAt[2] = 1; // immediately after launch
     InferenceResult res = runner.runJob(
-        fused, CardGroup::contiguous(0, runner.spec().cluster.totalCards()),
+        *fused, CardGroup::contiguous(0, runner.spec().cluster.totalCards()),
         0, plan);
     ASSERT_TRUE(res.ok()) << res.error.message;
     EXPECT_EQ(res.failedCards, std::vector<size_t>{2});
@@ -620,6 +624,108 @@ TEST(Degraded, TerminalErrorTickReadsTheRunClock)
     EXPECT_EQ(res.error.tick, secondsToTicks(0.5));
     EXPECT_EQ(res.total.makespan, secondsToTicks(0.5));
     EXPECT_GT(res.steps.size(), 0u); // died mid-run, not in unit 0
+}
+
+/**
+ * FNV-1a over recorded timelines in event order: the order in which
+ * the executor's completions emit occupancy intervals.  Two runs that
+ * visit same-tick events in a different order move it even where
+ * every interval, and so every fingerprint, stays the same.
+ */
+struct TimelineDigest
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    size_t events = 0;
+
+    void
+    u64(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    void
+    add(const RunStats& s)
+    {
+        for (const TaskEvent& e : s.timeline) {
+            ++events;
+            u64(e.card);
+            u64(e.start);
+            u64(e.end);
+            u64(static_cast<uint64_t>(e.kind));
+            u64(e.label);
+        }
+    }
+};
+
+TEST(Degraded, FabLTimelinePinsEventOrder)
+{
+    // The fab-l row of kDegradedGoldens (64 host-mediated cards,
+    // dropped and corrupted transfers, a card death and the survivors'
+    // re-dispatch), run through the runner's own unit loop with the
+    // timeline recorded.  Host-mediated programs finish many transfers
+    // and computes on one tick, so a wake-up that reaches a card later
+    // in the tick reorders the timeline before it moves any tick.
+    const DegradedGolden& g =
+        kDegradedGoldens[std::size(kDegradedGoldens) - 1];
+    ASSERT_STREQ(g.machine, "fab-l");
+    InferenceRunner runner(machineByName(g.machine));
+    const PrototypeSpec& spec = runner.spec();
+    const NetworkModel& net = runner.network();
+    std::shared_ptr<const ExecPlan> plan =
+        runner.planFor(workloadByName(g.workload));
+    FaultPlan faults = FaultPlan::parse(g.faults);
+    ASSERT_TRUE(faults.stragglers.empty());
+
+    // alive[i] = machine index of the card run as local card i.
+    std::vector<size_t> alive(spec.cluster.totalCards());
+    std::iota(alive.begin(), alive.end(), size_t{0});
+    ClusterConfig cluster = spec.cluster;
+    bool degraded = false;
+    RunStats total;
+    TimelineDigest d;
+    for (const ExecUnit& u : plan->units) {
+        for (;;) {
+            FaultPlan local = faults;
+            local.cardFailAt.clear();
+            for (size_t i = 0; i < alive.size(); ++i) {
+                auto k = faults.cardFailAt.find(alive[i]);
+                if (k != faults.cardFailAt.end())
+                    local.cardFailAt[i] = k->second;
+            }
+            ClusterExecutor ex(cluster, net);
+            ex.setPrevalidate(false);
+            ex.setRecordTimeline(true);
+            ex.setTimeOrigin(total.makespan);
+            ex.setFaultPlan(local);
+            auto compiled =
+                degraded ? compileUnit(spec, cluster, spec.cluster,
+                                       runner.costModel(), net,
+                                       plan->logSlots, u.steps,
+                                       plan->level)
+                         : u.compiled;
+            RunResult rr = ex.tryRun(compiled->program);
+            d.add(rr.stats);
+            rr.stats.timeline.clear();
+            if (rr.ok()) {
+                total.append(rr.stats, net.stepSyncLatency());
+                break;
+            }
+            ASSERT_EQ(rr.error.kind, RunError::Kind::CardFailed);
+            total.append(rr.stats, 0);
+            alive.erase(alive.begin() + rr.error.card);
+            cluster = ClusterConfig{1, alive.size()};
+            degraded = true;
+        }
+    }
+    // The loop is the runner's: the pinned row's ticks.
+    ASSERT_TRUE(degraded);
+    EXPECT_EQ(total.makespan, g.makespan);
+    EXPECT_EQ(total.fingerprint(), g.fingerprint);
+    EXPECT_EQ(d.events, 13307u);
+    EXPECT_EQ(d.h, 0x1fdc7db037804044ull);
 }
 
 } // namespace

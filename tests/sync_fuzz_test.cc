@@ -509,6 +509,94 @@ TEST(FuzzGolden, DataDependentDigestPinsParent)
     EXPECT_EQ(d.h, 0xca4267dd1eb714efull);
 }
 
+/** FNV-1a over a run's recorded timeline in event order. */
+void
+addTimeline(EngineDigest& d, const RunResult& r)
+{
+    ++d.runs;
+    d.u64(r.stats.timeline.size());
+    for (const TaskEvent& e : r.stats.timeline) {
+        d.u64(e.card);
+        d.u64(e.start);
+        d.u64(e.end);
+        d.u64(static_cast<uint64_t>(e.kind));
+        d.u64(e.label);
+    }
+}
+
+/**
+ * Four host-mediated cards, one transfer whose first attempt fails.
+ * Card 1 posts its recv for card 3's message while its first compute
+ * runs, so its second compute waits out the DMA setup and then the
+ * transfer.  Card 0's compute ends mid-transfer, and its SweepAll
+ * leaves card 1 swept clean.  Card 2's compute ends on the tick the
+ * attempt fails: that completion's SweepAll must find card 1 freed
+ * and start its compute there, ahead of card 3's retry.
+ */
+Program
+failedTransferFreesReceiver()
+{
+    ProgramBuilder pb(4);
+    uint32_t l = pb.label("wake");
+    pb.addCompute(1, 10, OpCost{}, l);
+    uint64_t payload = pb.addCompute(3, 5, OpCost{}, l);
+    pb.sendTo(3, 1, 8, payload);
+    pb.addCompute(1, 50, OpCost{}, l);
+    pb.addCompute(0, 50, OpCost{}, l);
+    pb.addCompute(2, 120, OpCost{}, l);
+    return pb.take();
+}
+
+/**
+ * Third pin, on the recorded timelines alone in event order: the
+ * FuzzTest programs with CT_d waits on a host-mediated network, each
+ * with every first attempt dropped and under a random fault plan, and
+ * failedTransferFreesReceiver().  Compute and transfer intervals are
+ * emitted as their completions run, so a wake-up that reaches a card
+ * later in the same tick reorders the timeline even when it moves no
+ * tick and no fingerprint.
+ */
+TEST(FuzzGolden, TimelineEventOrderPinsParent)
+{
+    EngineDigest d;
+    RetryPolicy retry;
+    retry.maxAttempts = 3;
+    retry.backoffBase = 7;
+
+    for (size_t cards : {2, 3, 4, 8, 16}) {
+        for (uint64_t seed : {11, 22, 33, 44}) {
+            ClusterConfig cfg{1, cards};
+            FuzzNetwork net(3, 20, false);
+            ClusterExecutor ex(cfg, net);
+            ex.setRecordTimeline(true);
+            ex.setRetryPolicy(retry);
+            Tick total = 0;
+            FaultPlan once;
+            once.dropFirstAttempts = 1;
+            ex.setFaultPlan(once);
+            addTimeline(d, ex.tryRun(
+                randomProgram(cards, seed, 40, 30, total, true)));
+            ex.setFaultPlan(randomFaultPlan(seed * 100 + cards, cards));
+            addTimeline(d, ex.tryRun(
+                randomProgram(cards, seed, 40, 30, total, true)));
+        }
+    }
+    ClusterConfig cfg{1, 4};
+    FuzzNetwork net(0, 20, false);
+    ClusterExecutor ex(cfg, net);
+    ex.setRecordTimeline(true);
+    ex.setRetryPolicy(retry);
+    FaultPlan once;
+    once.dropFirstAttempts = 1;
+    ex.setFaultPlan(once);
+    RunResult r = ex.tryRun(failedTransferFreesReceiver());
+    ASSERT_TRUE(r.ok()) << r.error.message;
+    addTimeline(d, r);
+
+    EXPECT_EQ(d.runs, 41u);
+    EXPECT_EQ(d.h, 0xcac9bfd9f19bcd43ull);
+}
+
 TEST(FuzzEdge, EmptyProgramFinishesInstantly)
 {
     ClusterConfig cfg{1, 4};
