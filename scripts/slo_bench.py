@@ -15,7 +15,10 @@ properties the scheduler exists to provide:
      charged == refunded + executed (mod 2^64);
   5. a cake rerun is bit-identical, and invariant under
      HYDRA_THREADS=1 vs 4 (virtual time never depends on host
-     parallelism).
+     parallelism);
+  6. the cake leg records starvation kicks, so the shape keeps
+     exercising the kick sweep under a deep queue (about 7k kicks at
+     --duration 2000).
 
 It then runs the DESIGN.md 16 compile-level A/B: the BERT-heavy cake
 mix (two under-provisioned bert groups under closed-loop pressure)
@@ -157,6 +160,9 @@ def main():
 
     check_ledger(cake, "cake")
     k = cake["cake"]
+    if k["kicks"] == 0:
+        raise SystemExit("cake recorded no starvation kicks: the shape "
+                         "no longer exercises the kick sweep")
 
     rerun = run_once(args.binary, args.machine, "sched=cake," + base)
     if cake["hash"] != rerun["hash"]:

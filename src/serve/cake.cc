@@ -61,7 +61,8 @@ DeficitLedger::updateTier(size_t t)
 }
 
 CakeQueue::CakeQueue(size_t shards, size_t capacity)
-    : shards_(shards), capacity_(capacity)
+    : shards_(shards), unkickedBound_(shards, ~Tick{0}),
+      capacity_(capacity)
 {
 }
 
@@ -71,6 +72,8 @@ CakeQueue::push(size_t s, const Request& r)
     shards_[s].push_back(r);
     shards_[s].back().pushSeq = pushes_++;
     ++depth_;
+    if (!r.kicked)
+        unkickedBound_[s] = std::min(unkickedBound_[s], r.arrival);
 }
 
 Request
@@ -97,23 +100,6 @@ CakeQueue::deepestExcept(size_t exclude) const
     return victim;
 }
 
-Tick
-CakeQueue::kickStarved(Tick now, Tick kick,
-                       const std::function<void(const Request&)>& on_kick)
-{
-    Tick earliest = ~Tick{0};
-    for (auto& q : shards_)
-        for (auto& r : q) {
-            if (!r.kicked && now >= r.arrival &&
-                now - r.arrival >= kick) {
-                r.kicked = true;
-                on_kick(r);
-            }
-            earliest = std::min(earliest, r.arrival);
-        }
-    return earliest;
-}
-
 std::vector<Request>
 CakeQueue::drainAll()
 {
@@ -123,6 +109,7 @@ CakeQueue::drainAll()
         out.insert(out.end(), q.begin(), q.end());
         q.clear();
     }
+    unkickedBound_.assign(shards_.size(), ~Tick{0});
     depth_ = 0;
     return out;
 }
@@ -132,6 +119,7 @@ CakeQueue::drainShard(size_t s)
 {
     std::vector<Request> out = std::move(shards_[s]);
     shards_[s].clear();
+    unkickedBound_[s] = ~Tick{0};
     depth_ -= out.size();
     return out;
 }

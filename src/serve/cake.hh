@@ -40,7 +40,7 @@
 #ifndef HYDRA_SERVE_CAKE_HH
 #define HYDRA_SERVE_CAKE_HH
 
-#include <functional>
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -235,12 +235,37 @@ class CakeQueue
     /**
      * Starvation kick: set the kicked flag on every queued request
      * older than `kick` ticks, invoking `on_kick` once per newly
-     * kicked request.  Returns the earliest arrival still queued
-     * (~Tick{0} when empty) so callers can skip future sweeps until
-     * that request could be starved.
+     * kicked request, shard by shard in queue order.  Only shards
+     * whose unkicked-arrival bound is due are scanned: a shard whose
+     * earliest unkicked arrival is under `kick` ticks old holds
+     * nothing to kick, so skipping it changes no kick and no order.
+     * Returns the earliest arrival among the requests still unkicked
+     * (a lower bound; ~Tick{0} when every queued request is kicked).
      */
-    Tick kickStarved(Tick now, Tick kick,
-                     const std::function<void(const Request&)>& on_kick);
+    template <class OnKick>
+    Tick
+    kickStarved(Tick now, Tick kick, OnKick&& on_kick)
+    {
+        Tick earliest = ~Tick{0};
+        for (size_t s = 0; s < shards_.size(); ++s) {
+            Tick& bound = unkickedBound_[s];
+            if (bound <= now && now - bound >= kick) {
+                bound = ~Tick{0};
+                for (auto& r : shards_[s]) {
+                    if (r.kicked)
+                        continue;
+                    if (now >= r.arrival && now - r.arrival >= kick) {
+                        r.kicked = true;
+                        on_kick(r);
+                    } else {
+                        bound = std::min(bound, r.arrival);
+                    }
+                }
+            }
+            earliest = std::min(earliest, bound);
+        }
+        return earliest;
+    }
 
     /** Remove and return everything queued (stall flush). */
     std::vector<Request> drainAll();
@@ -265,6 +290,9 @@ class CakeQueue
     size_t deepestExcept(size_t exclude) const;
 
     std::vector<std::vector<Request>> shards_;
+    /** Per shard, a lower bound on the arrival of its unkicked
+     *  requests (~Tick{0}: none); exact after each scan. */
+    std::vector<Tick> unkickedBound_;
     size_t capacity_;
     size_t depth_ = 0;
     uint64_t pushes_ = 0;

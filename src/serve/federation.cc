@@ -169,9 +169,6 @@ struct Engine
     /** Ticks actually executed, weighted like the ledger's charges:
      *  chargedTicks == refundedTicks + executedTicks, mod 2^64. */
     uint64_t executedTicks = 0;
-    /** Lower bound on the earliest queued arrival: the starvation
-     *  sweep runs only once `now` passes bound + kick. */
-    Tick minArrivalBound = ~Tick{0};
 
     ServeStats stats;
     Tick lastActivity = 0;
@@ -306,7 +303,6 @@ struct Engine
     {
         noteDepth();
         queue->push(s, r);
-        minArrivalBound = std::min(minArrivalBound, r.arrival);
         stats.maxQueueDepth =
             std::max(stats.maxQueueDepth, queue->depth());
     }
@@ -347,21 +343,17 @@ struct Engine
 
     /** Starvation sweep: mark queued requests older than the kick cap
      *  so they outrank every tier and deficit at the next dispatch.
-     *  Gated on a lower arrival bound, so runs where work is served
-     *  within its budget never pay for the scan. */
+     *  The queue scans only shards holding an unkicked request that
+     *  could be starved, so runs where work is served within its
+     *  budget never pay for the scan. */
     void
     markKicks()
     {
-        Tick now = eq.now();
-        Tick kick = serve.kickTicks();
-        if (!queue->depth() || minArrivalBound > now ||
-            now - minArrivalBound < kick)
-            return;
-        minArrivalBound =
-            queue->kickStarved(now, kick, [this](const Request& r) {
-                ++stats.kicks;
-                ++tenant(r).kicks;
-            });
+        queue->kickStarved(eq.now(), serve.kickTicks(),
+                           [this](const Request& r) {
+                               ++stats.kicks;
+                               ++tenant(r).kicks;
+                           });
     }
 
     /** Any cluster that could (now or after healing) serve `wl`:

@@ -269,6 +269,30 @@ TEST(CakeScheduler, StarvationKickBoundsQueueWait)
     EXPECT_LE(st.maxWaitTicks, spec.kickTicks() + drain);
 }
 
+TEST(CakeScheduler, SloShapeHashPinsParent)
+{
+    // The hydrabench serve_cake shape at seed 1, where requests wait
+    // far past the kick cap and the starvation sweep fires on almost
+    // every dispatch: 25 x 400 closed resnet20 tenants plus 8 resnet18
+    // tenants on a 4-cluster federation.  The counts and hash were
+    // captured before the sweep gained per-shard bounds.
+    std::string spec = "sched=cake,seed=1,clusters=4,duration=2000,"
+                       "queue=2048,requests=3000000";
+    for (int i = 0; i < 25; ++i)
+        spec += ",tenants=400:sp" + std::to_string(i) +
+                ":closed:resnet20:1:" + std::to_string(940 + 17 * i);
+    spec += ",tenants=8:lp:closed:resnet18:1:40";
+    spec += ",group=resnet20:2,group=resnet20:2,group=resnet18:4";
+    ServeStats st = runServe(spec);
+    expectAccounted(st);
+    EXPECT_EQ(st.hash(), 0x74037c0447801fe7ull);
+    EXPECT_EQ(st.completed, 7559u);
+    EXPECT_EQ(st.kicks, 6913u);
+    EXPECT_EQ(st.preemptions, 8311u);
+    EXPECT_EQ(st.steals, 4015u);
+    EXPECT_EQ(st.stealsCross, 3405u);
+}
+
 TEST(CakeScheduler, DescribeReportsSchedulerCountersOnlyWhenActive)
 {
     ServeStats cake =
@@ -383,12 +407,12 @@ TEST(CakeQueueUnit, RankOrderAndStealVictims)
     EXPECT_EQ(best->id, 7u);
 
     // kickStarved marks everything older than the cap exactly once
-    // and reports the earliest arrival still queued.
+    // and reports the earliest arrival still unkicked: none is left.
     size_t kicked = 0;
     Tick earliest =
         q.kickStarved(200, 50, [&](const Request&) { ++kicked; });
     EXPECT_EQ(kicked, 2u); // r0 (shard 0) and r2 (shard 1)
-    EXPECT_EQ(earliest, 5u);
+    EXPECT_EQ(earliest, ~Tick{0});
     kicked = 0;
     q.kickStarved(200, 50, [&](const Request&) { ++kicked; });
     EXPECT_EQ(kicked, 0u); // idempotent: already marked
@@ -440,6 +464,187 @@ TEST(CakeQueueUnit, FifoRankReplaysAdmissionQueueOrder)
         }
     }
     EXPECT_GT(pops, 500u);
+}
+
+/** The full-scan starvation sweep CakeQueue ran before per-shard
+ *  bounds, over a plain copy of its shards: every queued request is
+ *  visited on every call. */
+struct FullScanQueue
+{
+    std::vector<std::vector<Request>> shards;
+
+    explicit FullScanQueue(size_t n) : shards(n) {}
+
+    template <class Rank>
+    std::optional<Request>
+    popBest(size_t s, Rank&& rank)
+    {
+        auto& q = shards[s];
+        if (q.empty())
+            return std::nullopt;
+        size_t best = 0;
+        for (size_t i = 1; i < q.size(); ++i)
+            if (rank(q[i]) < rank(q[best]))
+                best = i;
+        Request r = q[best];
+        q.erase(q.begin() + static_cast<std::ptrdiff_t>(best));
+        return r;
+    }
+
+    /** Deepest shard other than `exclude` (tie: lowest id). */
+    size_t
+    victim(size_t exclude) const
+    {
+        size_t v = shards.size();
+        for (size_t s = 0; s < shards.size(); ++s)
+            if (s != exclude && !shards[s].empty() &&
+                (v == shards.size() ||
+                 shards[s].size() > shards[v].size()))
+                v = s;
+        return v;
+    }
+
+    std::vector<uint64_t>
+    kickStarved(Tick now, Tick kick)
+    {
+        std::vector<uint64_t> ids;
+        for (auto& q : shards)
+            for (auto& r : q)
+                if (!r.kicked && now >= r.arrival &&
+                    now - r.arrival >= kick) {
+                    r.kicked = true;
+                    ids.push_back(r.id);
+                }
+        return ids;
+    }
+
+    Tick
+    earliestUnkicked() const
+    {
+        Tick e = ~Tick{0};
+        for (const auto& q : shards)
+            for (const auto& r : q)
+                if (!r.kicked)
+                    e = std::min(e, r.arrival);
+        return e;
+    }
+};
+
+TEST(CakeQueueUnit, KickSweepMatchesFullScan)
+{
+    // The per-shard sweep must kick exactly what the full scan kicks,
+    // in the same order, under interleaved pushes (future arrivals and
+    // re-pushed kicked requests included), pops, steals, shard drains
+    // and sweeps at arbitrary clocks and caps.
+    constexpr size_t kShards = 5;
+    Rng rng(7);
+    CakeQueue q(kShards, 1u << 12);
+    FullScanQueue ref(kShards);
+    auto rank = [](const Request& r) {
+        RankKey k;
+        k.kicked = r.kicked;
+        k.tier = r.priority;
+        k.arrival = r.arrival;
+        k.id = r.id;
+        return k;
+    };
+    auto expectSame = [&](const std::optional<Request>& got,
+                          const std::optional<Request>& want,
+                          size_t step) {
+        ASSERT_EQ(got.has_value(), want.has_value()) << step;
+        if (want) {
+            ASSERT_EQ(got->id, want->id) << step;
+            ASSERT_EQ(got->kicked, want->kicked) << step;
+        }
+    };
+    std::vector<Request> popped; // candidates for re-pushing
+    uint64_t nextId = 1;
+    Tick now = 1000;
+    size_t sweeps = 0, kicks = 0, emptySweeps = 0;
+    for (size_t step = 0; step < 20000; ++step) {
+        now += rng.uniformU64(4);
+        uint64_t op = rng.uniformU64(16);
+        size_t s = rng.uniformU64(kShards);
+        if (op < 6) {
+            Request r;
+            if (op == 0 && !popped.empty()) {
+                // Re-queue (a preempt remainder or failover), kicked
+                // or not, with its original arrival.
+                size_t i = rng.uniformU64(popped.size());
+                r = popped[i];
+                popped.erase(popped.begin() +
+                             static_cast<std::ptrdiff_t>(i));
+            } else {
+                r.id = nextId++;
+                r.priority = static_cast<int>(rng.uniformU64(3));
+                // Mostly past arrivals, some in the future.
+                r.arrival = now + 40 - rng.uniformU64(240);
+            }
+            q.push(s, r);
+            ref.shards[s].push_back(r);
+        } else if (op < 9) {
+            auto got = q.popBest(s, rank);
+            auto want = ref.popBest(s, rank);
+            expectSame(got, want, step);
+            if (want)
+                popped.push_back(*want);
+        } else if (op < 11) {
+            size_t victim = kShards;
+            auto got = q.steal(s, rank, &victim);
+            size_t v = ref.victim(s);
+            auto want = v == kShards ? std::nullopt : ref.popBest(v, rank);
+            expectSame(got, want, step);
+            if (want) {
+                ASSERT_EQ(victim, v) << step;
+                popped.push_back(*want);
+            }
+        } else if (op == 11 && rng.uniformU64(8) == 0) {
+            auto got = q.drainShard(s);
+            ASSERT_EQ(got.size(), ref.shards[s].size()) << step;
+            for (size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i].id, ref.shards[s][i].id) << step;
+                ASSERT_EQ(got[i].kicked, ref.shards[s][i].kicked)
+                    << step;
+            }
+            ref.shards[s].clear();
+        } else {
+            // Sweep at a clock that may run behind queued arrivals.
+            Tick at = now - rng.uniformU64(60);
+            Tick kick = 20 + rng.uniformU64(100);
+            std::vector<uint64_t> got;
+            Tick bound = q.kickStarved(
+                at, kick, [&](const Request& r) { got.push_back(r.id); });
+            std::vector<uint64_t> want = ref.kickStarved(at, kick);
+            ASSERT_EQ(got, want) << step;
+            // A lower bound on the earliest unkicked arrival.
+            ASSERT_LE(bound, ref.earliestUnkicked()) << step;
+            ++sweeps;
+            kicks += got.size();
+            emptySweeps += got.empty();
+            // Every kicked flag, read back in shard and queue order.
+            CakeQueue copy = q;
+            auto all = copy.drainAll();
+            size_t i = 0;
+            for (const auto& rq : ref.shards)
+                for (const auto& r : rq) {
+                    ASSERT_LT(i, all.size()) << step;
+                    ASSERT_EQ(all[i].id, r.id) << step;
+                    ASSERT_EQ(all[i].kicked, r.kicked) << step;
+                    ++i;
+                }
+            ASSERT_EQ(i, all.size()) << step;
+        }
+        ASSERT_EQ(q.depth(), [&] {
+            size_t d = 0;
+            for (const auto& rq : ref.shards)
+                d += rq.size();
+            return d;
+        }()) << step;
+    }
+    // The mix really kicked, and really had sweeps with nothing due.
+    EXPECT_GT(sweeps, 3000u);
+    EXPECT_GT(kicks, 1000u);
+    EXPECT_GT(emptySweeps, 500u);
 }
 
 // ---------------------------------------------------------------------
